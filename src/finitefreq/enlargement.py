@@ -27,7 +27,8 @@ def gap(system: LpvSystem, rng: FrequencyRange, p_grid_density: int = 11) -> flo
     gap squared at p is lambda_max of its negation when that is positive, else
     zero, and the reported value is the supremum over the grid (vertices
     always included).  For a low band this reduces to
-    max(0, sigma_max(A(p))^2 - edge^2).
+    max(0, sigma_max(A(p))^2 - edge^2).  A non-finite system matrix raises
+    ValueError rather than reading as a zero gap.
     """
     psi = frequency_weight(rng).psi
     n = system.n
@@ -36,6 +37,8 @@ def gap(system: LpvSystem, rng: FrequencyRange, p_grid_density: int = 11) -> flo
     for p in system.box.p_grid(p_grid_density):
         A = system.A(p)
         K = psi[0, 0] * (A.conj().T @ A) + psi[0, 1] * A.conj().T + psi[1, 0] * A + psi[1, 1] * I
+        if not np.isfinite(K).all():  # LAPACK may return finite eigenvalues for NaN input
+            raise ValueError(f"band block at p={np.round(p, 6)} is not finite; the gap is undefined")
         if np.iscomplexobj(K):
             lam = float(np.linalg.eigvalsh(real_embedding(-K)).max())
         else:

@@ -324,10 +324,13 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
               verify_density: int = 11) -> GammaResult:
     """Smallest certified L2-gain level, located by bisection over the gain.
 
-    Feasibility of the stacked vertex form is monotone in gamma^2, so plain
-    bisection between the last infeasible and first feasible levels is exact up
-    to solver resolution.  After convergence the certificate is re-checked on a
-    parameter grid; violations set relaxation_gap_flag instead of failing.
+    Feasibility of the stacked vertex form is monotone in gamma^2, so bisection
+    keeps a bracket (lo, hi) with hi always certified: a feasible verdict at hi
+    carries a point that an exact eigensolve confirms.  An infeasible verdict
+    at lo is a dual certificate or only "not shown feasible", so the true
+    optimum may lie below lo.  gamma_star is hi, within bisect_tol of lo.
+    After convergence the certificate is re-checked on a parameter grid;
+    violations set relaxation_gap_flag instead of failing.
     """
     if bisect_tol <= 0:
         raise ValueError("bisect_tol must be positive")
@@ -390,7 +393,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     cert.update({f"Q{k}": M for k, M in enumerate(Q)})
     violations = verify_on_grid(hi_prob, hi_res.x, grid_density=verify_density)
     return GammaResult(
-        gamma_star=0.5 * (lo + hi), certificate=cert, x=hi_res.x,
+        gamma_star=hi, certificate=cert, x=hi_res.x,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
         violations=violations, bracket=(lo, hi), margin=hi_prob.margin,
         mode=mode, range=rng,

@@ -202,6 +202,11 @@ _SYSTEM_KEYS = {
 }
 
 
+def _flat(v):
+    """Scalars of a nested list, in order."""
+    return [y for item in v for y in _flat(item)] if isinstance(v, (list, tuple)) else [v]
+
+
 def system_from_dict(obj) -> LpvSystem:
     """Build an LpvSystem from the JSON system-description schema."""
     unknown = set(obj) - _SYSTEM_KEYS
@@ -210,6 +215,9 @@ def system_from_dict(obj) -> LpvSystem:
     missing = _SYSTEM_KEYS - set(obj)
     if missing:
         raise ValueError(f"missing system keys: {sorted(missing)}")
+    for key in sorted(_SYSTEM_KEYS):
+        if not np.isfinite(np.asarray(_flat(obj[key]), dtype=float)).all():
+            raise ValueError(f"system key {key!r} has a non-finite entry")
     l = int(obj["params"])
 
     def mk(base_key, coeff_key):

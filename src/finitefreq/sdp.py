@@ -1,14 +1,13 @@
 """Dense small-scale semidefinite feasibility engine.
 
-Decides whether an affine symmetric block form F(x) = F0 + sum_j x_j Fj admits
-F(x) >= margin*I by minimizing a log-sum-exp smoothing of the largest
-eigenvalue of -F(x) over a doubling temperature schedule.  Problems here are
-desk scale (blocks up to ~12x12, tens of variables), so dense eigensolves per
-iteration are cheap and the verdict is re-verified with an exact eigensolve.
-
-The solver certifies feasibility (every "feasible" verdict carries a point x
-checked by a fresh eigensolve); an infeasible verdict means "no feasible point
-found", not a dual certificate.
+F(x) = F0 + sum_j x_j Fj >= margin*I holds iff t* >= 0, for t* = max t subject
+to Ftilde(x) >= t*I on the normalized pencil Ftilde (margin folded into the
+constant blocks, each block scaled to unit size).  t* is approached by
+log-barrier path following (Boyd & Vandenberghe, Convex Optimization, ch. 11)
+over same-size blocks stacked into batches, and each Newton step yields a dual
+point bounding t* from above.  A feasible verdict is re-checked by an exact
+eigensolve, a dual bound below zero certifies infeasibility, and any other
+infeasible verdict means "not shown feasible".
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass
@@ -84,7 +82,8 @@ class FeasibilityResult:
     feasible: bool
     x: np.ndarray
     achieved_margin: float  # -lambda_max(-F(x)) at the returned point
-    iterations: int
+    iterations: int  # Newton steps
+    dual_bound: float = np.inf  # bound on t* (normalized) over |x_j| <= RADIUS; < 0: infeasible
 
 
 def max_eig_neg(form: AffineSymmetricForm, x) -> float:
@@ -105,103 +104,104 @@ def real_embedding(H) -> np.ndarray:
     return np.block([[R, -I], [I, R]])
 
 
-def _smoothed_objective(form, s, beta, margin, state):
-    """f(z) = softmax_beta of eigenvalues of -F(z/s), with its gradient."""
+RADIUS = 1e9  # box |x_j| <= RADIUS: bounds the barrier along directions that only add slack
 
-    def fg(z):
-        x = z / s
-        vals, vecs = [], []
-        for C, K in zip(form.constant_blocks, form.coeff_blocks):
-            Fb = C + np.tensordot(x, K, axes=(0, 0))
-            w, V = np.linalg.eigh(-Fb)
-            vals.append(w)
-            vecs.append(V)
-        allv = np.concatenate(vals)
-        vmax = float(allv.max())
-        if vmax <= -margin and state["found"] is None:
-            state["found"] = x.copy()  # feasible point met mid-search
-        ew = np.exp(beta * (allv - vmax))
-        Z = ew.sum()
-        f = vmax + np.log(Z) / beta
-        g = np.zeros(form.nvar)
-        i0 = 0
-        for K, w, V in zip(form.coeff_blocks, vals, vecs):
-            wts = ew[i0:i0 + w.size] / Z
-            i0 += w.size
-            # gradient of the softmax through the eigenvectors
-            Wm = (V * wts) @ V.T
-            g -= np.einsum("jkl,kl->j", K, Wm)
-        return f, g / s
 
-    return fg
+@dataclass
+class NewtonResult:
+    x: np.ndarray
+    bound: float  # dual upper bound on t*, inf until a dual point is PSD
+    nit: int  # Newton steps
+    nfev: int  # barrier evaluations, one Cholesky pass over all blocks each
+
+
+def _whiten(groups, y):
+    """L^-1 A_j L^-T per same-size group, for S = C + sum_j y_j A_j = L L^T; None off the cone."""
+    try:
+        Lis = [np.linalg.inv(np.linalg.cholesky(C + np.einsum("bjkl,j->bkl", A, y))) for C, A in groups]
+    except np.linalg.LinAlgError:
+        return None
+    out = [Li[:, None] @ A @ Li.transpose(0, 2, 1)[:, None] for Li, (_, A) in zip(Lis, groups)]
+    return out if all(np.isfinite(m).all() for m in out) else None
+
+
+def _step_length(w, slope):
+    """Exact minimizer over a of -a*slope - sum log(1 + a*w), the barrier along a Newton step."""
+    lo, hi = 0.0, 0.99 / -w.min() if w.min() < 0 else 1e6
+    a = min(1.0, hi)
+    for _ in range(50):
+        r = w / (1.0 + a * w)
+        d1 = -slope - r.sum()
+        if abs(d1) <= 1e-12 * (1.0 + abs(slope)):
+            break
+        lo, hi = (a, hi) if d1 < 0 else (lo, a)
+        a_new = a - d1 / (r @ r)
+        a = a_new if lo < a_new < hi else 0.5 * (lo + hi)
+    return a
+
+
+def minimize(groups, y, max_iters):
+    """Maximize t = y[-1] over the stacked blocks by barrier path following from interior y.
+
+    Stops at the first t > 0, at a dual bound below zero, at a duality gap below
+    1e-9, or after max_iters Newton steps; returns the iterate with the largest t.
+    """
+    N = sum(C.shape[0] * C.shape[1] for C, _ in groups)
+    M, best, bound, mu, nit, nfev = _whiten(groups, y), y, np.inf, 1.0 / N, 0, 1
+    while y[-1] <= 0.0 and nit < max_iters and M is not None:
+        Mf = np.concatenate([m.transpose(1, 0, 2, 3).reshape(y.size, -1) for m in M], axis=1)
+        H = Mf @ Mf.T  # Hessian of -log det S
+        tr = sum(np.einsum("bjkk->j", m) for m in M)
+        d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling; the box makes every diagonal positive
+        dy = d * np.linalg.lstsq(H * np.outer(d, d), (tr + np.eye(y.size)[-1] / mu) * d, rcond=1e-13)[0]
+        w = np.concatenate([np.linalg.eigvalsh(np.einsum("bjkl,j->bkl", m, dy)).ravel() for m in M])
+        if w.max() <= 1.0:  # the dual point Z = mu * L^-T (I - W) L^-1 is PSD
+            a = mu * (tr - H @ dy)  # sum_b <Z_b, A_bj>: 0 for x_j and -1 for t when dy is exact
+            gap = mu * (N - w.sum())  # sum_b <Z_b, S_b>
+            if a[-1] < 0:  # weak duality over the box, with the residuals of a charged in full
+                bound = min(bound, (gap - a @ y + RADIUS * np.abs(a[:-1]).sum()) / -a[-1])
+            if bound < 0.0 or gap <= 1e-9:  # certified, or t* is zero to solver resolution
+                break
+        if w @ w <= 0.0625:  # centred (Newton decrement below 1/4)
+            mu *= 0.1
+            continue
+        y = y + _step_length(w, dy[-1] / mu) * dy
+        M, nit, nfev = _whiten(groups, y), nit + 1, nfev + 1
+        best = y if y[-1] > best[-1] else best
+    return NewtonResult(best[:-1], bound, nit, nfev)
 
 
 def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int = 6000,
                       x0=None) -> FeasibilityResult:
-    """Search for x with F(x) >= margin*I.
+    """Search for x with F(x) >= margin*I, i.e. t* >= 0 on the normalized pencil.
 
-    Works on a normalized pencil: the margin is folded into the constant
-    blocks and every block is scaled to unit size, so that
-    F(x) >= margin*I is exactly lambda_max over blocks of -Ftilde(x) <= 0 and
-    the smoothing temperature means the same thing on every block.  The
-    smoothed objective is minimized per temperature stage by a quasi-Newton
-    line-search descent with warm starts across the doubling schedule; the
-    search returns as soon as an exactly verified feasible point appears.  A
-    False verdict after the full schedule is "no feasible point found", not an
-    infeasibility certificate.
+    A warm start x0 meeting the margin returns at 0 iterations; otherwise
+    ``minimize`` runs from (x0, t) strictly inside, with t <= 1 and the box
+    |x_j| <= RADIUS added to bound the barrier, and its point is re-checked on
+    the original form.  ``dual_bound < 0`` certifies infeasibility in the box.
     """
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     nvar = form.nvar
-    x = np.zeros(nvar) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(nvar) if x0 is None else np.clip(np.asarray(x0, dtype=float), -RADIUS / 2, RADIUS / 2)
     if x.size != nvar:
         raise ValueError("warm start has wrong length")
-    if nvar == 0:
-        v = max_eig_neg(form, x)
+    v = max_eig_neg(form, x)
+    if nvar == 0 or v <= -margin:
         return FeasibilityResult(v <= -margin, x, -v, 0)
 
-    # Normalized pencil: shift by the margin, scale each block to unit size.
-    consts, coeffs = [], []
+    # Normalized pencil, stacked by block size, with a last coefficient -I carrying t.
+    groups = {}
     for C, K in zip(form.constant_blocks, form.coeff_blocks):
-        Cs = C - margin * np.eye(C.shape[0])
+        Cs = C - margin * np.eye(len(C))
         sb = max(float(np.linalg.norm(Cs, 2)), max(float(np.linalg.norm(Kj, 2)) for Kj in K), 1e-12)
-        consts.append(Cs / sb)
-        coeffs.append(K / sb)
-    scaled = AffineSymmetricForm(consts, coeffs)
-
-    # Per-variable preconditioning on top of the block scaling.
-    s = np.ones(nvar)
-    for K in scaled.coeff_blocks:
-        s = np.maximum(s, np.sqrt((K**2).sum(axis=(1, 2))))
-
-    state = {"found": None}
-    beta = 1.0
-    nit = 0
-    best_v, best_x = max_eig_neg(scaled, x), x.copy()
-    stage = 0
-    prev_v = np.inf
-    stalled = 0
-    while stage < 32 and nit < max_iters:
-        fg = _smoothed_objective(scaled, s, beta, 0.0, state)
-        res = minimize(fg, x * s, jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=min(300, max_iters - nit), ftol=1e-18, gtol=1e-16))
-        nit += max(res.nit, 1)
-        x = res.x / s
-        v = max_eig_neg(scaled, x)
-        if v < best_v:
-            best_v, best_x = v, x.copy()
-        if state["found"] is not None:
-            xf = state["found"]
-            return FeasibilityResult(True, xf, -max_eig_neg(form, xf), nit)
-        if v <= 0.0:
-            return FeasibilityResult(True, x, -max_eig_neg(form, x), nit)
-        # Plateaued on the clearly infeasible side: stop sharpening.
-        stalled = stalled + 1 if v > prev_v - (1e-10 + 1e-3 * abs(v)) else 0
-        if stage >= 8 and stalled >= 2 and v > 1e-4:
-            break
-        prev_v = v
-        beta *= 2.0
-        stage += 1
-
-    feas = max_eig_neg(scaled, best_x) <= 0.0
-    return FeasibilityResult(feas, best_x, -max_eig_neg(form, best_x), nit)
+        groups.setdefault(len(C), []).append((Cs / sb, np.concatenate([K / sb, -np.eye(len(C))[None]])))
+    groups.setdefault(1, []).append((np.ones((1, 1)), -np.eye(nvar + 1)[-1][:, None, None]))  # t <= 1
+    groups = [tuple(map(np.stack, zip(*g))) for g in groups.values()]
+    E = np.eye(nvar, nvar + 1)
+    groups.append((np.full((2 * nvar, 1, 1), RADIUS), np.concatenate([E, -E])[:, :, None, None]))
+    t0 = min(np.linalg.eigvalsh(C + np.einsum("bjkl,j->bkl", A[:, :-1], x)).min()
+             for C, A in groups[:-1]) - 1.0
+    res = minimize(groups, np.append(x, t0), max_iters)
+    v = max_eig_neg(form, res.x)
+    return FeasibilityResult(v <= -margin, res.x, -v, res.nit, res.bound)

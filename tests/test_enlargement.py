@@ -24,6 +24,13 @@ def test_gap_zero_when_pole_inside_band():
     assert ff.gap(sys, LOW1) == 0.0
 
 
+def test_gap_rejects_non_finite_system():
+    # max(0.0, nan) is 0.0, which would read as "no widening needed"
+    sys = ff.LpvSystem.lti([[np.nan]], [[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        ff.gap(sys, LOW1)
+
+
 def test_gap_low_band_closed_form_on_random_draws():
     rng = np.random.default_rng(23)
     for _ in range(50):

@@ -141,6 +141,18 @@ def test_system_json_rejects_unknown_keys(benchmark_system):
         system_from_dict(d)
 
 
+@pytest.mark.parametrize("key,index", [("A0", (0, 0)), ("D", (0, 0, 0)), ("rate_upper", (0,))])
+def test_system_json_rejects_non_finite_entries(benchmark_system, key, index):
+    for bad in (float("nan"), float("inf"), None):
+        d = system_to_dict(benchmark_system)
+        entry = d[key]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = bad
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            system_from_dict(d)
+
+
 def test_shipped_system_file_matches_benchmark(benchmark_system):
     s = ff.load_system("data/example1.json")
     assert np.allclose(s.A.constant, benchmark_system.A.constant)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finitefreq as ff
+from finitefreq.lmi import build_problem
 from finitefreq.sdp import AffineSymmetricForm
 
 
@@ -38,6 +39,50 @@ def test_solve_feasibility_contradictory():
     F = AffineSymmetricForm([[[-1.0]], [[0.0]]], [[[[1.0]]], [[[-1.0]]]])
     res = ff.solve_feasibility(F, 0.05)
     assert not res.feasible
+    assert res.dual_bound < 0  # a dual certificate, not just "no point found"
+
+
+def test_variable_in_no_block_keeps_the_verdict():
+    # x[1] has zero coefficients everywhere, so the barrier's Hessian has a zero
+    # row without the radius box
+    def form(c2):
+        return AffineSymmetricForm([[[-1.0]], [[c2]]],
+                                   [[[[1.0]], [[0.0]]], [[[-1.0]], [[0.0]]]])
+
+    res = ff.solve_feasibility(form(2.0), 0.1)
+    assert res.feasible and 1.1 - 1e-9 <= res.x[0] <= 1.9 + 1e-9
+    assert np.all(np.isfinite(res.x))
+    res = ff.solve_feasibility(form(0.0), 0.05)
+    assert not res.feasible and res.dual_bound < 0
+    assert res.iterations < 100
+
+
+@pytest.mark.parametrize("gamma,expected", [(2.5, True), (2.0, False)])
+def test_ill_scaled_band_probe(benchmark_system, gamma, expected):
+    # on low:0.5 the Q-slab coefficients have norms 400-750 against 3-34 for the P slabs
+    prob = build_problem(benchmark_system, ff.FrequencyRange.low(0.5), "lpv_ff", gamma)
+    res = ff.solve_feasibility(prob.form, prob.margin)
+    assert res.feasible is expected
+    assert expected or res.dual_bound < 0
+
+
+@given(st.integers(0, 10_000))
+def test_planted_strictly_feasible_forms_are_found(seed):
+    # F(x*) >= 2*margin*I by construction, so a feasible verdict is owed
+    rng = np.random.default_rng(seed)
+    nvar, margin = int(rng.integers(1, 7)), float(rng.choice([1e-6, 1e-2, 0.5]))
+    x_star = rng.normal(scale=float(rng.choice([0.1, 1.0, 30.0])), size=nvar)
+    consts, coeffs = [], []
+    for k in rng.integers(1, 5, size=int(rng.integers(1, 4))):
+        K = rng.normal(size=(nvar, k, k))
+        K = K + K.transpose(0, 2, 1)
+        G = rng.normal(size=(k, k)) * float(rng.choice([0.0, 1.0]))
+        consts.append(2 * margin * np.eye(k) + G @ G.T - np.tensordot(x_star, K, axes=(0, 0)))
+        coeffs.append(K)
+    form = AffineSymmetricForm(consts, coeffs)
+    res = ff.solve_feasibility(form, margin)
+    assert res.feasible
+    assert ff.max_eig_neg(form, res.x) <= -margin
 
 
 def _scalar_kyp_form(gamma):
