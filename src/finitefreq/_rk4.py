@@ -1,13 +1,20 @@
 """Batched classical Runge-Kutta propagators for linear time-varying dynamics.
 
 For xdot = A(t) x + b(t) the RK4 update is affine, x_{k+1} = M_k x_k + g_k,
-and both M_k and g_k depend only on the step's stage data.  Building all step
-matrices in one vectorized pass and then running the cheap sequential
-recurrence is exactly RK4 with exact stage evaluations, but avoids per-step
-Python overhead in the right-hand side.
+and both M_k and g_k depend only on the step's stage data, so all step
+matrices are built in one vectorized pass.  The recurrence itself runs as a
+blocked two-level scan (Blelloch, "Prefix sums and their applications", 1990):
+the N steps are cut into about sqrt(N) blocks of about sqrt(N) steps, every
+block's affine end map is formed with all blocks advancing together, a short
+sequential pass chains the block start states, and a second pass reruns all
+blocks from those exact start states into the output.  The Python-level work
+is O(sqrt(N)) batched matrix products instead of N single-step products, and
+no per-step product array is stored.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
@@ -38,6 +45,48 @@ def step_offsets(A_stages, b_stages, h):
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _sweep(M, g, out):
+    """Fill out[1:] with X_{k+1} = M_k X_k + g_k from X_0 = out[0].
+
+    M: (N, n, n); g: (N, n, r), or None for g = 0; out: (N+1, n, r), written
+    in place.  The first B*L steps form B blocks of L = isqrt(N) steps, so the
+    basic slice [j:B*L:L] of a step array holds step j of every block.  The
+    fewer than L steps left over are swept the same way from the state the
+    blocks end in.
+    """
+    N, n = M.shape[0], M.shape[1]
+    if N == 0:
+        return
+    L = isqrt(N)
+    B = N // L
+    head = B * L
+
+    # pass 1: every block's affine end map [Phi_b | c_b], all blocks together
+    T = np.zeros((B, n, n if g is None else n + g.shape[-1]))
+    T[:, :, :n] = np.eye(n)
+    for j in range(L):
+        T = M[j:head:L] @ T
+        if g is not None:
+            T[:, :, n:] += g[j:head:L]
+
+    # middle pass: chain the block start states
+    starts = np.empty((B,) + out.shape[1:])
+    X = out[0]
+    for b in range(B):
+        starts[b] = X
+        X = T[b, :, :n] @ X + T[b, :, n:] if g is not None else T[b] @ X
+
+    # pass 2: rerun every block from its exact start state into the output
+    X = starts
+    for j in range(L):
+        X = M[j:head:L] @ X
+        if g is not None:
+            X += g[j:head:L]
+        out[j + 1:head + 1:L] = X
+
+    _sweep(M[head:], None if g is None else g[head:], out[head:])
+
+
 def propagate_vector(M, g, x0):
     """x_{k+1} = M_k x_k + g_k from x_0; returns (N+1, n) including x_0.
 
@@ -45,23 +94,17 @@ def propagate_vector(M, g, x0):
     """
     N = M.shape[0]
     out = np.empty((N + 1, x0.size))
-    x = np.array(x0, dtype=float)
-    out[0] = x
+    out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            x = M[k] @ x + g[k]
-            out[k + 1] = x
+        _sweep(M, np.asarray(g, dtype=float)[..., None], out[..., None])
     return out
 
 
 def propagate_matrix(M, X0):
     """X_{k+1} = M_k X_k from X_0; returns (N+1, n, n)."""
     N = M.shape[0]
-    n = X0.shape[0]
-    out = np.empty((N + 1, n, n))
-    X = np.array(X0, dtype=float)
-    out[0] = X
-    for k in range(N):
-        X = M[k] @ X
-        out[k + 1] = X
+    out = np.empty((N + 1,) + X0.shape)
+    out[0] = X0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sweep(M, None, out)
     return out

@@ -47,25 +47,34 @@ def gap(system: LpvSystem, rng: FrequencyRange, p_grid_density: int = 11) -> flo
     return worst
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is {value}; the band widening is undefined")
+    return value
+
+
 def delta_squared(gap_sq: float, traces: dict, mode: str = "UAS") -> float:
     """Minimal admissible band widening (squared), clamped at zero.
 
     traces carries 'tr_w_p_min' (denominator), 'tr_w_dot_p', and for BIBS mode
-    also 'tr_w_hat_p' which enters with a negative sign.
+    also 'tr_w_hat_p' which enters with a negative sign.  A non-finite gap or
+    trace raises ValueError rather than reading as no widening.
     """
+    gap_sq = _finite("gap_sq", gap_sq)
     if gap_sq < 0:
         raise ValueError("gap_sq must be nonnegative")
-    tr_w_p = float(traces["tr_w_p_min"])
+    tr_w_p = _finite("tr_w_p_min", traces["tr_w_p_min"])
     if tr_w_p <= 0:
         raise ValueError("system not finite-frequency controllable on this band "
                          "(nonpositive Gramian trace)")
+    tr_dot = _finite("tr_w_dot_p", traces["tr_w_dot_p"])
     if gap_sq == 0.0:
         return 0.0
-    tr_dot = float(traces["tr_w_dot_p"])
     if mode.upper() == "UAS":
         raw = gap_sq * tr_dot / tr_w_p
     elif mode.upper() == "BIBS":
-        raw = gap_sq * (-float(traces["tr_w_hat_p"]) + tr_dot) / tr_w_p
+        raw = gap_sq * (-_finite("tr_w_hat_p", traces["tr_w_hat_p"]) + tr_dot) / tr_w_p
     else:
         raise ValueError("mode must be 'UAS' or 'BIBS'")
     return max(0.0, raw)

@@ -22,6 +22,8 @@ from ._rk4 import propagate_matrix, step_matrices
 from .model import FrequencyRange, LpvSystem
 from .lmi import UasCertificate, _p_corners, _rate_corners
 
+_TAU_CHUNK = 512  # tau samples per block of the quadrature's exponential table
+
 
 def _band_nodes(rng: FrequencyRange, quad_nodes: int):
     """Positive-axis quadrature rule (nodes, weights) covering the band.
@@ -92,10 +94,6 @@ class StateTransition:
     grid_times: np.ndarray
     phi: np.ndarray  # (N+1, n, n)
     trajectory: object
-
-    def at(self, t):
-        k = int(np.argmin(np.abs(self.grid_times - t)))
-        return self.phi[k]
 
 
 def _stage_A(system: LpvSystem, trajectory, times, h, transform=None):
@@ -178,11 +176,22 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
 
     W1 collects the frozen-matrix mismatch A(p(t)) - A(p(tau)); W2 collects the
     input-matrix drift Bdot(p(tau)) = sum_i pdot_i(tau) B_i (exact, from
-    affinity).  Each is an outer product of a tau-integral, integrated over the
-    band.
+    affinity).  Each is the band integral of V_c(w) V_c(w)^* with the
+    trapezoidal tau-integral
+
+        V_c(w) = -sum_tau tw_tau e^{jw tau} G_c(tau) R(w) X_c(tau),
+
+    where R(w) = (jwI - A(p(t)))^{-1}, G_1 = Phi(t, tau)(A(p(t)) - A(p(tau))),
+    X_1 = B(p(tau)), G_2 = Phi(t, tau) and X_2 = Bdot(p(tau)).  Because R(w)
+    does not depend on tau, V_c(w) = -sum_jk R(w)_jk S_c(w)[:, j, k, :] with
+    S_c(w) = sum_tau tw_tau e^{jw tau} G_c(tau)[:, j] (x) X_c(tau)[k, :], so
+    the tau-sums of both terms at all nodes are one matrix product
+    E(w, tau) @ H(tau, (c, i, j, k, l)).  E is formed in tau-chunks: on the
+    uniform tau grid every chunk is one base block e^{jw s step} times a
+    per-chunk phase e^{jw tau_0}.  The resolvents are one batched inverse.
     """
+    n = system.n
     if t <= 0:
-        n = system.n
         return np.zeros((n, n)), np.zeros((n, n))
     taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
     N = len(taus) - 1
@@ -199,25 +208,29 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
         B_tau += P[:, i][:, None, None] * system.B.coeffs[i]
         Bdot_tau += Pd[:, i][:, None, None] * system.B.coeffs[i]
 
-    G1 = np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau)
-    G2 = phi_t_tau
+    G = np.stack([np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau), phi_t_tau],
+                 axis=1)
+    X = np.stack([B_tau, Bdot_tau], axis=1)
     tw = np.full(N + 1, step)
     tw[0] = tw[-1] = 0.5 * step
 
     om, wts = _band_nodes(rng, quad_nodes)
-    n = system.n
-    W1 = np.zeros((n, n))
-    W2 = np.zeros((n, n))
-    I = np.eye(n)
-    for o, wk in zip(om, wts):
-        R = np.linalg.inv(1j * o * I - A_t)
-        E = np.exp(1j * o * taus)
-        RB = np.einsum("ij,tjk->tik", R, B_tau) * E[:, None, None]
-        V1 = -np.einsum("t,tij,tjk->ik", tw, G1, RB)
-        RBd = np.einsum("ij,tjk->tik", R, Bdot_tau) * E[:, None, None]
-        V2 = -np.einsum("t,tij,tjk->ik", tw, G2, RBd)
-        W1 += wk * 2.0 * np.real(V1 @ V1.conj().T)
-        W2 += wk * 2.0 * np.real(V2 @ V2.conj().T)
+    m = system.n_inputs
+    C = min(N + 1, _TAU_CHUNK)
+    base = np.exp(1j * np.outer(om, step * np.arange(C)))
+    base = np.concatenate([base.real, base.imag])  # real rows, then imaginary: real GEMMs
+    S = np.zeros((len(om), 2 * n ** 3 * m), dtype=complex)
+    for k0 in range(0, N + 1, C):
+        k1 = min(k0 + C, N + 1)
+        H = np.einsum("t,tcij,tckl->tcijkl", tw[k0:k1], G[k0:k1], X[k0:k1])
+        Y = base[:, :k1 - k0] @ H.reshape(k1 - k0, -1)
+        S += np.exp(1j * om * taus[k0])[:, None] * (Y[:len(om)] + 1j * Y[len(om):])
+    S = S.reshape(len(om), 2, n, n, n, m)
+
+    R = np.linalg.inv(1j * om[:, None, None] * np.eye(n) - A_t)
+    V = -np.einsum("wjk,wcijkl->wcil", R, S)
+    W = 2.0 * np.real(np.einsum("w,wcil,wcml->cim", wts, V, V.conj()))
+    W1, W2 = W
     return 0.5 * (W1 + W1.T), 0.5 * (W2 + W2.T)
 
 
@@ -275,9 +288,25 @@ class ShiftedTraceBound:
     m_2: float = 0.0
 
 
+def _lam_max_gram(M) -> float:
+    """lambda_max(M M^*), raising ValueError when M M^* is not finite.
+
+    The check is on the matrix: LAPACK may return finite eigenvalues for a
+    NaN matrix, and max() would drop a NaN one.
+    """
+    G = M @ M.conj().T
+    if not np.isfinite(G).all():
+        raise ValueError("drift integrand is not finite; the trace bound is undefined")
+    return float(np.linalg.eigvalsh(G).max().real)
+
+
 def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
                 omega_nodes: int):
-    """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands."""
+    """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands.
+
+    A non-finite integrand raises ValueError rather than being dropped by the
+    running maximum.
+    """
     if rng.kind == "high":
         om = np.linspace(rng.lo, 10.0 * rng.lo, omega_nodes)
     elif rng.kind == "entire":
@@ -296,13 +325,11 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
         for o in om:
             R = np.linalg.inv(1j * o * I - A_p)
             for pp in pgrid:
-                M1 = (A_p - system.A(pp)) @ R @ system.B(pp)
-                m1 = max(m1, float(np.linalg.eigvalsh(M1 @ M1.conj().T).max().real))
+                m1 = max(m1, _lam_max_gram((A_p - system.A(pp)) @ R @ system.B(pp)))
             for r in rates:
                 Bd = sum((ri * Bi for ri, Bi in zip(r, system.B.coeffs)),
                          np.zeros(system.B.shape))
-                M2 = R @ Bd
-                m2 = max(m2, float(np.linalg.eigvalsh(M2 @ M2.conj().T).max().real))
+                m2 = max(m2, _lam_max_gram(R @ Bd))
     return m1, m2
 
 

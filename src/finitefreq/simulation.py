@@ -303,5 +303,6 @@ def spectrum_fraction(data, rng: FrequencyRange, step: float = None,
     U = np.fft.rfft(u * w)
     freqs = 2.0 * np.pi * np.fft.rfftfreq(u.size, d=step)
     energy = np.abs(U) ** 2
-    mask = np.array([rng.contains(f) for f in freqs])
+    f = np.abs(freqs)
+    mask = (rng.lo <= f) & (f <= rng.hi)  # FrequencyRange.contains, edges included
     return float(energy[mask].sum() / energy.sum())

@@ -71,6 +71,21 @@ def test_delta_squared_rejects_uncontrollable():
         ff.delta_squared(1.0, {"tr_w_p_min": 0.0, "tr_w_dot_p": 1.0}, "UAS")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode, gap_sq, key", [
+    ("UAS", None, "gap_sq"), ("UAS", 10.0, "tr_w_p_min"), ("UAS", 10.0, "tr_w_dot_p"),
+    ("UAS", 0.0, "tr_w_dot_p"), ("BIBS", 10.0, "tr_w_hat_p")])
+def test_delta_squared_rejects_non_finite(mode, gap_sq, key, bad):
+    # max(0.0, nan) is 0.0: a NaN must not read as "no widening needed"
+    traces = {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5, "tr_w_hat_p": 0.1}
+    if key == "gap_sq":
+        gap_sq = bad
+    else:
+        traces[key] = bad
+    with pytest.raises(ValueError, match=key):
+        ff.delta_squared(gap_sq, traces, mode)
+
+
 def test_delta_squared_monotonicity():
     base = ff.delta_squared(100.0, {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5}, "UAS")
     assert ff.delta_squared(110.0, {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5}, "UAS") > base

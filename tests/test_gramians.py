@@ -4,6 +4,7 @@ import scipy.linalg
 
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
+from finitefreq.gramians import _band_nodes, _transition_from_t
 from conftest import random_stable_lti
 
 LOW1 = ff.FrequencyRange.low(1.0)
@@ -223,3 +224,85 @@ def test_gramian_set_bundle(benchmark_system):
     tr = gs.traces
     assert tr["W_p"] > 0 and tr["W_dot_p_1"] >= 0 and tr["W_dot_p_2"] >= 0
     assert gs.time == 5.0
+
+
+def shifted_reference(system, trajectory, t, rng, quad_nodes, step):
+    """Reference: the per-node quadrature, one resolvent and four tau-sums per node."""
+    taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
+    N = len(taus) - 1
+    A_t = system.A(np.atleast_1d(trajectory.p(t)))
+    P = np.atleast_2d(np.asarray(trajectory.p(taus), dtype=float).T).reshape(N + 1, -1)
+    Pd = np.atleast_2d(np.asarray(trajectory.pdot(taus), dtype=float).T).reshape(N + 1, -1)
+    A_tau = np.broadcast_to(system.A.constant, (N + 1,) + system.A.shape).copy()
+    B_tau = np.broadcast_to(system.B.constant, (N + 1,) + system.B.shape).copy()
+    Bdot_tau = np.zeros((N + 1,) + system.B.shape)
+    for i in range(system.nparams):
+        A_tau += P[:, i][:, None, None] * system.A.coeffs[i]
+        B_tau += P[:, i][:, None, None] * system.B.coeffs[i]
+        Bdot_tau += Pd[:, i][:, None, None] * system.B.coeffs[i]
+    G1 = np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau)
+    G2 = phi_t_tau
+    tw = np.full(N + 1, step)
+    tw[0] = tw[-1] = 0.5 * step
+    n = system.n
+    W1 = np.zeros((n, n))
+    W2 = np.zeros((n, n))
+    for o, wk in zip(*_band_nodes(rng, quad_nodes)):
+        R = np.linalg.inv(1j * o * np.eye(n) - A_t)
+        E = np.exp(1j * o * taus)
+        RB = np.einsum("ij,tjk->tik", R, B_tau) * E[:, None, None]
+        V1 = -np.einsum("t,tij,tjk->ik", tw, G1, RB)
+        RBd = np.einsum("ij,tjk->tik", R, Bdot_tau) * E[:, None, None]
+        V2 = -np.einsum("t,tij,tjk->ik", tw, G2, RBd)
+        W1 += wk * 2.0 * np.real(V1 @ V1.conj().T)
+        W2 += wk * 2.0 * np.real(V2 @ V2.conj().T)
+    return 0.5 * (W1 + W1.T), 0.5 * (W2 + W2.T)
+
+
+BANDS = [ff.FrequencyRange.low(1.2), ff.FrequencyRange.middle(0.5, 1.5),
+         ff.FrequencyRange.high(2.0), ff.FrequencyRange.entire()]
+
+
+def _three_state_two_input_system():
+    """n = 3 states, 2 inputs, 2 scheduling parameters; Hurwitz over the box."""
+    rng = np.random.default_rng(17)
+    A0 = -2.0 * np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+    sysm = ff.LpvSystem(
+        A=ff.AffineMatrixFunction(A0, tuple(0.5 * rng.normal(size=(3, 3)) for _ in range(2))),
+        B=ff.AffineMatrixFunction(rng.normal(size=(3, 2)),
+                                  tuple(rng.normal(size=(3, 2)) for _ in range(2))),
+        C=ff.AffineMatrixFunction(rng.normal(size=(1, 3)), (np.zeros((1, 3)),) * 2),
+        D=ff.AffineMatrixFunction(np.zeros((1, 2)), (np.zeros((1, 2)),) * 2),
+        box=ff.ParameterBox([-0.5, -0.5], [0.5, 0.5], [-2.0, -2.0], [2.0, 2.0]),
+    )
+    traj = ff.ScheduleTrajectory.sinusoid([0.1, -0.2], [0.3, 0.2], 2.0, 0.4, box=sysm.box)
+    return sysm, traj
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+def test_shifted_gramian_matches_per_node_quadrature(benchmark_system, band):
+    got = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 5.0, band,
+                                 quad_nodes=101, step=1e-3)
+    ref = shifted_reference(benchmark_system, example_schedule(), 5.0, band, 101, 1e-3)
+    for W, R in zip(got, ref):
+        assert np.abs(W - R).max() <= 1e-12 * np.abs(R).max()
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+def test_shifted_gramian_matches_per_node_quadrature_two_parameters(band):
+    sysm, traj = _three_state_two_input_system()
+    assert all(np.linalg.eigvals(sysm.A(p)).real.max() < 0 for p in sysm.box.p_grid(3))
+    got = ff.gramian_lpv_shifted(sysm, traj, 2.0, band, quad_nodes=41, step=2e-3)
+    ref = shifted_reference(sysm, traj, 2.0, band, 41, 2e-3)
+    for W, R in zip(got, ref):
+        assert W.shape == (3, 3)
+        assert np.abs(W - R).max() <= 1e-12 * np.abs(R).max()
+
+
+def test_trace_bound_raises_on_non_finite_integrand(benchmark_system, benchmark_band):
+    s = benchmark_system
+    nan_B = ff.LpvSystem(s.A, ff.AffineMatrixFunction(s.B.constant, (np.full(s.B.shape, np.nan),)),
+                         s.C, s.D, s.box)
+    cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    with pytest.raises(ValueError, match="not finite"):
+        ff.shifted_trace_bound(nan_B, benchmark_band, cert)

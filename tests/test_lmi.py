@@ -147,10 +147,18 @@ def test_lpv_ef_unstable_has_no_bound():
 
 
 def test_theorem2_benchmark_enlarged(benchmark_system):
-    res = ff.min_gamma(benchmark_system, ff.FrequencyRange.low(5.955), "theorem2",
-                       bisect_tol=1e-3)
-    assert res.gamma_star == pytest.approx(3.326, abs=0.05)
-    prob = build_problem(benchmark_system, ff.FrequencyRange.low(5.955), "theorem2", 5.0313)
+    band = ff.FrequencyRange.low(5.955)
+    res = ff.min_gamma(benchmark_system, band, "theorem2", bisect_tol=1e-3)
+    lo, hi = res.bracket
+    assert res.gamma_star == hi and hi - lo <= 1e-3
+    # a certified level bounds every frozen in-band gain from above
+    peak = max(inband_sup(*benchmark_system.frozen(p), band)
+               for p in benchmark_system.box.p_grid(11))
+    assert res.gamma_star >= peak
+    prob = build_problem(benchmark_system, band, "theorem2", res.gamma_star)
+    assert ff.max_eig_neg(prob.form, res.x) <= -prob.margin / 2
+    assert res.gamma_star <= 3.3262  # no worse than the earlier smoothed-eigenvalue engine
+    prob = build_problem(benchmark_system, band, "theorem2", 5.0313)
     assert solve_feasibility(prob.form, prob.margin).feasible
 
 
