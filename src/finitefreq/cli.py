@@ -346,7 +346,6 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="finitefreq",
                                  description="Finite-frequency analysis of LTI/LPV systems")
     ap.add_argument("--out", default=".", help="output directory")
-    ap.add_argument("--json", action="store_true", help="prefer JSON output where applicable")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="minimal certified gain by bisection")

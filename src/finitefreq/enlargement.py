@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramians import ShiftedTraceBound, gramian_lpv_frozen, gramian_lpv_weighted, \
-    quadrature_trace_bound, shifted_trace_bound
+from .gramians import gramian_lpv_frozen, gramian_lpv_weighted, quadrature_trace_bound, \
+    shifted_trace_bound
 from .lmi import UasCertificate, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
@@ -156,7 +156,8 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
                 raise ValueError("quadrature trace path needs a schedule")
             bound = quadrature_trace_bound(system, trajectory, t, rng, quad_nodes, step)
         else:
-            bound = _bound_with_cert(system, rng, uas, c3_target, p_grid_density)
+            cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
+            bound = shifted_trace_bound(system, rng, cert, grid_density=p_grid_density)
         tr_dot = bound.bound_1 + bound.bound_2
         prov = bound.method
     else:
@@ -173,12 +174,3 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
     return EnlargementResult(g2, d2, mode.upper(), tr_w_p_min, tr_hat, tr_dot,
                              enlarge_range(rng, d2), rng, rho, prov)
 
-
-def _bound_with_cert(system, rng, uas, c3_target, p_grid_density) -> ShiftedTraceBound:
-    try:
-        return shifted_trace_bound(system, rng, uas, grid_density=p_grid_density)
-    except ValueError:
-        if uas is not None:
-            raise
-        uas = uas_certificate(system, c3_target)
-        return shifted_trace_bound(system, rng, uas, grid_density=p_grid_density)

@@ -13,16 +13,27 @@ transition matrix or with the parameter-drift correction terms.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._rk4 import propagate_matrix, step_matrices
-from .model import FrequencyRange, LpvSystem
-from .lmi import UasCertificate, _p_corners, _rate_corners
+from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, corners
+from .lmi import UasCertificate
 
 _TAU_CHUNK = 512  # tau samples per block of the quadrature's exponential table
+
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(quad_nodes: int):
+    """Gauss-Legendre rule on [-1, 1], computed once per node count (read-only arrays)."""
+    x, w = leggauss(quad_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _band_nodes(rng: FrequencyRange, quad_nodes: int):
@@ -32,7 +43,7 @@ def _band_nodes(rng: FrequencyRange, quad_nodes: int):
     sum_k weights_k * 2 Re f(nodes_k).  Unbounded tails are mapped through
     w = a/u so that Gauss-Legendre nodes stay interior.
     """
-    x, w = leggauss(quad_nodes)
+    x, w = _gauss_legendre(quad_nodes)
 
     def on(a, b):
         return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
@@ -54,19 +65,28 @@ def _band_nodes(rng: FrequencyRange, quad_nodes: int):
     return np.concatenate([n1, n2]), np.concatenate([w1, w2])
 
 
-def _resolvent_gramian(A, B, rng, quad_nodes):
-    n = A.shape[0]
-    om, wts = _band_nodes(rng, quad_nodes)
-    W = np.zeros((n, n))
-    I = np.eye(n)
-    for o, wk in zip(om, wts):
+def _first_singular(M, B, om):
+    """The first node whose resolvent solve fails or is not finite."""
+    for Mk, o in zip(M, om):
         try:
-            R = np.linalg.solve(1j * o * I - A, B)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"resolvent singular at omega = {o}") from exc
-        if not np.all(np.isfinite(R)):
-            raise ValueError(f"resolvent singular at omega = {o}")
-        W += wk * 2.0 * np.real(R @ R.conj().T)
+            if not np.isfinite(np.linalg.solve(Mk, B)).all():
+                return o
+        except np.linalg.LinAlgError:
+            return o
+    return None
+
+
+def _resolvent_gramian(A, B, rng, quad_nodes):
+    """sum_k w_k 2 Re R_k R_k^*, R_k = (j w_k I - A)^{-1} B, from one batched solve."""
+    om, wts = _band_nodes(rng, quad_nodes)
+    M = 1j * om[:, None, None] * np.eye(A.shape[0]) - A
+    try:
+        R = np.linalg.solve(M, np.broadcast_to(B, (len(om),) + B.shape))
+    except np.linalg.LinAlgError:
+        R = None
+    if R is None or not np.isfinite(R).all():
+        raise ValueError(f"resolvent singular at omega = {_first_singular(M, B, om)}")
+    W = 2.0 * np.real(np.einsum("k,kim,kjm->ij", wts, R, R.conj()))
     return 0.5 * (W + W.T)
 
 
@@ -100,10 +120,7 @@ def _stage_A(system: LpvSystem, trajectory, times, h, transform=None):
     """Stage matrices (A at t, t+h/2, t+h) for all steps; optional map per matrix."""
     def A_of(ts):
         P = np.atleast_2d(np.asarray(trajectory.p(ts), dtype=float).T).reshape(len(ts), -1)
-        out = np.broadcast_to(system.A.constant, (len(ts),) + system.A.shape).copy()
-        for i, Ai in enumerate(system.A.coeffs):
-            out += P[:, i][:, None, None] * Ai
-        return out
+        return system.A.batch(P)
 
     A1 = A_of(times)
     A2 = A_of(times + 0.5 * h)
@@ -200,13 +217,8 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     P = np.atleast_2d(np.asarray(trajectory.p(taus), dtype=float).T).reshape(N + 1, -1)
     Pd = np.atleast_2d(np.asarray(trajectory.pdot(taus), dtype=float).T).reshape(N + 1, -1)
 
-    A_tau = np.broadcast_to(system.A.constant, (N + 1,) + system.A.shape).copy()
-    B_tau = np.broadcast_to(system.B.constant, (N + 1,) + system.B.shape).copy()
-    Bdot_tau = np.zeros((N + 1,) + system.B.shape)
-    for i in range(system.nparams):
-        A_tau += P[:, i][:, None, None] * system.A.coeffs[i]
-        B_tau += P[:, i][:, None, None] * system.B.coeffs[i]
-        Bdot_tau += Pd[:, i][:, None, None] * system.B.coeffs[i]
+    A_tau, B_tau = system.A.batch(P), system.B.batch(P)
+    Bdot_tau = _drift(system.B).batch(Pd)
 
     G = np.stack([np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau), phi_t_tau],
                  axis=1)
@@ -288,24 +300,32 @@ class ShiftedTraceBound:
     m_2: float = 0.0
 
 
-def _lam_max_gram(M) -> float:
-    """lambda_max(M M^*), raising ValueError when M M^* is not finite.
+def _drift(M: AffineMatrixFunction) -> AffineMatrixFunction:
+    """pdot -> sum_i pdot_i M_i: the time derivative of M(p(t)), from affinity."""
+    return AffineMatrixFunction(np.zeros(M.shape), M.coeffs)
 
-    The check is on the matrix: LAPACK may return finite eigenvalues for a
-    NaN matrix, and max() would drop a NaN one.
+
+def _lam_max_gram(M) -> float:
+    """Largest eigenvalue of M M^* over a stack of matrices M (..., r, c).
+
+    A non-finite M M^* raises ValueError; the check is on the matrices, since
+    LAPACK may return finite eigenvalues for a NaN matrix and max() would
+    drop a NaN one.
     """
-    G = M @ M.conj().T
+    G = M @ np.swapaxes(M.conj(), -1, -2)
     if not np.isfinite(G).all():
         raise ValueError("drift integrand is not finite; the trace bound is undefined")
-    return float(np.linalg.eigvalsh(G).max().real)
+    return float(np.linalg.eigvalsh(G).max())
 
 
 def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
                 omega_nodes: int):
     """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands.
 
-    A non-finite integrand raises ValueError rather than being dropped by the
-    running maximum.
+    M_1 = (A(p) - A(p')) R B(p') over parameter pairs and M_2 = R Bdot(r) over
+    rate corners, with R = (jwI - A(p))^{-1} from one batched inverse over
+    (p, w).  Each outer p is one stacked step, so memory stays
+    O(|w| |grid| n max(n, m)).  A non-finite integrand raises ValueError.
     """
     if rng.kind == "high":
         om = np.linspace(rng.lo, 10.0 * rng.lo, omega_nodes)
@@ -315,30 +335,25 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
         om = np.linspace(-rng.hi, rng.hi, omega_nodes) if rng.kind == "low" \
             else np.linspace(rng.lo, rng.hi, omega_nodes)
     pgrid = system.box.p_grid(grid_density)
-    rates = _rate_corners(system.box)
-    n = system.n
-    I = np.eye(n)
-    m1 = 0.0
-    m2 = 0.0
-    for p in pgrid:
-        A_p = system.A(p)
-        for o in om:
-            R = np.linalg.inv(1j * o * I - A_p)
-            for pp in pgrid:
-                m1 = max(m1, _lam_max_gram((A_p - system.A(pp)) @ R @ system.B(pp)))
-            for r in rates:
-                Bd = sum((ri * Bi for ri, Bi in zip(r, system.B.coeffs)),
-                         np.zeros(system.B.shape))
-                m2 = max(m2, _lam_max_gram(R @ Bd))
+    A, B = system.A.batch(pgrid), system.B.batch(pgrid)
+    Bd = _drift(system.B).batch(corners(system.box.rate_lower, system.box.rate_upper))
+    R = np.linalg.inv(1j * om[:, None, None] * np.eye(system.n) - A[:, None])  # (p, w, n, n)
+    m1 = m2 = 0.0
+    for Ap, Rp in zip(A, R):
+        m1 = max(m1, _lam_max_gram((Ap - A)[None] @ Rp[:, None] @ B[None]))  # (w, p', n, m)
+        m2 = max(m2, _lam_max_gram(Rp[:, None] @ Bd[None]))  # (w, rate, n, m)
     return m1, m2
 
 
-def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange, uas: UasCertificate = None,
+def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
+                        uas: UasCertificate | Callable[[], UasCertificate] = None,
                         grid_density: int = 11, omega_nodes: int = 21) -> ShiftedTraceBound:
     """Decay-certificate upper bounds on the drift-correction Gramian traces.
 
     Needs a decay certificate unless both drift integrands vanish identically
     (the time-invariant case), where the bounds are zero with no certificate.
+    ``uas`` may also be a zero-argument callable returning the certificate; it
+    is called only when a drift integrand is nonzero.
     """
     m1, m2 = _drift_sups(system, rng, grid_density, omega_nodes)
     n = system.n
@@ -347,6 +362,8 @@ def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange, uas: UasCertific
                                  "lyapunov_lmi", 0.0, 0.0)
     if uas is None:
         raise ValueError("a decay certificate is required when drift terms are nonzero")
+    if callable(uas):
+        uas = uas()
     c = (uas.alpha / uas.beta) ** 2 * system.n_inputs
     return ShiftedTraceBound(c * m1, c * m2, m1 * np.eye(n), m2 * np.eye(n),
                              "lyapunov_lmi", m1, m2)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox,
-                    PerformanceIndex, frequency_weight)
+                    PerformanceIndex, corners, frequency_weight)
 from .sdp import AffineSymmetricForm, max_eig_neg, real_embedding, solve_feasibility
 
 MODES = ("kyp", "gkyp", "lpv_ff", "lpv_ef", "theorem2")
 
 
 def _sym_basis(n):
-    """Basis of S^n: E_ii and E_ij + E_ji."""
+    """Basis of S^n as a (t, n, n) stack: E_ii and E_ij + E_ji."""
     out = []
     for i in range(n):
         for j in range(i, n):
@@ -34,7 +34,7 @@ def _sym_basis(n):
             E[i, j] = 1.0
             E[j, i] = 1.0
             out.append(E)
-    return out
+    return np.array(out).reshape(len(out), n, n)
 
 
 @dataclass
@@ -54,60 +54,57 @@ class _Layout:
         return (self.n_p + self.n_q) * self.t
 
     def unpack(self, x):
-        x = np.asarray(x, dtype=float)
-        mats = []
-        for k in range(self.n_p + self.n_q):
-            M = np.zeros((self.n, self.n))
-            for E, v in zip(self.basis, x[k * self.t:(k + 1) * self.t]):
-                M += v * E
-            mats.append(M)
+        x = np.asarray(x, dtype=float).reshape(self.n_p + self.n_q, self.t)
+        mats = list(np.tensordot(x, self.basis, axes=(1, 0)))
         return mats[:self.n_p], mats[self.n_p:]
 
-    def describe(self):
-        names = [f"P{k}" for k in range(self.n_p)] + [f"Q{k}" for k in range(self.n_q)]
-        return [f"{nm}: {self.t} entries of a symmetric {self.n}x{self.n} matrix" for nm in names]
 
+def _slab_weights(layout, psi, P, R):
+    """The 2x2 weight of every slab at V vertices, (V, n_p + n_q, 2, 2).
 
-def _embed_blocks(const, coeffs):
-    """Real-embed a complex Hermitian block pencil; real pencils pass through."""
-    if np.iscomplexobj(const) or any(np.iscomplexobj(K) for K in coeffs):
-        return real_embedding(const), np.stack([real_embedding(K) for K in coeffs])
-    return const.real, np.stack([K.real for K in coeffs])
-
-
-def _main_block(A, B, C, D, pi, psi, layout, p=None, pdot=None):
-    """One instance of the template inequality as an F(x) >= 0 block.
-
-    p / pdot select the affine combination weights for the P and Q slabs:
-    P(p) = P0 + sum p_i P_{i+1}, Pdot = sum pdot_i P_{i+1}; for LTI layouts both
-    are ignored.  Returns (constant, coeff-stack), real, possibly embedded.
+    P(p) = P0 + sum p_i P_{i+1} enters through THETA, Pdot = sum pdot_i P_{i+1}
+    through THETA_D and Q(p) = Q0 + sum p_i Q_{i+1} through Psi; single-slab
+    layouts ignore p and pdot.  P and R are the (V, l) parameters and rates.
     """
-    n = A.shape[0]
-    m = B.shape[1]
-    E = np.block([[A, B], [np.eye(n), np.zeros((n, m))]])
-    CD = np.block([[C, D], [np.zeros((m, n)), np.eye(m)]])
-    const = -(CD.T @ pi.pi_matrix @ CD)
+    ones = np.ones((len(P), 1))
+    if layout.n_p == 1:
+        wP, wPd = ones, 0.0 * ones
+    else:
+        wP, wPd = np.hstack([ones, P]), np.hstack([0.0 * ones, R])
+    S = wP[..., None, None] * THETA + wPd[..., None, None] * THETA_D
+    if layout.n_q:
+        wQ = np.hstack([ones, P])[:, :layout.n_q]
+        S = np.concatenate([S, wQ[..., None, None] * psi], axis=1)
+    return S
 
-    psi_m = psi.psi if psi is not None else None
-    coeffs = []
-    for k in range(layout.n_p):
-        if layout.n_p == 1:
-            wP, wPd = 1.0, 0.0
-        else:
-            wP = 1.0 if k == 0 else float(p[k - 1])
-            wPd = 0.0 if k == 0 else float(pdot[k - 1])
-        for Eb in layout.basis:
-            S = wP * THETA + wPd * THETA_D
-            coeffs.append(-(E.T @ np.kron(S, Eb) @ E))
-    for k in range(layout.n_q):
-        wQ = 1.0 if k == 0 else float(p[k - 1])
-        for Eb in layout.basis:
-            if psi_m is None:
-                coeffs.append(np.zeros_like(const))
-            else:
-                coeffs.append(-(E.conj().T @ np.kron(wQ * psi_m, Eb) @ E))
-    return _embed_blocks(const.astype(complex) if psi_m is not None and np.iscomplexobj(psi_m) else const,
-                         coeffs)
+
+def _signal_maps(A, B, C, D):
+    """E = [A B; I 0] and CD = [C D; 0 I] for stacked (V, ...) frozen matrices."""
+    V, n, m = B.shape
+    E = np.concatenate([np.concatenate([A, B], axis=2),
+                        np.broadcast_to(np.eye(n, n + m), (V, n, n + m))], axis=1)
+    CD = np.concatenate([np.concatenate([C, D], axis=2),
+                         np.broadcast_to(np.eye(m, n + m, n), (V, m, n + m))], axis=1)
+    return E, CD
+
+
+def _vertex_blocks(A, B, C, D, pi_matrix, psi, layout, P, R):
+    """The template at V vertices: constants (V, k, k) and coefficients (V, nvar, k, k).
+
+    A..D are the frozen matrices stacked over the vertices, P and R the (V, l)
+    parameters and rates.  The constant is -(CD^T Pi CD); the coefficient of
+    slab s and basis element E_b is -(E^* (S_s (x) E_b) E) with S_s the slab's
+    2x2 weight.  A complex (middle-band) Psi makes every block real-embedded.
+    """
+    E, CD = _signal_maps(A, B, C, D)
+    const = -(np.swapaxes(CD, 1, 2) @ pi_matrix @ CD)
+    S = _slab_weights(layout, psi, P, R)
+    V, k2 = len(E), 2 * layout.n
+    kron = np.einsum("vsab,tij->vstaibj", S, layout.basis).reshape(V, layout.nvar, k2, k2)
+    coeffs = -(np.swapaxes(E, 1, 2)[:, None] @ kron @ E[:, None])
+    if np.iscomplexobj(coeffs):
+        return real_embedding(const), real_embedding(coeffs)
+    return const, coeffs
 
 
 def _psd_block(layout, which, weights):
@@ -115,19 +112,11 @@ def _psd_block(layout, which, weights):
 
     which: 'P' or 'Q'; weights: affine weights (w0, w1, ...) over the slabs.
     """
+    K = np.zeros((layout.n_p + layout.n_q, layout.t, layout.n, layout.n))
     offset = 0 if which == "P" else layout.n_p
-    count = layout.n_p if which == "P" else layout.n_q
-    const = np.zeros((layout.n, layout.n))
-    coeffs = []
-    for k in range(layout.n_p + layout.n_q):
-        lo = (which == "Q" and k >= offset) or (which == "P" and k < layout.n_p)
-        idx = k - offset
-        for Eb in layout.basis:
-            if lo and 0 <= idx < count and idx < len(weights):
-                coeffs.append(float(weights[idx]) * Eb)
-            else:
-                coeffs.append(np.zeros((layout.n, layout.n)))
-    return const, np.stack(coeffs)
+    w = np.asarray(weights, dtype=float)
+    K[offset:offset + len(w)] = w[:, None, None, None] * layout.basis
+    return np.zeros((layout.n, layout.n)), K.reshape(layout.nvar, layout.n, layout.n)
 
 
 def _layout_for(mode, n, l):
@@ -144,72 +133,63 @@ def _layout_for(mode, n, l):
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
+def _lti_form(A, B, C, D, pi, psi, layout):
+    mats = [np.asarray(M, float)[None] for M in (A, B, C, D)]
+    c, K = _vertex_blocks(*mats, pi.pi_matrix, psi, layout, np.zeros((1, 0)), np.zeros((1, 0)))
+    return c[0], K[0]
+
+
 def assemble_kyp_lti(A, B, C, D, pi: PerformanceIndex) -> AffineSymmetricForm:
     """Unrestricted-frequency condition for fixed matrices, as F(x) >= 0 in P."""
-    layout = _Layout(np.asarray(A).shape[0], 1, 0)
-    c, K = _main_block(np.asarray(A, float), np.asarray(B, float),
-                       np.asarray(C, float), np.asarray(D, float), pi, None, layout)
+    c, K = _lti_form(A, B, C, D, pi, None, _Layout(np.asarray(A).shape[0], 1, 0))
     return AffineSymmetricForm([c], [K])
 
 
 def assemble_gkyp_lti(A, B, C, D, rng: FrequencyRange, pi: PerformanceIndex) -> AffineSymmetricForm:
     """Band-restricted condition in (P, Q) with the Q >= 0 block appended."""
-    A = np.asarray(A, float)
-    layout = _Layout(A.shape[0], 1, 1)
-    psi = frequency_weight(rng)
-    c, K = _main_block(A, np.asarray(B, float), np.asarray(C, float), np.asarray(D, float),
-                       pi, psi, layout)
+    layout = _Layout(np.asarray(A).shape[0], 1, 1)
+    c, K = _lti_form(A, B, C, D, pi, frequency_weight(rng).psi, layout)
     cq, Kq = _psd_block(layout, "Q", [1.0])
     return AffineSymmetricForm([c, cq], [K, Kq])
+
+
+def _vertex_form(system, mode, rng, pi, vertex) -> AffineSymmetricForm:
+    p, pdot = (np.atleast_1d(np.asarray(v, dtype=float)) for v in vertex)
+    if not system.box.contains(p):
+        raise ValueError("vertex parameter lies outside the box")
+    psi = frequency_weight(rng).psi if mode != "lpv_ef" else None
+    mats = [M.batch(p[None]) for M in (system.A, system.B, system.C, system.D)]
+    c, K = _vertex_blocks(*mats, pi.pi_matrix, psi, _layout_for(mode, system.n, system.nparams),
+                          p[None], pdot[None])
+    return AffineSymmetricForm([c[0]], [K[0]])
 
 
 def assemble_lpv_ff(system: LpvSystem, rng: FrequencyRange, pi: PerformanceIndex,
                     vertex) -> AffineSymmetricForm:
     """Band-restricted parameter-dependent block at one (p, pdot) vertex."""
-    p, pdot = vertex
-    if not system.box.contains(p):
-        raise ValueError("vertex parameter lies outside the box")
-    layout = _layout_for("lpv_ff", system.n, system.nparams)
-    A, B, C, D = system.frozen(p)
-    c, K = _main_block(A, B, C, D, pi, frequency_weight(rng), layout, p, pdot)
-    return AffineSymmetricForm([c], [K])
+    return _vertex_form(system, "lpv_ff", rng, pi, vertex)
 
 
 def assemble_lpv_ef(system: LpvSystem, pi: PerformanceIndex, vertex) -> AffineSymmetricForm:
     """Unrestricted-frequency parameter-dependent block at one (p, pdot) vertex."""
-    p, pdot = vertex
-    if not system.box.contains(p):
-        raise ValueError("vertex parameter lies outside the box")
-    layout = _layout_for("lpv_ef", system.n, system.nparams)
-    A, B, C, D = system.frozen(p)
-    c, K = _main_block(A, B, C, D, pi, None, layout, p, pdot)
-    return AffineSymmetricForm([c], [K])
+    return _vertex_form(system, "lpv_ef", None, pi, vertex)
 
 
 def assemble_theorem2(system: LpvSystem, rng: FrequencyRange, pi: PerformanceIndex,
                       vertex) -> AffineSymmetricForm:
     """Enlarged-band block with parameter-dependent Q at one (p, pdot) vertex."""
-    p, pdot = vertex
-    if not system.box.contains(p):
-        raise ValueError("vertex parameter lies outside the box")
-    layout = _layout_for("theorem2", system.n, system.nparams)
-    A, B, C, D = system.frozen(p)
-    c, K = _main_block(A, B, C, D, pi, frequency_weight(rng), layout, p, pdot)
-    return AffineSymmetricForm([c], [K])
+    return _vertex_form(system, "theorem2", rng, pi, vertex)
 
 
-def lmi_rate_vertices(box: ParameterBox):
-    """Rate vertices used for LMI enforcement: +-max magnitude per axis.
+def lmi_rate_vertices(box: ParameterBox) -> np.ndarray:
+    """Rate vertices used for LMI enforcement: +-max magnitude per axis, as rows.
 
     Enforcing at both signs keeps the parameter-rate term from acting as an
     unbounded one-sided subsidy and makes the zero-coefficient reduction to the
     LTI condition exact.
     """
-    if box.nparams == 0:
-        return [np.zeros(0)]
     r = np.maximum(np.abs(box.rate_lower), np.abs(box.rate_upper))
-    return [np.array(c, dtype=float)
-            for c in itertools.product(*[[-ri, ri] if ri > 0 else [0.0] for ri in r])]
+    return corners(0.0 - r, r)  # 0.0 - r: a zero rate stays +0.0
 
 
 @dataclass
@@ -225,73 +205,78 @@ class LmiProblem:
     vertex_list: list
     margin: float
 
-    def decision_layout(self):
-        return self.layout.describe()
+
+@dataclass
+class _Family:
+    """One mode's stacked blocks over all enforcement vertices, for every gain.
+
+    The index Pi = diag(I, -gamma^2 I) enters the constants only: a main
+    block's constant is const0 + gamma^2 * gain with gain = CD^T diag(0, I) CD,
+    and PSD blocks carry none.  The coefficient stacks are built and checked
+    once in ``base`` and shared by every gain level.
+    """
+
+    system: LpvSystem
+    range: FrequencyRange
+    mode: str
+    layout: _Layout
+    vertex_list: list
+    base: AffineSymmetricForm  # constants at gamma = 0
+    const0: np.ndarray  # (V, k, k): main-block constants at gamma = 0
+    gain: np.ndarray  # (k, k), the same at every vertex
+
+    def problem(self, gamma: float, margin=None) -> LmiProblem:
+        main = self.const0 + float(gamma) ** 2 * self.gain
+        form = self.base.with_constants(list(main) + self.base.constant_blocks[len(main):])
+        if margin is None:
+            margin = max(1e-6 * float(np.linalg.norm(main, 2, axis=(1, 2)).max()), 1e-9)
+        return LmiProblem(self.system, self.range, self.mode, gamma, self.layout, form,
+                          self.vertex_list, margin)
+
+
+def _assemble(system: LpvSystem, rng: FrequencyRange, mode: str, freeze_p=None) -> _Family:
+    """Build a mode's blocks over its enforcement vertices with the gain factored out."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    l, n, m = system.nparams, system.n, system.n_inputs
+    layout = _layout_for(mode, n, l)
+    psi = frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
+    box = system.box
+    if mode in ("kyp", "gkyp"):
+        P = (box.midpoint() if freeze_p is None else np.atleast_1d(freeze_p))[None]
+        R = np.zeros((1, l))
+    else:
+        pc, rc = corners(box.p_lower, box.p_upper), lmi_rate_vertices(box)
+        P, R = np.repeat(pc, len(rc), axis=0), np.tile(rc, (len(pc), 1))
+    mats = [M.batch(P) for M in (system.A, system.B, system.C, system.D)]
+    out_index = np.diag(np.r_[np.ones(system.n_outputs), np.zeros(m)])
+    const0, coeffs = _vertex_blocks(*mats, out_index, psi, layout, P, R)
+    # CD^T diag(0, I) CD = diag(0, I): the lower block row of CD is [0 I]
+    gain = np.diag(np.r_[np.zeros(n), np.ones(m)])
+    if np.iscomplexobj(psi):
+        gain = real_embedding(gain)
+
+    psd = []
+    if mode in ("gkyp", "lpv_ff"):
+        psd.append(_psd_block(layout, "Q", [1.0]))
+    elif mode in ("lpv_ef", "theorem2"):
+        which = "P" if mode == "lpv_ef" else "Q"
+        psd.extend(_psd_block(layout, which, np.r_[1.0, p]) for p in corners(box.p_lower, box.p_upper))
+    base = AffineSymmetricForm(list(const0) + [c for c, _ in psd],
+                               list(coeffs) + [K for _, K in psd])
+    return _Family(system, rng, mode, layout, list(zip(P, R)), base, const0, gain)
 
 
 def build_problem(system: LpvSystem, rng: FrequencyRange, mode: str, gamma: float,
                   margin=None, freeze_p=None) -> LmiProblem:
     """Stack the mode's blocks over all enforcement vertices at a fixed gain."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    pi = PerformanceIndex.l2_gain(gamma, system.n_outputs, system.n_inputs)
-    l = system.nparams
-    layout = _layout_for(mode, system.n, l)
-
-    forms = []
-    vertex_list = []
-    if mode in ("kyp", "gkyp"):
-        A, B, C, D = system.frozen(freeze_p)
-        if mode == "kyp":
-            forms.append(assemble_kyp_lti(A, B, C, D, pi))
-        else:
-            forms.append(assemble_gkyp_lti(A, B, C, D, rng, pi))
-        vertex_list.append((system.box.midpoint() if freeze_p is None else np.atleast_1d(freeze_p),
-                            np.zeros(l)))
-    else:
-        p_corners = _p_corners(system.box)
-        rates = lmi_rate_vertices(system.box)
-        for p in p_corners:
-            for r in rates:
-                vertex_list.append((p, r))
-                if mode == "lpv_ff":
-                    forms.append(assemble_lpv_ff(system, rng, pi, (p, r)))
-                elif mode == "lpv_ef":
-                    forms.append(assemble_lpv_ef(system, pi, (p, r)))
-                else:
-                    forms.append(assemble_theorem2(system, rng, pi, (p, r)))
-        # sign constraints on the parameter-dependent certificate matrices
-        if mode == "lpv_ff":
-            c, K = _psd_block(layout, "Q", [1.0])
-            forms.append(AffineSymmetricForm([c], [K]))
-        elif mode == "lpv_ef":
-            for p in p_corners:
-                c, K = _psd_block(layout, "P", np.concatenate([[1.0], p]))
-                forms.append(AffineSymmetricForm([c], [K]))
-        else:
-            for p in p_corners:
-                c, K = _psd_block(layout, "Q", np.concatenate([[1.0], p]))
-                forms.append(AffineSymmetricForm([c], [K]))
-
-    form = AffineSymmetricForm.stack(forms)
-    if margin is None:
-        margin = 1e-6 * max(float(np.linalg.norm(C_, 2)) for C_ in form.constant_blocks
-                            if C_.size) if form.constant_blocks else 1e-6
-        margin = max(margin, 1e-9)
-    return LmiProblem(system, rng, mode, gamma, layout, form, vertex_list, margin)
-
-
-def _p_corners(box: ParameterBox):
-    if box.nparams == 0:
-        return [np.zeros(0)]
-    return [np.array(c, dtype=float)
-            for c in itertools.product(*[[a] if a == b else [a, b]
-                                         for a, b in zip(box.p_lower, box.p_upper)])]
+    return _assemble(system, rng, mode, freeze_p).problem(gamma, margin)
 
 
 def _check_controllability(system: LpvSystem):
     """Warn (not fail) when the frozen pair (A, B) is close to uncontrollable."""
-    for p in _p_corners(system.box) + [system.box.midpoint()]:
+    box = system.box
+    for p in np.vstack([corners(box.p_lower, box.p_upper), box.midpoint()]):
         A, B, _, _ = system.frozen(p)
         n = A.shape[0]
         blocks = [B]
@@ -336,11 +321,12 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
         raise ValueError("bisect_tol must be positive")
     _check_controllability(system)
 
+    family = _assemble(system, rng, mode, freeze_p)
     warm = {"x": None}
     trace = []
 
     def probe(g):
-        prob = build_problem(system, rng, mode, g, margin=margin, freeze_p=freeze_p)
+        prob = family.problem(g, margin)
         res = solve_feasibility(prob.form, prob.margin, max_iters=max_iters, x0=warm["x"])
         if res.feasible:
             warm["x"] = res.x
@@ -405,32 +391,38 @@ def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11):
 
     Returns the points where the main block exceeds -margin/2, i.e. where the
     vertex relaxation fails to extend to the interior at the solved margin.
+    The certificate is contracted first: at grid point (p, pdot) the block is
+    E^* (THETA (x) P(p) + THETA_D (x) Pdot + Psi (x) Q(p)) E + CD^T Pi CD, formed
+    for all points at once and checked with one batched eigensolve.
     """
     sysm = problem.system
     l = sysm.nparams
-    pi = PerformanceIndex.l2_gain(problem.gamma, sysm.n_outputs, sysm.n_inputs)
-    psi = frequency_weight(problem.range) if problem.mode in ("gkyp", "lpv_ff", "theorem2") else None
-
-    pgrid = sysm.box.p_grid(grid_density)
+    layout = problem.layout
     if problem.mode in ("kyp", "gkyp") or l == 0:
-        rgrid = [np.zeros(l)]
-        pgrid = [problem.vertex_list[0][0]]
+        pgrid = problem.vertex_list[0][0][None]
+        rgrid = np.zeros((1, l))
     else:
+        pgrid = sysm.box.p_grid(grid_density)
         r = np.maximum(np.abs(sysm.box.rate_lower), np.abs(sysm.box.rate_upper))
         axes = [np.linspace(-ri, ri, max(2, grid_density)) if ri > 0 else np.array([0.0]) for ri in r]
-        rgrid = [np.array(c) for c in itertools.product(*axes)]
+        rgrid = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, l)
 
-    bad = []
+    Ps, Qs = layout.unpack(x)
+    psi = frequency_weight(problem.range).psi if Qs else None
+    S = _slab_weights(layout, psi, np.repeat(pgrid, len(rgrid), axis=0), np.tile(rgrid, (len(pgrid), 1)))
+    k2 = 2 * layout.n
+    X = np.einsum("vsab,sij->vaibj", S, np.stack(Ps + Qs)).reshape(len(pgrid), len(rgrid), k2, k2)
+
+    mats = [M.batch(pgrid) for M in (sysm.A, sysm.B, sysm.C, sysm.D)]
+    E, CD = _signal_maps(*mats)
+    pi = PerformanceIndex.l2_gain(problem.gamma, sysm.n_outputs, sysm.n_inputs).pi_matrix
+    G = np.swapaxes(E, 1, 2)[:, None] @ X @ E[:, None] + (np.swapaxes(CD, 1, 2) @ pi @ CD)[:, None]
+    if np.iscomplexobj(G):  # real-embedded like the solver's blocks: same spectrum, doubled
+        G = real_embedding(G)
+    lam = np.linalg.eigvalsh(G).max(axis=-1)
     tol = problem.margin / 2
-    for p in pgrid:
-        A, B, C, D = sysm.frozen(p)
-        for r in rgrid:
-            c, K = _main_block(A, B, C, D, pi, psi, problem.layout, p, r)
-            G = -(c + np.tensordot(np.asarray(x, float), K, axes=(0, 0)))
-            lam = float(np.linalg.eigvalsh(G).max())
-            if lam > -tol:
-                bad.append((np.array(p), np.array(r), lam))
-    return bad
+    return [(np.array(pgrid[i]), np.array(rgrid[j]), float(lam[i, j]))
+            for i, j in zip(*np.nonzero(lam > -tol))]
 
 
 @dataclass
@@ -455,46 +447,28 @@ class UasCertificate:
         return self.P
 
 
-def _uas_form(system: LpvSystem, c1, c2, c3):
-    """Stacked blocks for the decay certificate with fixed scalars c1, c2, c3."""
-    l = system.nparams
-    layout = _Layout(system.n, l + 1, 0)
-    n = system.n
-    consts, coeffs = [], []
+def _uas_family(system: LpvSystem):
+    """Decay-certificate blocks with the scalars c1, c2, c3 left free.
 
-    def p_weights(p):
-        return np.concatenate([[1.0], np.atleast_1d(p)]) if l else np.array([1.0])
-
-    for p in _p_corners(system.box):
-        w = p_weights(p)
-        # P(p) - c1 I >= 0
-        consts.append(-c1 * np.eye(n))
-        coeffs.append(np.stack([w[k] * Eb for k in range(l + 1) for Eb in layout.basis]))
-        # c2 I - P(p) >= 0
-        consts.append(c2 * np.eye(n))
-        coeffs.append(np.stack([-w[k] * Eb for k in range(l + 1) for Eb in layout.basis]))
-    for p in _p_corners(system.box):
-        A = system.A(p)
-        w = p_weights(p)
-        for r in _rate_corners(system.box):
-            # -(A' P(p) + P(p) A + sum r_i P_i) - c3 I >= 0
-            consts.append(-c3 * np.eye(n))
-            Ks = []
-            for k in range(l + 1):
-                rk = 0.0 if k == 0 else float(r[k - 1])
-                for Eb in layout.basis:
-                    Ks.append(-(A.T @ (w[k] * Eb) + (w[k] * Eb) @ A + rk * Eb))
-            coeffs.append(np.stack(Ks))
-    return layout, AffineSymmetricForm(consts, coeffs)
-
-
-def _rate_corners(box: ParameterBox):
-    """Rate-box corners taken verbatim (the stored bounds, no symmetrization)."""
-    if box.nparams == 0:
-        return [np.zeros(0)]
-    return [np.array(c, dtype=float)
-            for c in itertools.product(*[[a] if a == b else [a, b]
-                                         for a, b in zip(box.rate_lower, box.rate_upper)])]
+    Blocks, in order: P(p) - c1 I >= 0 and c2 I - P(p) >= 0 at each parameter
+    corner, then -(A(p)^T P(p) + P(p) A(p) + sum_i r_i P_i) - c3 I >= 0 at each
+    (parameter, rate) corner pair, rates taken verbatim from the box.  Returns
+    the layout, the form at c1 = c2 = c3 = 0 (coefficient stacks built and
+    checked once) and, per block, the signed index of the scalar its constant
+    carries: the constant at (c1, c2, c3) is sign * c_index * I.
+    """
+    l, n = system.nparams, system.n
+    layout = _Layout(n, l + 1, 0)
+    box = system.box
+    pc, rc = corners(box.p_lower, box.p_upper), corners(box.rate_lower, box.rate_upper)
+    WE = np.hstack([np.ones((len(pc), 1)), pc])[:, :, None, None, None] * layout.basis
+    bounds = np.stack([WE, -WE], axis=1).reshape(2 * len(pc), layout.nvar, n, n)
+    A = system.A.batch(pc)[:, None, None]
+    RE = np.hstack([np.zeros((len(rc), 1)), rc])[:, :, None, None, None] * layout.basis
+    decay = -((np.swapaxes(A, -1, -2) @ WE + WE @ A)[:, None] + RE[None])
+    coeffs = list(bounds) + list(decay.reshape(len(pc) * len(rc), layout.nvar, n, n))
+    scalars = [(0, -1.0), (1, 1.0)] * len(pc) + [(2, -1.0)] * (len(pc) * len(rc))
+    return layout, AffineSymmetricForm([np.zeros((n, n))] * len(coeffs), coeffs), scalars
 
 
 def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None,
@@ -512,35 +486,38 @@ def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None,
     if (c1 is None) != (c2 is None):
         raise ValueError("supply both c1 and c2 or neither")
 
+    layout, base, scalars = _uas_family(system)
+    eye = np.eye(system.n)
+
     def try_fixed(c1v, c2v, c3v):
-        layout, form = _uas_form(system, c1v, c2v, c3v)
+        c = (c1v, c2v, c3v)
+        form = base.with_constants([sign * c[i] * eye for i, sign in scalars])
         res = solve_feasibility(form, 0.0, max_iters=max_iters)
         dead = 1e-6 * form.scale()
-        ok = res.feasible or res.achieved_margin >= -dead
-        return ok, res, layout
+        return res.feasible or res.achieved_margin >= -dead, res
 
     c3 = float(c3_target)
     for _ in range(40):
         if fixed:
-            ok, res, layout = try_fixed(float(c1), float(c2), c3)
+            ok, res = try_fixed(float(c1), float(c2), c3)
             if ok:
                 P, _ = layout.unpack(res.x)
                 a, b = float(c2) / float(c1), c3 / (2.0 * float(c2))
                 return UasCertificate(float(c1), float(c2), c3, a, b, P, res.achieved_margin)
         else:
-            ok, res, layout = try_fixed(1e-6, 1.0, c3)
+            ok, res = try_fixed(1e-6, 1.0, c3)
             if ok:
                 lo_c1, hi_c1 = 1e-6, 1.0
-                best = (lo_c1, res, layout)
+                best = (lo_c1, res)
                 for _ in range(30):
                     mid = 0.5 * (lo_c1 + hi_c1)
-                    okm, resm, laym = try_fixed(mid, 1.0, c3)
+                    okm, resm = try_fixed(mid, 1.0, c3)
                     if okm:
                         lo_c1 = mid
-                        best = (mid, resm, laym)
+                        best = (mid, resm)
                     else:
                         hi_c1 = mid
-                c1v, res, layout = best
+                c1v, res = best
                 P, _ = layout.unpack(res.x)
                 return UasCertificate(c1v, 1.0, c3, 1.0 / c1v, c3 / 2.0, P, res.achieved_margin)
         c3 *= 0.5

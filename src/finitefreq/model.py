@@ -59,6 +59,15 @@ class AffineMatrixFunction:
     def __call__(self, p):
         return eval_affine(self, p)
 
+    def batch(self, P) -> np.ndarray:
+        """M(p) at every row of P (N, nparams), as one (N, r, c) array."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.nparams:
+            raise DimensionError(f"parameter rows have shape {P.shape}, expected (N, {self.nparams})")
+        out = np.einsum("ni,irc->nrc", P, np.array(self.coeffs).reshape((self.nparams,) + self.shape))
+        out += self.constant
+        return out
+
 
 def eval_affine(M: AffineMatrixFunction, p) -> np.ndarray:
     """Evaluate M(p) = M0 + sum_i p_i M_i.
@@ -116,17 +125,22 @@ class ParameterBox:
         return np.array(list(itertools.product(*axes)))
 
 
+def corners(lo, hi) -> np.ndarray:
+    """Corners of the box [lo, hi] as rows of a (K, l) array, in product order.
+
+    A degenerate axis (lower == upper) contributes a single value instead of
+    two; an empty box (l = 0) has the single corner of shape (0,).
+    """
+    axes = [[a] if a == b else [a, b] for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi))]
+    rows = list(itertools.product(*axes))
+    return np.array(rows, dtype=float).reshape(len(rows), len(axes))
+
+
 def box_vertices(box: ParameterBox):
     """All 2^l x 2^l combinations of parameter and rate bounds, as (p, pdot) pairs.
 
     Degenerate axes (lower == upper) contribute a single value instead of two.
     """
-    def corners(lo, hi):
-        if lo.size == 0:
-            return [np.zeros(0)]
-        axes = [[a] if a == b else [a, b] for a, b in zip(lo, hi)]
-        return [np.array(c, dtype=float) for c in itertools.product(*axes)]
-
     return [(p, r) for p in corners(box.p_lower, box.p_upper)
             for r in corners(box.rate_lower, box.rate_upper)]
 

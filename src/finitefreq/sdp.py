@@ -27,20 +27,37 @@ class AffineSymmetricForm:
     block_sizes: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.constant_blocks = [np.array(C, dtype=float) for C in self.constant_blocks]
         self.coeff_blocks = [np.array(K, dtype=float) for K in self.coeff_blocks]
-        if len(self.constant_blocks) != len(self.coeff_blocks):
-            raise ValueError("need one coefficient stack per constant block")
         nv = {K.shape[0] for K in self.coeff_blocks}
         if len(nv) > 1:
             raise ValueError("all blocks must share the decision dimension")
-        for C, K in zip(self.constant_blocks, self.coeff_blocks):
-            k = C.shape[0]
-            if C.shape != (k, k) or K.shape[1:] != (k, k):
+        for K in self.coeff_blocks:
+            if K.ndim != 3 or K.shape[1] != K.shape[2]:
                 raise ValueError("block shapes inconsistent")
-            if not np.allclose(C, C.T, atol=1e-10) or not np.allclose(K, K.transpose(0, 2, 1), atol=1e-10):
+            if not np.allclose(K, K.transpose(0, 2, 1), atol=1e-10):
+                raise ValueError("blocks must be symmetric")
+        self._set_constants(self.constant_blocks)
+
+    def _set_constants(self, constants):
+        self.constant_blocks = [np.array(C, dtype=float) for C in constants]
+        if len(self.constant_blocks) != len(self.coeff_blocks):
+            raise ValueError("need one coefficient stack per constant block")
+        for C, K in zip(self.constant_blocks, self.coeff_blocks):
+            if C.shape != K.shape[1:]:
+                raise ValueError("block shapes inconsistent")
+            if not np.allclose(C, C.T, atol=1e-10):
                 raise ValueError("blocks must be symmetric")
         self.block_sizes = [C.shape[0] for C in self.constant_blocks]
+
+    def with_constants(self, constants) -> "AffineSymmetricForm":
+        """The same pencil with new constant blocks; only the constants are checked.
+
+        The coefficient stacks are shared with this form, not copied.
+        """
+        out = object.__new__(AffineSymmetricForm)
+        out.coeff_blocks = self.coeff_blocks
+        out._set_constants(constants)
+        return out
 
     @property
     def nvar(self):
@@ -92,13 +109,14 @@ def max_eig_neg(form: AffineSymmetricForm, x) -> float:
 
 
 def real_embedding(H) -> np.ndarray:
-    """[[Re H, -Im H], [Im H, Re H]] for Hermitian H.
+    """[[Re H, -Im H], [Im H, Re H]] for Hermitian H, or for each of a stack (..., k, k).
 
     The embedding is PSD iff H is, and carries H's spectrum with every
     eigenvalue doubled in multiplicity.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or not np.allclose(H, H.conj().T, atol=1e-10):
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2] \
+            or not np.allclose(H, np.swapaxes(H.conj(), -1, -2), atol=1e-10):
         raise ValueError("real_embedding needs a Hermitian matrix")
     R, I = H.real, H.imag
     return np.block([[R, -I], [I, R]])
@@ -194,7 +212,7 @@ def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int =
     groups = {}
     for C, K in zip(form.constant_blocks, form.coeff_blocks):
         Cs = C - margin * np.eye(len(C))
-        sb = max(float(np.linalg.norm(Cs, 2)), max(float(np.linalg.norm(Kj, 2)) for Kj in K), 1e-12)
+        sb = max(float(np.linalg.norm(Cs, 2)), float(np.linalg.norm(K, 2, axis=(1, 2)).max()), 1e-12)
         groups.setdefault(len(C), []).append((Cs / sb, np.concatenate([K / sb, -np.eye(len(C))[None]])))
     groups.setdefault(1, []).append((np.ones((1, 1)), -np.eye(nvar + 1)[-1][:, None, None]))  # t <= 1
     groups = [tuple(map(np.stack, zip(*g))) for g in groups.values()]

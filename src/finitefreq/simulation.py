@@ -187,15 +187,9 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     times = step * np.arange(N + 1)
     l = system.nparams
 
-    def eval_families(ts):
-        P = np.atleast_2d(np.asarray(trajectory.p(ts), dtype=float).T).reshape(len(ts), -1) \
+    def params(ts):
+        return np.atleast_2d(np.asarray(trajectory.p(ts), dtype=float).T).reshape(len(ts), -1) \
             if l else np.zeros((len(ts), 0))
-        A = np.broadcast_to(system.A.constant, (len(ts),) + system.A.shape).copy()
-        B = np.broadcast_to(system.B.constant, (len(ts),) + system.B.shape).copy()
-        for i in range(l):
-            A += P[:, i][:, None, None] * system.A.coeffs[i]
-            B += P[:, i][:, None, None] * system.B.coeffs[i]
-        return A, B
 
     if l and trajectory.box is not None and not all(
             trajectory.box.contains(p) for p in
@@ -204,7 +198,8 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
 
     stages = []
     for off in (0.0, 0.5 * step, step):
-        A_s, B_s = eval_families(times[:-1] + off)
+        P = params(times[:-1] + off)
+        A_s, B_s = system.A.batch(P), system.B.batch(P)
         u_s = np.atleast_1d(sample_signal(signal, times[:-1] + off))
         stages.append((A_s, (B_s * u_s[:, None, None]).sum(axis=2)))
     M = step_matrices(tuple(A for A, _ in stages), step)
@@ -213,16 +208,10 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     if not np.all(np.isfinite(xs)):
         raise RuntimeError("integration diverged")
 
-    A_all, B_all = eval_families(times)
+    P = params(times)
     u = np.atleast_1d(sample_signal(signal, times))[:, None] * np.ones((1, system.n_inputs))
-    x_dot = np.einsum("tij,tj->ti", A_all, xs) + np.einsum("tij,tj->ti", B_all, u)
-    P = np.atleast_2d(np.asarray(trajectory.p(times), dtype=float).T).reshape(len(times), -1) \
-        if l else np.zeros((len(times), 0))
-    C = np.broadcast_to(system.C.constant, (len(times),) + system.C.shape).copy()
-    D = np.broadcast_to(system.D.constant, (len(times),) + system.D.shape).copy()
-    for i in range(l):
-        C += P[:, i][:, None, None] * system.C.coeffs[i]
-        D += P[:, i][:, None, None] * system.D.coeffs[i]
+    A, B, C, D = (M.batch(P) for M in (system.A, system.B, system.C, system.D))
+    x_dot = np.einsum("tij,tj->ti", A, xs) + np.einsum("tij,tj->ti", B, u)
     y = np.einsum("tij,tj->ti", C, xs) + np.einsum("tij,tj->ti", D, u)
     return SimulationResult(times, u, xs, x_dot, y, step)
 

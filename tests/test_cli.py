@@ -56,3 +56,10 @@ def test_spectrum_fraction_mask_matches_contains_with_edges_on_bins(kind):
     if kind != "entire":  # the edge bins are inside the band
         edges = [f for f in freqs if f in (rng.lo, rng.hi)]
         assert edges and all(rng.contains(f) for f in edges)
+
+
+def test_json_flag_is_gone(tmp_path):
+    argv = ["--out", str(tmp_path), "--json", "gramians", "--system", str(EXAMPLE),
+            "--range", "low:1"]
+    assert cli.main(argv) == 1
+    assert cli.main(argv[:2] + argv[3:]) == 0

@@ -198,3 +198,41 @@ def test_recommend_range_bibs_path(benchmark_system, benchmark_band):
     assert res.mode == "BIBS"
     assert res.trace_provenance == "quadrature"
     assert res.enlarged.hi >= benchmark_band.hi
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_recommend_range_evaluates_drift_sups_once(benchmark_system, benchmark_band,
+                                                    monkeypatch):
+    import finitefreq.enlargement as enl
+    import finitefreq.gramians as gr
+    want = ff.recommend_range(benchmark_system, benchmark_band, "UAS")
+    sups = _counting(monkeypatch, gr, "_drift_sups")
+    certs = _counting(monkeypatch, enl, "uas_certificate")
+    res = ff.recommend_range(benchmark_system, benchmark_band, "UAS")
+    assert len(sups) == 1 and len(certs) == 1
+    assert res == want
+
+
+def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
+    import finitefreq.enlargement as enl
+    A = np.array([[-1.0, 3.0], [0.0, -2.0]])
+    z = np.zeros
+    sys = ff.LpvSystem(
+        ff.AffineMatrixFunction(A, (z((2, 2)),)), ff.AffineMatrixFunction([[1.0], [1.0]], (z((2, 1)),)),
+        ff.AffineMatrixFunction([[1.0, 0.0]], (z((1, 2)),)), ff.AffineMatrixFunction([[0.0]], (z((1, 1)),)),
+        ff.ParameterBox([0.1], [0.2], [0.4], [0.6]))
+    certs = _counting(monkeypatch, enl, "uas_certificate")
+    res = ff.recommend_range(sys, LOW1, "UAS")
+    assert res.gap_squared > 0 and res.delta_squared == 0.0 and res.trace_W_dot_p == 0.0
+    assert certs == []

@@ -1,10 +1,13 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
-from finitefreq.gramians import _band_nodes, _transition_from_t
+from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre, _transition_from_t
 from conftest import random_stable_lti
 
 LOW1 = ff.FrequencyRange.low(1.0)
@@ -306,3 +309,82 @@ def test_trace_bound_raises_on_non_finite_integrand(benchmark_system, benchmark_
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
     with pytest.raises(ValueError, match="not finite"):
         ff.shifted_trace_bound(nan_B, benchmark_band, cert)
+
+
+def drift_sups_reference(system, rng, grid_density, omega_nodes):
+    """Reference: the scalar loop, one inverse and one eigensolve per (p, w, p') and (p, w, rate)."""
+    if rng.kind == "high":
+        om = np.linspace(rng.lo, 10.0 * rng.lo, omega_nodes)
+    elif rng.kind == "entire":
+        om = np.linspace(0.0, 10.0, omega_nodes)
+    else:
+        om = np.linspace(-rng.hi, rng.hi, omega_nodes) if rng.kind == "low" \
+            else np.linspace(rng.lo, rng.hi, omega_nodes)
+    box = system.box
+    pgrid = box.p_grid(grid_density)
+    rates = [np.array(c, dtype=float) for c in itertools.product(
+        *[[a] if a == b else [a, b] for a, b in zip(box.rate_lower, box.rate_upper)])]
+    I = np.eye(system.n)
+    m1 = m2 = 0.0
+    for p in pgrid:
+        A_p = system.A(p)
+        for o in om:
+            R = np.linalg.inv(1j * o * I - A_p)
+            for pp in pgrid:
+                M = (A_p - system.A(pp)) @ R @ system.B(pp)
+                m1 = max(m1, float(np.linalg.eigvalsh(M @ M.conj().T).max()))
+            for r in rates:
+                Bd = sum((ri * Bi for ri, Bi in zip(r, system.B.coeffs)), np.zeros(system.B.shape))
+                M = R @ Bd
+                m2 = max(m2, float(np.linalg.eigvalsh(M @ M.conj().T).max()))
+    return m1, m2
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+def test_drift_sups_match_scalar_loop(benchmark_system, band):
+    got = _drift_sups(benchmark_system, band, 11, 21)
+    ref = drift_sups_reference(benchmark_system, band, 11, 21)
+    assert got == pytest.approx(ref, rel=1e-12)
+    assert min(ref) > 0
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+def test_drift_sups_match_scalar_loop_two_parameters(band):
+    sysm, _ = _three_state_two_input_system()
+    got = _drift_sups(sysm, band, 4, 7)
+    ref = drift_sups_reference(sysm, band, 4, 7)
+    assert got == pytest.approx(ref, rel=1e-12)
+    assert min(ref) > 0
+
+
+def test_resolvent_gramian_names_the_singular_node():
+    om, _ = _band_nodes(LOW1, 9)
+    w = om[6]
+    A = np.array([[0.0, w], [-w, 0.0]])  # poles at +-jw, w a quadrature node
+    with pytest.raises(ValueError, match=re.escape(f"omega = {w}")):
+        ff.gramian_lti_ff(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    x, w = _gauss_legendre(33)
+    assert _gauss_legendre(33)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.allclose(x, np.polynomial.legendre.leggauss(33)[0], rtol=0, atol=0)
+
+
+def test_trace_bound_calls_a_certificate_factory_only_when_needed(benchmark_system,
+                                                                   benchmark_band):
+    cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return cert
+
+    lti = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    assert ff.shifted_trace_bound(lti, LOW1, factory).bound_1 == 0.0
+    assert calls == []
+    direct = ff.shifted_trace_bound(benchmark_system, benchmark_band, cert)
+    lazy = ff.shifted_trace_bound(benchmark_system, benchmark_band, factory)
+    assert calls == [1]
+    assert (lazy.bound_1, lazy.bound_2) == (direct.bound_1, direct.bound_2)

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,162 @@ def test_vertex_outside_box_rejected(benchmark_system):
     pi = ff.PerformanceIndex.l2_gain(1.0, 1, 1)
     with pytest.raises(ValueError, match="outside"):
         ff.assemble_lpv_ff(benchmark_system, LOW1, pi, (np.array([0.5]), np.array([0.4])))
+
+
+# --- the per-point assembly these batched paths replaced, kept as references ---
+
+def ref_main_block(A, B, C, D, pi_matrix, psi, layout, p, pdot):
+    """One template instance built per basis element with np.kron (real-embedded if complex)."""
+    n, m = A.shape[0], B.shape[1]
+    E = np.block([[A, B], [np.eye(n), np.zeros((n, m))]])
+    CD = np.block([[C, D], [np.zeros((m, n)), np.eye(m)]])
+    const = -(CD.T @ pi_matrix @ CD)
+    coeffs = []
+    for k in range(layout.n_p):
+        wP, wPd = (1.0, 0.0) if k == 0 or layout.n_p == 1 else (p[k - 1], pdot[k - 1])
+        coeffs += [-(E.T @ np.kron(wP * ff.THETA + wPd * ff.THETA_D, Eb) @ E) for Eb in layout.basis]
+    for k in range(layout.n_q):
+        wQ = 1.0 if k == 0 else p[k - 1]
+        coeffs += [-(E.T @ np.kron(wQ * psi, Eb) @ E) for Eb in layout.basis]
+    if np.iscomplexobj(psi):
+        return ff.real_embedding(const), np.stack([ff.real_embedding(K) for K in coeffs])
+    return const, np.stack(coeffs)
+
+
+def ref_build_form(system, rng, mode, gamma, freeze_p=None):
+    """The stacked vertex form, assembled vertex by vertex at one gain."""
+    from finitefreq.lmi import _layout_for, _psd_block
+    pi = ff.PerformanceIndex.l2_gain(gamma, system.n_outputs, system.n_inputs).pi_matrix
+    psi = ff.frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
+    layout = _layout_for(mode, system.n, system.nparams)
+    box = system.box
+    corners = [np.array(c, dtype=float) for c in itertools.product(
+        *[[a] if a == b else [a, b] for a, b in zip(box.p_lower, box.p_upper)])]
+    r = np.maximum(np.abs(box.rate_lower), np.abs(box.rate_upper))
+    rates = [np.array(c, dtype=float)
+             for c in itertools.product(*[[-ri, ri] if ri > 0 else [0.0] for ri in r])]
+    if mode in ("kyp", "gkyp"):
+        verts = [(box.midpoint() if freeze_p is None else np.atleast_1d(freeze_p),
+                  np.zeros(system.nparams))]
+    else:
+        verts = [(p, r) for p in corners for r in rates]
+    blocks = [ref_main_block(*system.frozen(p), pi, psi, layout, p, r) for p, r in verts]
+    if mode in ("gkyp", "lpv_ff"):
+        blocks.append(_psd_block(layout, "Q", [1.0]))
+    elif mode in ("lpv_ef", "theorem2"):
+        blocks += [_psd_block(layout, "P" if mode == "lpv_ef" else "Q", np.r_[1.0, p])
+                   for p in corners]
+    return ff.AffineSymmetricForm([c for c, _ in blocks], [K for _, K in blocks])
+
+
+def ref_grid_eigs(problem, x, grid_density):
+    """(p, pdot, lambda_max, max |entry|) of the main block at every grid point, one kron assembly each."""
+    sysm, l = problem.system, problem.system.nparams
+    pi = ff.PerformanceIndex.l2_gain(problem.gamma, sysm.n_outputs, sysm.n_inputs).pi_matrix
+    psi = ff.frequency_weight(problem.range).psi \
+        if problem.mode in ("gkyp", "lpv_ff", "theorem2") else None
+    if problem.mode in ("kyp", "gkyp") or l == 0:
+        pgrid, rgrid = [problem.vertex_list[0][0]], [np.zeros(l)]
+    else:
+        pgrid = sysm.box.p_grid(grid_density)
+        r = np.maximum(np.abs(sysm.box.rate_lower), np.abs(sysm.box.rate_upper))
+        axes = [np.linspace(-ri, ri, max(2, grid_density)) if ri > 0 else np.array([0.0])
+                for ri in r]
+        rgrid = [np.array(c) for c in itertools.product(*axes)]
+    out = []
+    for p in pgrid:
+        for r in rgrid:
+            c, K = ref_main_block(*sysm.frozen(p), pi, psi, problem.layout, p, r)
+            G = -(c + np.tensordot(x, K, axes=(0, 0)))
+            out.append((p, r, float(np.linalg.eigvalsh(G).max()), np.abs(G).max()))
+    return out
+
+
+def _two_parameter_system():
+    """n = 3 states, 2 inputs, 2 outputs, 2 scheduling parameters."""
+    rng = np.random.default_rng(31)
+    A0 = -2.0 * np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+    return ff.LpvSystem(
+        A=ff.AffineMatrixFunction(A0, tuple(0.5 * rng.normal(size=(3, 3)) for _ in range(2))),
+        B=ff.AffineMatrixFunction(rng.normal(size=(3, 2)),
+                                  tuple(rng.normal(size=(3, 2)) for _ in range(2))),
+        C=ff.AffineMatrixFunction(rng.normal(size=(2, 3)),
+                                  tuple(rng.normal(size=(2, 3)) for _ in range(2))),
+        D=ff.AffineMatrixFunction(0.3 * rng.normal(size=(2, 2)), (np.zeros((2, 2)),) * 2),
+        box=ff.ParameterBox([-0.5, 0.2], [0.5, 0.2], [-2.0, -1.0], [2.0, 1.0]),
+    )
+
+
+MID = ff.FrequencyRange.middle(0.5, 1.5)
+# (system, mode, band, grid density, grid points); p2 of the two-parameter box is degenerate
+GRID_CASES = [("example", "gkyp", LOW1, 5, 1), ("example", "lpv_ff", LOW1, 5, 25),
+              ("example", "lpv_ff", MID, 5, 25), ("example", "lpv_ef", LOW1, 5, 25),
+              ("example", "theorem2", ff.FrequencyRange.low(5.955), 5, 25),
+              ("example", "theorem2", MID, 5, 25), ("two_parameter", "theorem2", MID, 3, 27)]
+
+
+def _assert_grid_matches(got, ref):
+    scale = max(g for *_, g in ref)
+    assert len(got) == len(ref)
+    for (p, r, lam), (p_ref, r_ref, lam_ref, _) in zip(got, ref):
+        assert np.array_equal(p, p_ref) and np.array_equal(r, r_ref)
+        assert abs(lam - lam_ref) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("system,mode,band,density,points", GRID_CASES, ids=lambda v: str(v))
+def test_verify_on_grid_matches_per_point_loop(benchmark_system, system, mode, band, density,
+                                               points):
+    sysm = benchmark_system if system == "example" else _two_parameter_system()
+    prob = build_problem(sysm, band, mode, 3.0)
+    x = np.random.default_rng(3).normal(size=prob.layout.nvar)
+    # a tolerance that every point exceeds makes verify_on_grid return the whole grid
+    got = ff.verify_on_grid(dataclasses.replace(prob, margin=1e9), x, grid_density=density)
+    ref = ref_grid_eigs(prob, x, density)
+    assert len(ref) == points
+    _assert_grid_matches(got, ref)
+
+
+def test_verify_on_grid_planted_violation_matches_loop(benchmark_system):
+    res = ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=1e-2)
+    prob = build_problem(benchmark_system, LOW1, "lpv_ff", res.bracket[1])
+    assert ff.verify_on_grid(prob, res.x, grid_density=7) == []
+    bad = res.x.copy()
+    bad[3] += 0.1  # P1[0, 0]: breaks the block at some (p, pdot) grid points only
+    got = ff.verify_on_grid(prob, bad, grid_density=7)
+    ref = ref_grid_eigs(prob, bad, 7)
+    assert 0 < len(got) < len(ref)
+    _assert_grid_matches(got, [row for row in ref if row[2] > -prob.margin / 2])
+
+
+def _assert_forms_match(form, ref):
+    assert form.block_sizes == ref.block_sizes
+    for C, K, Cr, Kr in zip(form.constant_blocks, form.coeff_blocks,
+                            ref.constant_blocks, ref.coeff_blocks):
+        scale = max(np.abs(Cr).max(), np.abs(Kr).max(), 1.0)
+        assert np.abs(C - Cr).max() <= 1e-13 * scale
+        assert np.abs(K - Kr).max() <= 1e-13 * scale
+
+
+MODE_CASES = [("kyp", ff.FrequencyRange.entire()), ("gkyp", LOW1), ("lpv_ff", LOW1),
+              ("lpv_ef", LOW1), ("theorem2", ff.FrequencyRange.low(5.955))]
+
+
+@pytest.mark.parametrize("mode,band", MODE_CASES, ids=lambda v: str(v))
+def test_min_gamma_probes_match_per_probe_build(benchmark_system, mode, band):
+    res = ff.min_gamma(benchmark_system, band, mode, bisect_tol=1e-2)
+    warm = None
+    for g, verdict in res.bisection_trace:
+        prob = build_problem(benchmark_system, band, mode, g)
+        out = solve_feasibility(prob.form, prob.margin, max_iters=4000, x0=warm)
+        assert out.feasible == verdict
+        warm = out.x if out.feasible else warm
+        # the factored assembly reproduces the vertex-by-vertex kron assembly
+        _assert_forms_match(prob.form, ref_build_form(benchmark_system, band, mode, g))
+    assert res.gamma_star == res.bracket[1] == min(g for g, v in res.bisection_trace if v)
+
+
+@pytest.mark.parametrize("mode", ["lpv_ff", "theorem2"])
+def test_build_problem_two_parameters_matches_kron_assembly(mode):
+    sysm = _two_parameter_system()
+    _assert_forms_match(build_problem(sysm, MID, mode, 2.5).form,
+                        ref_build_form(sysm, MID, mode, 2.5))

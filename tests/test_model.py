@@ -93,6 +93,28 @@ def test_box_vertices_two_parameters():
     assert len(ff.box_vertices(box)) == 16
 
 
+def test_corners_product_order_and_degenerate_axes():
+    from finitefreq.model import corners
+    assert np.array_equal(corners([0.0, 2.0], [1.0, 3.0]),
+                          [[0.0, 2.0], [0.0, 3.0], [1.0, 2.0], [1.0, 3.0]])
+    assert np.array_equal(corners([0.0, 2.0, 5.0], [1.0, 2.0, 5.0]), [[0.0, 2.0, 5.0], [1.0, 2.0, 5.0]])
+    assert corners(np.zeros(0), np.zeros(0)).shape == (1, 0)
+
+
+def test_batch_matches_pointwise_evaluation():
+    rng = np.random.default_rng(12)
+    M = ff.AffineMatrixFunction(rng.normal(size=(3, 2)), tuple(rng.normal(size=(3, 2)) for _ in range(2)))
+    P = rng.normal(size=(7, 2))
+    got = M.batch(P)
+    assert got.shape == (7, 3, 2)
+    for p, G in zip(P, got):
+        assert np.allclose(G, M(p), rtol=1e-15, atol=1e-15)
+    lti = ff.AffineMatrixFunction([[1.0, 2.0]])
+    assert np.array_equal(lti.batch(np.zeros((4, 0))), np.broadcast_to([[1.0, 2.0]], (4, 1, 2)))
+    with pytest.raises(DimensionError):
+        M.batch(P[:, :1])
+
+
 def test_transfer_function_scalar_dc():
     s = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     assert ff.transfer_function(s, 0.0) == pytest.approx(1.0)

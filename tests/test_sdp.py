@@ -147,6 +147,20 @@ def test_warm_start_and_iteration_budget():
     assert res2.feasible and res2.iterations <= res1.iterations + 5
 
 
+def test_with_constants_shares_coefficients_and_checks_constants():
+    form = _scalar_kyp_form(1.5)
+    other = form.with_constants([form.constant_blocks[0] + np.eye(2)])
+    assert other.coeff_blocks[0] is form.coeff_blocks[0]
+    assert np.array_equal(other.constant_blocks[0], form.constant_blocks[0] + np.eye(2))
+    assert other.block_sizes == [2]
+    with pytest.raises(ValueError, match="symmetric"):
+        form.with_constants([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError):
+        form.with_constants([np.eye(3)])
+    with pytest.raises(ValueError):
+        form.with_constants([np.eye(2), np.eye(2)])
+
+
 def test_form_stacking_and_dump(tmp_path):
     a, b = _interval_form(), _scalar_kyp_form(1.5)
     with pytest.raises(ValueError):
