@@ -6,10 +6,8 @@ from .model import (AffineMatrixFunction, DimensionError, FrequencyRange,
                     load_system, system_from_dict, system_to_dict, transfer_function)
 from .sdp import (AffineSymmetricForm, FeasibilityResult, max_eig_neg,
                   real_embedding, solve_feasibility)
-from .lmi import (GammaResult, LmiProblem, UasCertificate, assemble_gkyp_lti,
-                  assemble_kyp_lti, assemble_lpv_ef, assemble_lpv_ff,
-                  assemble_theorem2, build_problem, min_gamma, uas_certificate,
-                  verify_on_grid)
+from .lmi import (GammaResult, LmiProblem, UasCertificate, build_problem, min_gamma,
+                  uas_certificate, verify_on_grid)
 from .gramians import (GramianSet, ShiftedTraceBound, StateTransition,
                        gramian_lpv_frozen, gramian_lpv_shifted, gramian_lpv_weighted,
                        gramian_lti_ff, gramian_set, quadrature_trace_bound,

@@ -17,7 +17,7 @@ import numpy as np
 from . import reference
 from .enlargement import recommend_range
 from .gramians import gramian_lpv_frozen, gramian_set
-from .lmi import min_gamma, uas_certificate
+from .lmi import MODES, min_gamma, uas_certificate
 from .model import FrequencyRange, load_system
 from .simulation import (BandLimitedSignal, ScheduleTrajectory, iqc_value,
                          performance_ratio, simulate, spectrum_fraction)
@@ -116,6 +116,13 @@ def _load(args):
         raise UsageError(f"bad system file: {exc}") from exc
 
 
+def _uas_scalars(args):
+    """(c1, c2) from the command line: both or neither."""
+    if (args.c1 is None) != (args.c2 is None):
+        raise UsageError("give both --c1 and --c2, or neither")
+    return args.c1, args.c2
+
+
 def cmd_analyze(args):
     system = _load(args)
     rng = parse_range(args.range)
@@ -143,10 +150,9 @@ def cmd_analyze(args):
 def cmd_enlarge(args):
     system = _load(args)
     rng = parse_range(args.range)
-    uas = None
-    if args.c1 is not None and args.c2 is not None:
-        uas = uas_certificate(system, args.c3, args.c1, args.c2)
-    res = recommend_range(system, rng, mode=args.mode, uas=uas, c3_target=args.c3)
+    c1, c2 = _uas_scalars(args)
+    uas = uas_certificate(system, args.c3, c1, c2) if c1 is not None else None
+    res = recommend_range(system, rng, uas=uas, c3_target=args.c3)
     print(f"gap^2 = {res.gap_squared:.6g}")
     print(f"rho_unif = {res.rho_unif:.6g}")
     print(f"traces: W_p_min={res.trace_W_p_min:.6g} W_hat_p={res.trace_W_hat_p:.6g} "
@@ -246,7 +252,7 @@ def cmd_gramians(args):
 def cmd_certify_uas(args):
     system = _load(args)
     try:
-        cert = uas_certificate(system, args.c3, args.c1, args.c2)
+        cert = uas_certificate(system, args.c3, *_uas_scalars(args))
     except RuntimeError as exc:
         print(f"infeasible: {exc}")
         return 2
@@ -351,15 +357,13 @@ def build_parser():
     pa = sub.add_parser("analyze", help="minimal certified gain by bisection")
     pa.add_argument("--system", required=True)
     pa.add_argument("--range", default="entire")
-    pa.add_argument("--mode", default="lpv_ff",
-                    choices=["kyp", "gkyp", "lpv_ff", "lpv_ef", "theorem2"])
+    pa.add_argument("--mode", default="lpv_ff", choices=MODES)
     pa.add_argument("--bisect-tol", type=float, default=1e-3)
     pa.set_defaults(func=cmd_analyze)
 
     pe = sub.add_parser("enlarge", help="gap, traces, and recommended band widening")
     pe.add_argument("--system", required=True)
     pe.add_argument("--range", required=True)
-    pe.add_argument("--mode", default="UAS", choices=["UAS", "BIBS"])
     pe.add_argument("--c1", type=float)
     pe.add_argument("--c2", type=float)
     pe.add_argument("--c3", type=float, default=1.0)

@@ -131,15 +131,15 @@ class EnlargementResult:
 
 def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
                     uas: UasCertificate = None, c3_target: float = 1.0,
-                    trajectory=None, t: float = 20.0, use_quadrature: bool = False,
-                    p_grid_density: int = 11, quad_nodes: int = 201,
-                    step: float = 1e-3) -> EnlargementResult:
+                    trajectory=None, t: float = 20.0, p_grid_density: int = 11,
+                    quad_nodes: int = 201, step: float = 1e-3) -> EnlargementResult:
     """End-to-end band recommendation: gap, traces, widening, enlarged band.
 
     A zero gap short-circuits everything (no widening needed; the
     uniform-radius comparison is reported alongside as a quick diagnostic).
-    The drift traces come from the decay-certificate bound by default, or from
-    direct quadrature along a supplied schedule.
+    In UAS mode the drift traces come from the decay-certificate bound; BIBS
+    mode computes them, and the weighted Gramian, by quadrature along the
+    supplied schedule.
     """
     rho = uniform_spectral_radius(system, p_grid_density)
     g2 = gap(system, rng, p_grid_density)
@@ -151,13 +151,8 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
                      for p in system.box.p_grid(p_grid_density))
     tr_hat = 0.0
     if mode.upper() == "UAS":
-        if use_quadrature:
-            if trajectory is None:
-                raise ValueError("quadrature trace path needs a schedule")
-            bound = quadrature_trace_bound(system, trajectory, t, rng, quad_nodes, step)
-        else:
-            cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
-            bound = shifted_trace_bound(system, rng, cert, grid_density=p_grid_density)
+        cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
+        bound = shifted_trace_bound(system, rng, cert, grid_density=p_grid_density)
         tr_dot = bound.bound_1 + bound.bound_2
         prov = bound.method
     else:

@@ -21,8 +21,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._rk4 import propagate_matrix, step_matrices
-from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, corners
+from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, grid
 from .lmi import UasCertificate
+from .simulation import param_rows, warn_if_outside_box
 
 _TAU_CHUNK = 512  # tau samples per block of the quadrature's exponential table
 
@@ -119,8 +120,7 @@ class StateTransition:
 def _stage_A(system: LpvSystem, trajectory, times, h, transform=None):
     """Stage matrices (A at t, t+h/2, t+h) for all steps; optional map per matrix."""
     def A_of(ts):
-        P = np.atleast_2d(np.asarray(trajectory.p(ts), dtype=float).T).reshape(len(ts), -1)
-        return system.A.batch(P)
+        return system.A.batch(param_rows(trajectory.p, ts))
 
     A1 = A_of(times)
     A2 = A_of(times + 0.5 * h)
@@ -135,13 +135,9 @@ def state_transition(system: LpvSystem, trajectory, t0: float, t_end: float,
     """Integrate the matrix equation Phidot = A(p(t)) Phi from Phi(t0, t0) = I."""
     if step <= 0:
         raise ValueError("step must be positive")
-    import warnings
     N = max(1, int(round((t_end - t0) / step)))
     times = t0 + step * np.arange(N + 1)
-    if hasattr(trajectory, "box") and trajectory.box is not None:
-        ps = np.atleast_2d(np.asarray(trajectory.p(times), dtype=float).T).reshape(len(times), -1)
-        if ps.size and not all(trajectory.box.contains(p) for p in ps[:: max(1, N // 50)]):
-            warnings.warn("trajectory leaves the parameter box", stacklevel=2)
+    warn_if_outside_box(trajectory, param_rows(trajectory.p, times))
     if t_end == t0:
         return StateTransition(np.array([t0]), np.eye(system.n)[None, :, :], trajectory)
     M = step_matrices(_stage_A(system, trajectory, times[:-1], step), step)
@@ -214,8 +210,7 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     N = len(taus) - 1
     p_t = np.atleast_1d(trajectory.p(t))
     A_t = system.A(p_t)
-    P = np.atleast_2d(np.asarray(trajectory.p(taus), dtype=float).T).reshape(N + 1, -1)
-    Pd = np.atleast_2d(np.asarray(trajectory.pdot(taus), dtype=float).T).reshape(N + 1, -1)
+    P, Pd = param_rows(trajectory.p, taus), param_rows(trajectory.pdot, taus)
 
     A_tau, B_tau = system.A.batch(P), system.B.batch(P)
     Bdot_tau = _drift(system.B).batch(Pd)
@@ -293,8 +288,6 @@ class ShiftedTraceBound:
 
     bound_1: float
     bound_2: float
-    M_bar_1: np.ndarray
-    M_bar_2: np.ndarray
     method: str  # 'lyapunov_lmi' or 'quadrature'
     m_1: float = 0.0
     m_2: float = 0.0
@@ -336,7 +329,7 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
             else np.linspace(rng.lo, rng.hi, omega_nodes)
     pgrid = system.box.p_grid(grid_density)
     A, B = system.A.batch(pgrid), system.B.batch(pgrid)
-    Bd = _drift(system.B).batch(corners(system.box.rate_lower, system.box.rate_upper))
+    Bd = _drift(system.B).batch(grid(system.box.rate_lower, system.box.rate_upper))
     R = np.linalg.inv(1j * om[:, None, None] * np.eye(system.n) - A[:, None])  # (p, w, n, n)
     m1 = m2 = 0.0
     for Ap, Rp in zip(A, R):
@@ -356,22 +349,18 @@ def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
     is called only when a drift integrand is nonzero.
     """
     m1, m2 = _drift_sups(system, rng, grid_density, omega_nodes)
-    n = system.n
     if m1 == 0.0 and m2 == 0.0:
-        return ShiftedTraceBound(0.0, 0.0, np.zeros((n, n)), np.zeros((n, n)),
-                                 "lyapunov_lmi", 0.0, 0.0)
+        return ShiftedTraceBound(0.0, 0.0, "lyapunov_lmi", 0.0, 0.0)
     if uas is None:
         raise ValueError("a decay certificate is required when drift terms are nonzero")
     if callable(uas):
         uas = uas()
     c = (uas.alpha / uas.beta) ** 2 * system.n_inputs
-    return ShiftedTraceBound(c * m1, c * m2, m1 * np.eye(n), m2 * np.eye(n),
-                             "lyapunov_lmi", m1, m2)
+    return ShiftedTraceBound(c * m1, c * m2, "lyapunov_lmi", m1, m2)
 
 
 def quadrature_trace_bound(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
                            quad_nodes: int = 201, step: float = 1e-3) -> ShiftedTraceBound:
     """Directly computed drift traces packaged as a (tight) bound record."""
     W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
-    return ShiftedTraceBound(float(np.trace(W1)), float(np.trace(W2)),
-                             W1, W2, "quadrature")
+    return ShiftedTraceBound(float(np.trace(W1)), float(np.trace(W2)), "quadrature")

@@ -1,28 +1,55 @@
 """Band-restricted performance LMIs, vertex relaxation, and gain bisection.
 
-All conditions share one template on the stacked signal (xdot, x):
+Every condition is one template, Iwasaki & Hara's GKYP form (IEEE TAC 2005),
+on the stacked signal (xdot, x):
 
     [A B; I 0]^* (THETA (x) P  +  THETA_D (x) Pdot  +  Psi (x) Q) [A B; I 0]
-        + [C D; 0 I]^* Pi [C D; 0 I]  <= 0
+        + [C D; 0 I]^* Pi [C D; 0 I]  <= 0,    Pi = diag(I, -gamma^2 I).
 
-with mode-specific choices of which terms appear and which matrices are
-parameter dependent.  Parameter-dependent conditions are enforced at box
-vertices (rates symmetrized, see min_gamma) and re-checked on a grid.
+The mode table (``_MODE_TABLE``) records, per mode, whether P is constant or
+affine in p and whether Q is absent, constant or affine; everything else
+follows from it:
+
+    mode      P         Q         enforced at          PSD blocks
+    kyp       constant  -         box midpoint         -
+    gkyp      constant  constant  box midpoint         Q >= 0
+    lpv_ff    affine    constant  p and rate corners   Q >= 0
+    lpv_ef    affine    -         p and rate corners   P(p) >= 0 at the p corners
+    theorem2  affine    affine    p and rate corners   Q(p) >= 0 at the p corners
+
+An affine matrix is X(p) = X0 + sum_i p_i X_i (l + 1 slabs of the decision
+vector; a constant one is one slab), an affine P brings the rate term
+Pdot = sum_i pdot_i P_i, and the band weight Psi appears iff Q does.  Rates
+are symmetrized to +-max |rate| per axis.  The corners are the product grid
+at 2 points per axis; ``verify_on_grid`` re-checks the same template on a
+finer product grid.  The decay certificate (``uas_certificate``) is the
+template with B, C and D empty, -(A^T P(p) + P(p) A + Pdot), with the rates
+taken as stored.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox,
-                    PerformanceIndex, corners, frequency_weight)
+from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox, frequency_weight,
+                    grid)
 from .sdp import AffineSymmetricForm, max_eig_neg, real_embedding, solve_feasibility
 
-MODES = ("kyp", "gkyp", "lpv_ff", "lpv_ef", "theorem2")
+# mode: (P, Q), each "constant", "affine" in p, or None (absent)
+_MODE_TABLE = {
+    "kyp": ("constant", None),
+    "gkyp": ("constant", "constant"),
+    "lpv_ff": ("affine", "constant"),
+    "lpv_ef": ("affine", None),
+    "theorem2": ("affine", "affine"),
+}
+MODES = tuple(_MODE_TABLE)
+
+_NEWTON_STEPS = 4000  # budget of each feasibility solve
 
 
 def _sym_basis(n):
@@ -37,12 +64,16 @@ def _sym_basis(n):
     return np.array(out).reshape(len(out), n, n)
 
 
+def _slab_count(kind, l):
+    return {None: 0, "constant": 1, "affine": l + 1}[kind]
+
+
 @dataclass
 class _Layout:
-    """Decision-vector layout: n_p affine P slabs followed by n_q Q slabs."""
+    """Decision-vector layout: n_p P slabs followed by n_q Q slabs."""
 
     n: int
-    n_p: int  # number of P matrices (1 for LTI modes, l+1 for LPV)
+    n_p: int  # number of P matrices (1 when constant, l+1 when affine)
     n_q: int  # number of Q matrices (0, 1, or l+1)
 
     def __post_init__(self):
@@ -58,19 +89,26 @@ class _Layout:
         mats = list(np.tensordot(x, self.basis, axes=(1, 0)))
         return mats[:self.n_p], mats[self.n_p:]
 
+    def directions(self):
+        """Slab s of every unit decision vector e_j, as (n_p + n_q, nvar, n, n)."""
+        eye = np.eye(self.n_p + self.n_q)
+        return (eye[:, :, None, None, None] * self.basis).reshape(len(eye), self.nvar, self.n, self.n)
+
+    def slab_sum(self, first, W):
+        """Coefficients of sum_k W[v, k] * slab (first + k) for each row v of W, (V, nvar, n, n)."""
+        return np.tensordot(W, self.directions()[first:first + W.shape[1]], axes=(1, 0))
+
 
 def _slab_weights(layout, psi, P, R):
-    """The 2x2 weight of every slab at V vertices, (V, n_p + n_q, 2, 2).
+    """The 2x2 weight of every slab at V rows, (V, n_p + n_q, 2, 2).
 
     P(p) = P0 + sum p_i P_{i+1} enters through THETA, Pdot = sum pdot_i P_{i+1}
-    through THETA_D and Q(p) = Q0 + sum p_i Q_{i+1} through Psi; single-slab
-    layouts ignore p and pdot.  P and R are the (V, l) parameters and rates.
+    through THETA_D and Q(p) = Q0 + sum p_i Q_{i+1} through Psi; a single slab
+    takes the weights 1 and 0 and so ignores p and pdot.  P and R are the
+    (V, l) parameters and rates.
     """
     ones = np.ones((len(P), 1))
-    if layout.n_p == 1:
-        wP, wPd = ones, 0.0 * ones
-    else:
-        wP, wPd = np.hstack([ones, P]), np.hstack([0.0 * ones, R])
+    wP, wPd = np.hstack([ones, P])[:, :layout.n_p], np.hstack([0.0 * ones, R])[:, :layout.n_p]
     S = wP[..., None, None] * THETA + wPd[..., None, None] * THETA_D
     if layout.n_q:
         wQ = np.hstack([ones, P])[:, :layout.n_q]
@@ -88,195 +126,123 @@ def _signal_maps(A, B, C, D):
     return E, CD
 
 
-def _vertex_blocks(A, B, C, D, pi_matrix, psi, layout, P, R):
-    """The template at V vertices: constants (V, k, k) and coefficients (V, nvar, k, k).
+def _template(A, B, C, D, pi_matrix, psi, layout, P, R, X):
+    """The template at V rows (p, pdot): constants (V, k, k) and coefficients (V, N, k, k).
 
-    A..D are the frozen matrices stacked over the vertices, P and R the (V, l)
-    parameters and rates.  The constant is -(CD^T Pi CD); the coefficient of
-    slab s and basis element E_b is -(E^* (S_s (x) E_b) E) with S_s the slab's
-    2x2 weight.  A complex (middle-band) Psi makes every block real-embedded.
+    A..D are the frozen matrices stacked over the rows, P and R the (V, l)
+    parameters and rates, and X the slab matrices of N directions,
+    (n_p + n_q, N, n, n).  The constant is -(CD^T Pi CD); the coefficient of
+    direction j is -(E^* (sum_s S_s (x) X[s, j]) E) with S_s slab s's 2x2
+    weight.  X = layout.directions() gives the coefficient of every decision
+    variable; X = the unpacked certificate x gives F(x) less its constant.
+    A complex (middle-band) Psi makes every block real-embedded.
     """
     E, CD = _signal_maps(A, B, C, D)
     const = -(np.swapaxes(CD, 1, 2) @ pi_matrix @ CD)
     S = _slab_weights(layout, psi, P, R)
-    V, k2 = len(E), 2 * layout.n
-    kron = np.einsum("vsab,tij->vstaibj", S, layout.basis).reshape(V, layout.nvar, k2, k2)
+    V, N, k2 = len(E), X.shape[1], 2 * layout.n
+    kron = np.einsum("vsab,snij->vnaibj", S, X).reshape(V, N, k2, k2)
     coeffs = -(np.swapaxes(E, 1, 2)[:, None] @ kron @ E[:, None])
     if np.iscomplexobj(coeffs):
         return real_embedding(const), real_embedding(coeffs)
     return const, coeffs
 
 
-def _psd_block(layout, which, weights):
-    """Block asserting a weighted combination of slabs is PSD (e.g. Q(p) >= 0).
+def _product_rows(box: ParameterBox, rate_lo, rate_hi, density):
+    """(p, pdot) rows of the product of the p grid and the rate grid, p-major."""
+    P, R = grid(box.p_lower, box.p_upper, density), grid(rate_lo, rate_hi, density)
+    return np.repeat(P, len(R), axis=0), np.tile(R, (len(P), 1))
 
-    which: 'P' or 'Q'; weights: affine weights (w0, w1, ...) over the slabs.
+
+def _points(box: ParameterBox, mode: str, density: int):
+    """Rows (p, pdot) where a mode's template is checked: the corners at density 2.
+
+    A constant P is checked at the frozen midpoint only; an affine one on the
+    product grid of the box and the symmetrized rates +-max |rate|, which
+    keeps the rate term from acting as a one-sided subsidy and makes the
+    zero-coefficient reduction to the constant-P condition exact.
     """
-    K = np.zeros((layout.n_p + layout.n_q, layout.t, layout.n, layout.n))
-    offset = 0 if which == "P" else layout.n_p
-    w = np.asarray(weights, dtype=float)
-    K[offset:offset + len(w)] = w[:, None, None, None] * layout.basis
-    return np.zeros((layout.n, layout.n)), K.reshape(layout.nvar, layout.n, layout.n)
-
-
-def _layout_for(mode, n, l):
-    if mode == "kyp":
-        return _Layout(n, 1, 0)
-    if mode == "gkyp":
-        return _Layout(n, 1, 1)
-    if mode == "lpv_ff":
-        return _Layout(n, l + 1, 1)
-    if mode == "lpv_ef":
-        return _Layout(n, l + 1, 0)
-    if mode == "theorem2":
-        return _Layout(n, l + 1, l + 1)
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def _lti_form(A, B, C, D, pi, psi, layout):
-    mats = [np.asarray(M, float)[None] for M in (A, B, C, D)]
-    c, K = _vertex_blocks(*mats, pi.pi_matrix, psi, layout, np.zeros((1, 0)), np.zeros((1, 0)))
-    return c[0], K[0]
-
-
-def assemble_kyp_lti(A, B, C, D, pi: PerformanceIndex) -> AffineSymmetricForm:
-    """Unrestricted-frequency condition for fixed matrices, as F(x) >= 0 in P."""
-    c, K = _lti_form(A, B, C, D, pi, None, _Layout(np.asarray(A).shape[0], 1, 0))
-    return AffineSymmetricForm([c], [K])
-
-
-def assemble_gkyp_lti(A, B, C, D, rng: FrequencyRange, pi: PerformanceIndex) -> AffineSymmetricForm:
-    """Band-restricted condition in (P, Q) with the Q >= 0 block appended."""
-    layout = _Layout(np.asarray(A).shape[0], 1, 1)
-    c, K = _lti_form(A, B, C, D, pi, frequency_weight(rng).psi, layout)
-    cq, Kq = _psd_block(layout, "Q", [1.0])
-    return AffineSymmetricForm([c, cq], [K, Kq])
-
-
-def _vertex_form(system, mode, rng, pi, vertex) -> AffineSymmetricForm:
-    p, pdot = (np.atleast_1d(np.asarray(v, dtype=float)) for v in vertex)
-    if not system.box.contains(p):
-        raise ValueError("vertex parameter lies outside the box")
-    psi = frequency_weight(rng).psi if mode != "lpv_ef" else None
-    mats = [M.batch(p[None]) for M in (system.A, system.B, system.C, system.D)]
-    c, K = _vertex_blocks(*mats, pi.pi_matrix, psi, _layout_for(mode, system.n, system.nparams),
-                          p[None], pdot[None])
-    return AffineSymmetricForm([c[0]], [K[0]])
-
-
-def assemble_lpv_ff(system: LpvSystem, rng: FrequencyRange, pi: PerformanceIndex,
-                    vertex) -> AffineSymmetricForm:
-    """Band-restricted parameter-dependent block at one (p, pdot) vertex."""
-    return _vertex_form(system, "lpv_ff", rng, pi, vertex)
-
-
-def assemble_lpv_ef(system: LpvSystem, pi: PerformanceIndex, vertex) -> AffineSymmetricForm:
-    """Unrestricted-frequency parameter-dependent block at one (p, pdot) vertex."""
-    return _vertex_form(system, "lpv_ef", None, pi, vertex)
-
-
-def assemble_theorem2(system: LpvSystem, rng: FrequencyRange, pi: PerformanceIndex,
-                      vertex) -> AffineSymmetricForm:
-    """Enlarged-band block with parameter-dependent Q at one (p, pdot) vertex."""
-    return _vertex_form(system, "theorem2", rng, pi, vertex)
-
-
-def lmi_rate_vertices(box: ParameterBox) -> np.ndarray:
-    """Rate vertices used for LMI enforcement: +-max magnitude per axis, as rows.
-
-    Enforcing at both signs keeps the parameter-rate term from acting as an
-    unbounded one-sided subsidy and makes the zero-coefficient reduction to the
-    LTI condition exact.
-    """
+    if _MODE_TABLE[mode][0] == "constant":
+        return box.midpoint()[None], np.zeros((1, box.nparams))
     r = np.maximum(np.abs(box.rate_lower), np.abs(box.rate_upper))
-    return corners(0.0 - r, r)  # 0.0 - r: a zero rate stays +0.0
+    return _product_rows(box, 0.0 - r, r, density)  # 0.0 - r: a zero rate stays +0.0
+
+
+def _main_blocks(system: LpvSystem, rng: FrequencyRange, layout: _Layout, P, R, X):
+    """The template at rows (P, R) with Pi = diag(I, 0), i.e. at gamma = 0."""
+    mats = [M.batch(P) for M in (system.A, system.B, system.C, system.D)]
+    out_index = np.diag(np.r_[np.ones(system.n_outputs), np.zeros(system.n_inputs)])
+    psi = frequency_weight(rng).psi if layout.n_q else None
+    return _template(*mats, out_index, psi, layout, P, R, X)
+
+
+def _psd_blocks(layout: _Layout, mode: str, box: ParameterBox):
+    """Q >= 0 when Q exists, else P(p) >= 0 when P is affine, else none.
+
+    An affine matrix is asserted PSD at every parameter corner.
+    """
+    p_kind, q_kind = _MODE_TABLE[mode]
+    if q_kind:
+        first, kind = layout.n_p, q_kind
+    elif p_kind == "affine":
+        first, kind = 0, p_kind
+    else:
+        return []
+    pc = grid(box.p_lower, box.p_upper) if kind == "affine" else np.zeros((1, 0))
+    return list(layout.slab_sum(first, np.hstack([np.ones((len(pc), 1)), pc])))
+
+
+def _margin(main):
+    return max(1e-6 * float(np.linalg.norm(main, 2, axis=(1, 2)).max()), 1e-9)
 
 
 @dataclass
 class LmiProblem:
-    """A fully instantiated feasibility problem at one gain level."""
-
-    system: LpvSystem
-    range: FrequencyRange
-    mode: str
-    gamma: float
-    layout: _Layout
-    form: AffineSymmetricForm
-    vertex_list: list
-    margin: float
-
-
-@dataclass
-class _Family:
-    """One mode's stacked blocks over all enforcement vertices, for every gain.
+    """A mode's stacked blocks over its enforcement points at one gain level.
 
     The index Pi = diag(I, -gamma^2 I) enters the constants only: a main
     block's constant is const0 + gamma^2 * gain with gain = CD^T diag(0, I) CD,
-    and PSD blocks carry none.  The coefficient stacks are built and checked
-    once in ``base`` and shared by every gain level.
+    and PSD blocks carry none.  ``at`` re-forms only the constants, so the
+    coefficient stacks are built and checked once and shared by every gain.
     """
 
     system: LpvSystem
     range: FrequencyRange
     mode: str
     layout: _Layout
-    vertex_list: list
-    base: AffineSymmetricForm  # constants at gamma = 0
     const0: np.ndarray  # (V, k, k): main-block constants at gamma = 0
-    gain: np.ndarray  # (k, k), the same at every vertex
+    gain: np.ndarray  # (k, k), the same at every point
+    form: AffineSymmetricForm
+    gamma: float
+    margin: float
 
-    def problem(self, gamma: float, margin=None) -> LmiProblem:
+    def at(self, gamma: float) -> "LmiProblem":
         main = self.const0 + float(gamma) ** 2 * self.gain
-        form = self.base.with_constants(list(main) + self.base.constant_blocks[len(main):])
-        if margin is None:
-            margin = max(1e-6 * float(np.linalg.norm(main, 2, axis=(1, 2)).max()), 1e-9)
-        return LmiProblem(self.system, self.range, self.mode, gamma, self.layout, form,
-                          self.vertex_list, margin)
+        form = self.form.with_constants(list(main) + self.form.constant_blocks[len(main):])
+        return dataclasses.replace(self, form=form, gamma=float(gamma), margin=_margin(main))
 
 
-def _assemble(system: LpvSystem, rng: FrequencyRange, mode: str, freeze_p=None) -> _Family:
-    """Build a mode's blocks over its enforcement vertices with the gain factored out."""
+def build_problem(system: LpvSystem, rng: FrequencyRange, mode: str, gamma: float) -> LmiProblem:
+    """Stack the mode's blocks over all enforcement points at a fixed gain."""
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    l, n, m = system.nparams, system.n, system.n_inputs
-    layout = _layout_for(mode, n, l)
-    psi = frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
-    box = system.box
-    if mode in ("kyp", "gkyp"):
-        P = (box.midpoint() if freeze_p is None else np.atleast_1d(freeze_p))[None]
-        R = np.zeros((1, l))
-    else:
-        pc, rc = corners(box.p_lower, box.p_upper), lmi_rate_vertices(box)
-        P, R = np.repeat(pc, len(rc), axis=0), np.tile(rc, (len(pc), 1))
-    mats = [M.batch(P) for M in (system.A, system.B, system.C, system.D)]
-    out_index = np.diag(np.r_[np.ones(system.n_outputs), np.zeros(m)])
-    const0, coeffs = _vertex_blocks(*mats, out_index, psi, layout, P, R)
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    n, m, l = system.n, system.n_inputs, system.nparams
+    layout = _Layout(n, *(_slab_count(kind, l) for kind in _MODE_TABLE[mode]))
+    const0, coeffs = _main_blocks(system, rng, layout, *_points(system.box, mode, 2),
+                                  layout.directions())
     # CD^T diag(0, I) CD = diag(0, I): the lower block row of CD is [0 I]
     gain = np.diag(np.r_[np.zeros(n), np.ones(m)])
-    if np.iscomplexobj(psi):
+    if const0.shape[-1] == 2 * (n + m):  # real-embedded blocks (middle band)
         gain = real_embedding(gain)
-
-    psd = []
-    if mode in ("gkyp", "lpv_ff"):
-        psd.append(_psd_block(layout, "Q", [1.0]))
-    elif mode in ("lpv_ef", "theorem2"):
-        which = "P" if mode == "lpv_ef" else "Q"
-        psd.extend(_psd_block(layout, which, np.r_[1.0, p]) for p in corners(box.p_lower, box.p_upper))
-    base = AffineSymmetricForm(list(const0) + [c for c, _ in psd],
-                               list(coeffs) + [K for _, K in psd])
-    return _Family(system, rng, mode, layout, list(zip(P, R)), base, const0, gain)
-
-
-def build_problem(system: LpvSystem, rng: FrequencyRange, mode: str, gamma: float,
-                  margin=None, freeze_p=None) -> LmiProblem:
-    """Stack the mode's blocks over all enforcement vertices at a fixed gain."""
-    return _assemble(system, rng, mode, freeze_p).problem(gamma, margin)
+    psd = _psd_blocks(layout, mode, system.box)
+    form = AffineSymmetricForm(list(const0) + [np.zeros((n, n))] * len(psd), list(coeffs) + psd)
+    return LmiProblem(system, rng, mode, layout, const0, gain, form, 0.0, _margin(const0)).at(gamma)
 
 
 def _check_controllability(system: LpvSystem):
     """Warn (not fail) when the frozen pair (A, B) is close to uncontrollable."""
     box = system.box
-    for p in np.vstack([corners(box.p_lower, box.p_upper), box.midpoint()]):
+    for p in np.vstack([grid(box.p_lower, box.p_upper), box.midpoint()]):
         A, B, _, _ = system.frozen(p)
         n = A.shape[0]
         blocks = [B]
@@ -305,8 +271,7 @@ class GammaResult:
 
 
 def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: float = 1e-3,
-              margin=None, freeze_p=None, gamma_cap: float = 1e6, max_iters: int = 4000,
-              verify_density: int = 11) -> GammaResult:
+              gamma_cap: float = 1e6) -> GammaResult:
     """Smallest certified L2-gain level, located by bisection over the gain.
 
     Feasibility of the stacked vertex form is monotone in gamma^2, so bisection
@@ -321,13 +286,13 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
         raise ValueError("bisect_tol must be positive")
     _check_controllability(system)
 
-    family = _assemble(system, rng, mode, freeze_p)
+    family = build_problem(system, rng, mode, 0.0)
     warm = {"x": None}
     trace = []
 
     def probe(g):
-        prob = family.problem(g, margin)
-        res = solve_feasibility(prob.form, prob.margin, max_iters=max_iters, x0=warm["x"])
+        prob = family.at(g)
+        res = solve_feasibility(prob.form, prob.margin, max_iters=_NEWTON_STEPS, x0=warm["x"])
         if res.feasible:
             warm["x"] = res.x
         trace.append((float(g), bool(res.feasible)))
@@ -377,7 +342,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     P, Q = hi_prob.layout.unpack(hi_res.x)
     cert = {f"P{k}": M for k, M in enumerate(P)}
     cert.update({f"Q{k}": M for k, M in enumerate(Q)})
-    violations = verify_on_grid(hi_prob, hi_res.x, grid_density=verify_density)
+    violations = verify_on_grid(hi_prob, hi_res.x)
     return GammaResult(
         gamma_star=hi, certificate=cert, x=hi_res.x,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
@@ -391,45 +356,24 @@ def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11):
 
     Returns the points where the main block exceeds -margin/2, i.e. where the
     vertex relaxation fails to extend to the interior at the solved margin.
-    The certificate is contracted first: at grid point (p, pdot) the block is
-    E^* (THETA (x) P(p) + THETA_D (x) Pdot + Psi (x) Q(p)) E + CD^T Pi CD, formed
-    for all points at once and checked with one batched eigensolve.
+    The template is built at every grid point at once, as at the vertices,
+    in the single direction of the certificate x, and checked with one
+    batched eigensolve.
     """
-    sysm = problem.system
-    l = sysm.nparams
-    layout = problem.layout
-    if problem.mode in ("kyp", "gkyp") or l == 0:
-        pgrid = problem.vertex_list[0][0][None]
-        rgrid = np.zeros((1, l))
-    else:
-        pgrid = sysm.box.p_grid(grid_density)
-        r = np.maximum(np.abs(sysm.box.rate_lower), np.abs(sysm.box.rate_upper))
-        axes = [np.linspace(-ri, ri, max(2, grid_density)) if ri > 0 else np.array([0.0]) for ri in r]
-        rgrid = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, l)
-
-    Ps, Qs = layout.unpack(x)
-    psi = frequency_weight(problem.range).psi if Qs else None
-    S = _slab_weights(layout, psi, np.repeat(pgrid, len(rgrid), axis=0), np.tile(rgrid, (len(pgrid), 1)))
-    k2 = 2 * layout.n
-    X = np.einsum("vsab,sij->vaibj", S, np.stack(Ps + Qs)).reshape(len(pgrid), len(rgrid), k2, k2)
-
-    mats = [M.batch(pgrid) for M in (sysm.A, sysm.B, sysm.C, sysm.D)]
-    E, CD = _signal_maps(*mats)
-    pi = PerformanceIndex.l2_gain(problem.gamma, sysm.n_outputs, sysm.n_inputs).pi_matrix
-    G = np.swapaxes(E, 1, 2)[:, None] @ X @ E[:, None] + (np.swapaxes(CD, 1, 2) @ pi @ CD)[:, None]
-    if np.iscomplexobj(G):  # real-embedded like the solver's blocks: same spectrum, doubled
-        G = real_embedding(G)
-    lam = np.linalg.eigvalsh(G).max(axis=-1)
-    tol = problem.margin / 2
-    return [(np.array(pgrid[i]), np.array(rgrid[j]), float(lam[i, j]))
-            for i, j in zip(*np.nonzero(lam > -tol))]
+    P, R = _points(problem.system.box, problem.mode, grid_density)
+    Ps, Qs = problem.layout.unpack(x)
+    const0, Fx = _main_blocks(problem.system, problem.range, problem.layout, P, R,
+                              np.stack(Ps + Qs)[:, None])
+    F = const0 + problem.gamma ** 2 * problem.gain + Fx[:, 0]
+    lam = np.linalg.eigvalsh(-F).max(axis=-1)
+    return [(P[i], R[i], float(lam[i])) for i in np.nonzero(lam > -problem.margin / 2)[0]]
 
 
 @dataclass
 class UasCertificate:
     """Exponential-decay certificate for the autonomous part.
 
-    The bounds c1*I <= P_s(p) <= c2*I together with the decay inequality at
+    The bounds c1*I <= P(p) <= c2*I together with the decay inequality at
     level c3 give the transition-matrix envelope alpha * exp(-beta t) with
     alpha = c2/c1 and beta = c3/(2 c2).
     """
@@ -442,40 +386,37 @@ class UasCertificate:
     P: list
     achieved_margin: float
 
-    @property
-    def p_s(self):
-        return self.P
-
 
 def _uas_family(system: LpvSystem):
     """Decay-certificate blocks with the scalars c1, c2, c3 left free.
 
     Blocks, in order: P(p) - c1 I >= 0 and c2 I - P(p) >= 0 at each parameter
-    corner, then -(A(p)^T P(p) + P(p) A(p) + sum_i r_i P_i) - c3 I >= 0 at each
-    (parameter, rate) corner pair, rates taken verbatim from the box.  Returns
-    the layout, the form at c1 = c2 = c3 = 0 (coefficient stacks built and
-    checked once) and, per block, the signed index of the scalar its constant
-    carries: the constant at (c1, c2, c3) is sign * c_index * I.
+    corner, then the template with B, C and D empty, -(A(p)^T P(p) + P(p) A(p)
+    + sum_i r_i P_i), minus c3 I, >= 0 at each (parameter, rate) corner pair,
+    rates taken verbatim from the box.  Returns the layout, the form at
+    c1 = c2 = c3 = 0 (coefficient stacks built and checked once) and, per
+    block, the signed index of the scalar its constant carries: the constant
+    at (c1, c2, c3) is sign * c_index * I.
     """
     l, n = system.nparams, system.n
     layout = _Layout(n, l + 1, 0)
     box = system.box
-    pc, rc = corners(box.p_lower, box.p_upper), corners(box.rate_lower, box.rate_upper)
-    WE = np.hstack([np.ones((len(pc), 1)), pc])[:, :, None, None, None] * layout.basis
+    pc = grid(box.p_lower, box.p_upper)
+    WE = layout.slab_sum(0, np.hstack([np.ones((len(pc), 1)), pc]))
     bounds = np.stack([WE, -WE], axis=1).reshape(2 * len(pc), layout.nvar, n, n)
-    A = system.A.batch(pc)[:, None, None]
-    RE = np.hstack([np.zeros((len(rc), 1)), rc])[:, :, None, None, None] * layout.basis
-    decay = -((np.swapaxes(A, -1, -2) @ WE + WE @ A)[:, None] + RE[None])
-    coeffs = list(bounds) + list(decay.reshape(len(pc) * len(rc), layout.nvar, n, n))
-    scalars = [(0, -1.0), (1, 1.0)] * len(pc) + [(2, -1.0)] * (len(pc) * len(rc))
+    P, R = _product_rows(box, box.rate_lower, box.rate_upper, 2)
+    V, z = len(P), np.zeros
+    _, decay = _template(system.A.batch(P), z((V, n, 0)), z((V, 0, n)), z((V, 0, 0)), z((0, 0)),
+                         None, layout, P, R, layout.directions())
+    coeffs = list(bounds) + list(decay)
+    scalars = [(0, -1.0), (1, 1.0)] * len(pc) + [(2, -1.0)] * V
     return layout, AffineSymmetricForm([np.zeros((n, n))] * len(coeffs), coeffs), scalars
 
 
-def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None,
-                    max_iters: int = 4000) -> UasCertificate:
-    """Decay certificate with affine P_s(p) at fixed c3 (halved on failure).
+def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> UasCertificate:
+    """Decay certificate with affine P(p) at fixed c3 (halved on failure).
 
-    With c1, c2 supplied the scalars are held fixed and only P_s is searched
+    With c1, c2 supplied the scalars are held fixed and only P is searched
     (boundary-tight certificates are accepted within a small dead band).  With
     them free, c2 is normalized to 1 and the largest feasible c1 is located by
     bisection, which minimizes the overshoot ratio alpha = c2/c1.
@@ -492,7 +433,7 @@ def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None,
     def try_fixed(c1v, c2v, c3v):
         c = (c1v, c2v, c3v)
         form = base.with_constants([sign * c[i] * eye for i, sign in scalars])
-        res = solve_feasibility(form, 0.0, max_iters=max_iters)
+        res = solve_feasibility(form, 0.0, max_iters=_NEWTON_STEPS)
         dead = 1e-6 * form.scale()
         return res.feasible or res.achieved_margin >= -dead, res
 

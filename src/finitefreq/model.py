@@ -116,22 +116,19 @@ class ParameterBox:
 
     def p_grid(self, density=11):
         """Cartesian grid of parameter values, vertices always included."""
-        if self.nparams == 0:
-            return np.zeros((1, 0))
-        axes = [
-            np.linspace(lo, hi, max(2, density)) if hi > lo else np.array([lo])
-            for lo, hi in zip(self.p_lower, self.p_upper)
-        ]
-        return np.array(list(itertools.product(*axes)))
+        return grid(self.p_lower, self.p_upper, density)
 
 
-def corners(lo, hi) -> np.ndarray:
-    """Corners of the box [lo, hi] as rows of a (K, l) array, in product order.
+def grid(lo, hi, density=2) -> np.ndarray:
+    """Product grid of the box [lo, hi] as rows of a (K, l) array, in product order.
 
-    A degenerate axis (lower == upper) contributes a single value instead of
-    two; an empty box (l = 0) has the single corner of shape (0,).
+    Every axis gets ``density`` evenly spaced points (at least 2, ends
+    included), so the default density gives the corners.  A degenerate axis
+    (lower == upper) contributes a single value instead; an empty box (l = 0)
+    has the single point of shape (0,).
     """
-    axes = [[a] if a == b else [a, b] for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi))]
+    axes = [np.linspace(a, b, max(2, density)) if b > a else [a]
+            for a, b in zip(np.atleast_1d(lo), np.atleast_1d(hi))]
     rows = list(itertools.product(*axes))
     return np.array(rows, dtype=float).reshape(len(rows), len(axes))
 
@@ -141,8 +138,8 @@ def box_vertices(box: ParameterBox):
 
     Degenerate axes (lower == upper) contribute a single value instead of two.
     """
-    return [(p, r) for p in corners(box.p_lower, box.p_upper)
-            for r in corners(box.rate_lower, box.rate_upper)]
+    return [(p, r) for p in grid(box.p_lower, box.p_upper)
+            for r in grid(box.rate_lower, box.rate_upper)]
 
 
 @dataclass(frozen=True)
@@ -186,12 +183,6 @@ class LpvSystem:
     @property
     def nparams(self):
         return self.box.nparams
-
-    @property
-    def is_lti(self):
-        return self.nparams == 0 or all(
-            np.allclose(c, 0.0) for M in (self.A, self.B, self.C, self.D) for c in M.coeffs
-        )
 
     def frozen(self, p=None):
         """A(p), B(p), C(p), D(p) at a fixed parameter (default: box midpoint)."""
@@ -318,13 +309,10 @@ class FrequencyRange:
         w = abs(float(omega))
         return bool(self.lo <= w <= self.hi)
 
-    def psi(self) -> "FrequencyWeight":
-        return frequency_weight(self)
-
     def f_value(self, omega):
         """The band indicator form [jw, 1]^* Psi [jw, 1]; >= 0 inside the band."""
         v = np.array([1j * omega, 1.0])
-        return float(np.real(v.conj() @ self.psi().psi @ v))
+        return float(np.real(v.conj() @ frequency_weight(self).psi @ v))
 
     def describe(self) -> str:
         if self.kind == "low":
@@ -353,10 +341,6 @@ class FrequencyWeight:
             m = m.real.astype(float)
         m.setflags(write=False)
         object.__setattr__(self, "psi", m)
-
-    @property
-    def is_real(self):
-        return not np.iscomplexobj(self.psi)
 
 
 def frequency_weight(rng: FrequencyRange) -> FrequencyWeight:

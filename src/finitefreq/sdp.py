@@ -12,7 +12,6 @@ infeasible verdict means "not shown feasible".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,25 +72,6 @@ class AffineSymmetricForm:
         for C, K in zip(self.constant_blocks, self.coeff_blocks):
             s = max(s, float(np.abs(C).max(initial=0.0)), float(np.abs(K).max(initial=0.0)))
         return max(s, 1.0)
-
-    @staticmethod
-    def stack(forms):
-        """Concatenate block lists of forms sharing one decision vector."""
-        forms = list(forms)
-        cs = [C for f in forms for C in f.constant_blocks]
-        ks = [K for f in forms for K in f.coeff_blocks]
-        return AffineSymmetricForm(cs, ks)
-
-    def dump_json(self, path):
-        """Debug dump of the full form for offline inspection."""
-        obj = {
-            "block_sizes": self.block_sizes,
-            "nvar": self.nvar,
-            "constant_blocks": [C.tolist() for C in self.constant_blocks],
-            "coeff_blocks": [K.tolist() for K in self.coeff_blocks],
-        }
-        with open(path, "w") as fh:
-            json.dump(obj, fh, sort_keys=True)
 
 
 @dataclass

@@ -162,6 +162,18 @@ class ScheduleTrajectory:
         return self.center.size
 
 
+def param_rows(f, ts) -> np.ndarray:
+    """A schedule's p or pdot sampled at the times ts, as (len(ts), l) rows."""
+    return np.atleast_2d(np.asarray(f(ts), dtype=float).T).reshape(len(ts), -1)
+
+
+def warn_if_outside_box(trajectory, P):
+    """Warn when a row of the sampled parameters P leaves the trajectory's box, if it has one."""
+    box = getattr(trajectory, "box", None)
+    if box is not None and not box.contains(P):
+        warnings.warn("schedule leaves the parameter box", stacklevel=3)
+
+
 @dataclass
 class SimulationResult:
     """Sampled trajectories; x_dot comes from the right-hand side, not differencing."""
@@ -188,13 +200,9 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     l = system.nparams
 
     def params(ts):
-        return np.atleast_2d(np.asarray(trajectory.p(ts), dtype=float).T).reshape(len(ts), -1) \
-            if l else np.zeros((len(ts), 0))
+        return param_rows(trajectory.p, ts) if l else np.zeros((len(ts), 0))
 
-    if l and trajectory.box is not None and not all(
-            trajectory.box.contains(p) for p in
-            np.atleast_2d(np.asarray(trajectory.p(times[:: max(1, N // 64)]), float).T)):
-        warnings.warn("schedule leaves the parameter box", stacklevel=2)
+    warn_if_outside_box(trajectory, params(times))
 
     stages = []
     for off in (0.0, 0.5 * step, step):

@@ -1,12 +1,13 @@
 import csv
 import io
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import finitefreq as ff
-from finitefreq import cli
+from finitefreq import cli, lmi
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "data" / "example1.json"
 
@@ -63,3 +64,44 @@ def test_json_flag_is_gone(tmp_path):
             "--range", "low:1"]
     assert cli.main(argv) == 1
     assert cli.main(argv[:2] + argv[3:]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--mode", "BIBS"],
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c1", "0.5"],
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c2", "0.6"],
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.5"],
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c2", "0.6"],
+], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2"])
+def test_usage_errors_exit_1_without_output(tmp_path, argv):
+    assert cli.main(["--out", str(tmp_path), *argv]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_certify_uas_with_both_scalars(tmp_path):
+    argv = ["--out", str(tmp_path), "certify-uas", "--system", str(EXAMPLE), "--c3", "7.4",
+            "--c1", "0.5", "--c2", "0.6"]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "uas.json").read_text())["alpha"] == pytest.approx(1.2)
+
+
+def _decision_vector(certificate):
+    """P0.., Q0.. packed back into the solver's vector: upper triangles, row by row."""
+    out = []
+    for k in sorted(certificate, key=lambda k: (k[0], int(k[1:]))):
+        M = certificate[k]
+        out.extend(M[i][j] for i in range(len(M)) for j in range(i, len(M)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mode", lmi.MODES)
+def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
+    argv = ["--out", str(tmp_path), "analyze", "--system", str(EXAMPLE), "--range", "low:1",
+            "--mode", mode, "--bisect-tol", "1e-2"]
+    assert cli.main(argv) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    hi = cert["bracket"][1]
+    prob = ff.build_problem(ff.load_system(EXAMPLE), ff.FrequencyRange.low(1.0), mode, hi)
+    x = _decision_vector(cert["certificate"])
+    assert x.size == prob.layout.nvar
+    assert ff.max_eig_neg(prob.form, x) <= -prob.margin / 2

@@ -18,22 +18,24 @@ def _scalar_lti():
 
 def test_kyp_scalar_hand_expansion():
     # G(P) = [[-2P + 1, P], [P, -g^2]] for A=-1, B=C=1, D=0
-    pi = ff.PerformanceIndex.l2_gain(1.5, 1, 1)
-    form = ff.assemble_kyp_lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]], pi)
+    form = build_problem(_scalar_lti(), ff.FrequencyRange.entire(), "kyp", 1.5).form
+    assert form.block_sizes == [2]
     assert np.allclose(form.constant_blocks[0], -np.array([[1.0, 0.0], [0.0, -2.25]]))
     assert np.allclose(form.coeff_blocks[0][0], -np.array([[-2.0, 1.0], [1.0, 0.0]]))
 
 
 def test_kyp_zero_index_feasible_with_zero_certificate():
-    pi = ff.PerformanceIndex(np.zeros((2, 2)))
-    form = ff.assemble_kyp_lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]], pi)
+    # zero output and zero gain: the index term CD^T Pi CD vanishes
+    sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[0.0]], [[0.0]])
+    form = build_problem(sys, ff.FrequencyRange.entire(), "kyp", 0.0).form
+    assert not np.any(form.constant_blocks[0])
     res = solve_feasibility(form, 0.0)
     assert res.feasible
 
 
 def test_kyp_zero_output_feasible_any_gain():
-    pi = ff.PerformanceIndex.l2_gain(1e-3, 1, 1)
-    form = ff.assemble_kyp_lti([[-1.0]], [[1.0]], [[0.0]], [[0.0]], pi)
+    sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[0.0]], [[0.0]])
+    form = build_problem(sys, ff.FrequencyRange.entire(), "kyp", 1e-3).form
     assert solve_feasibility(form, 1e-9).feasible
 
 
@@ -53,10 +55,10 @@ def test_gkyp_high_band_flip_at_edge():
     assert res.gamma_star == pytest.approx(1.0 / np.sqrt(101.0), rel=1e-3)
 
 
-def _verdicts(system, rng, mode, gammas, freeze_p=None):
+def _verdicts(system, rng, mode, gammas):
     out = []
     for g in gammas:
-        prob = build_problem(system, rng, mode, g, freeze_p=freeze_p)
+        prob = build_problem(system, rng, mode, g)
         out.append(solve_feasibility(prob.form, prob.margin).feasible)
     return out
 
@@ -91,16 +93,15 @@ def test_reduction_constant_q_matches_band_condition(benchmark_system):
     # zeroing the Q coefficient turns every enlarged-band block into the
     # constant-Q block: F_t2((P, Q0, Q1=0)) == F_ff((P, Q0)) at each vertex
     band = ff.FrequencyRange.low(5.955)
-    pi = ff.PerformanceIndex.l2_gain(4.0, 1, 1)
     rng = np.random.default_rng(2)
     t = 3  # symmetric 2x2 entries per slab
     x_ff = rng.normal(size=3 * t)
     x_t2 = np.concatenate([x_ff[:2 * t], x_ff[2 * t:], np.zeros(t)])
-    for vertex in ff.box_vertices(benchmark_system.box):
-        f_ff = ff.assemble_lpv_ff(benchmark_system, band, pi, vertex)
-        f_t2 = ff.assemble_theorem2(benchmark_system, band, pi, vertex)
-        lhs = f_t2.eval_blocks(x_t2)[0]
-        rhs = f_ff.eval_blocks(x_ff)[0]
+    f_ff = build_problem(benchmark_system, band, "lpv_ff", 4.0).form
+    f_t2 = build_problem(benchmark_system, band, "theorem2", 4.0).form
+    n_vertices = len(f_ff.coeff_blocks) - 1  # lpv_ff adds one Q >= 0 block
+    assert n_vertices == len(ff.box_vertices(benchmark_system.box)) == 4
+    for lhs, rhs in zip(f_t2.eval_blocks(x_t2)[:n_vertices], f_ff.eval_blocks(x_ff)[:n_vertices]):
         assert np.allclose(lhs, rhs, atol=1e-10)
     # and the enlarged decision space can only lower the certified gain
     probes = [2.0, 2.8, 3.1, 3.6, 4.2, 5.0, 6.5, 8.0, 10.0, 15.0]
@@ -115,8 +116,7 @@ def test_degenerate_box_reduces_to_frozen(benchmark_system):
     frozen = ff.LpvSystem(benchmark_system.A, benchmark_system.B, benchmark_system.C,
                           benchmark_system.D, box)
     g1 = ff.min_gamma(frozen, LOW1, "lpv_ff", bisect_tol=1e-3).gamma_star
-    g2 = ff.min_gamma(benchmark_system, LOW1, "gkyp", bisect_tol=1e-3,
-                      freeze_p=[0.15]).gamma_star
+    g2 = ff.min_gamma(benchmark_system, LOW1, "gkyp", bisect_tol=1e-3).gamma_star  # at p = 0.15
     assert g1 == pytest.approx(g2, abs=2e-3)
 
 
@@ -250,38 +250,49 @@ def test_middle_band_routes_through_real_embedding(benchmark_system):
     assert np.isfinite(res.gamma_star) and res.gamma_star > 0
 
 
-def test_vertex_outside_box_rejected(benchmark_system):
-    pi = ff.PerformanceIndex.l2_gain(1.0, 1, 1)
-    with pytest.raises(ValueError, match="outside"):
-        ff.assemble_lpv_ff(benchmark_system, LOW1, pi, (np.array([0.5]), np.array([0.4])))
-
-
 # --- the per-point assembly these batched paths replaced, kept as references ---
 
-def ref_main_block(A, B, C, D, pi_matrix, psi, layout, p, pdot):
+def ref_slabs(mode, l):
+    """(P slabs, Q slabs) per mode, written out here rather than read from the module."""
+    return {"kyp": (1, 0), "gkyp": (1, 1), "lpv_ff": (l + 1, 1), "lpv_ef": (l + 1, 0),
+            "theorem2": (l + 1, l + 1)}[mode]
+
+
+def ref_basis(n):
+    """E_ii and E_ij + E_ji, row by row over the upper triangle."""
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            out.append(E)
+    return out
+
+
+def ref_main_block(A, B, C, D, pi_matrix, psi, n_p, n_q, p, pdot):
     """One template instance built per basis element with np.kron (real-embedded if complex)."""
     n, m = A.shape[0], B.shape[1]
     E = np.block([[A, B], [np.eye(n), np.zeros((n, m))]])
     CD = np.block([[C, D], [np.zeros((m, n)), np.eye(m)]])
     const = -(CD.T @ pi_matrix @ CD)
     coeffs = []
-    for k in range(layout.n_p):
-        wP, wPd = (1.0, 0.0) if k == 0 or layout.n_p == 1 else (p[k - 1], pdot[k - 1])
-        coeffs += [-(E.T @ np.kron(wP * ff.THETA + wPd * ff.THETA_D, Eb) @ E) for Eb in layout.basis]
-    for k in range(layout.n_q):
+    for k in range(n_p):
+        wP, wPd = (1.0, 0.0) if k == 0 or n_p == 1 else (p[k - 1], pdot[k - 1])
+        coeffs += [-(E.T @ np.kron(wP * ff.THETA + wPd * ff.THETA_D, Eb) @ E) for Eb in ref_basis(n)]
+    for k in range(n_q):
         wQ = 1.0 if k == 0 else p[k - 1]
-        coeffs += [-(E.T @ np.kron(wQ * psi, Eb) @ E) for Eb in layout.basis]
+        coeffs += [-(E.T @ np.kron(wQ * psi, Eb) @ E) for Eb in ref_basis(n)]
     if np.iscomplexobj(psi):
         return ff.real_embedding(const), np.stack([ff.real_embedding(K) for K in coeffs])
     return const, np.stack(coeffs)
 
 
-def ref_build_form(system, rng, mode, gamma, freeze_p=None):
+def ref_build_form(system, rng, mode, gamma):
     """The stacked vertex form, assembled vertex by vertex at one gain."""
-    from finitefreq.lmi import _layout_for, _psd_block
+    n = system.n
     pi = ff.PerformanceIndex.l2_gain(gamma, system.n_outputs, system.n_inputs).pi_matrix
     psi = ff.frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
-    layout = _layout_for(mode, system.n, system.nparams)
+    n_p, n_q = ref_slabs(mode, system.nparams)
     box = system.box
     corners = [np.array(c, dtype=float) for c in itertools.product(
         *[[a] if a == b else [a, b] for a, b in zip(box.p_lower, box.p_upper)])]
@@ -289,16 +300,25 @@ def ref_build_form(system, rng, mode, gamma, freeze_p=None):
     rates = [np.array(c, dtype=float)
              for c in itertools.product(*[[-ri, ri] if ri > 0 else [0.0] for ri in r])]
     if mode in ("kyp", "gkyp"):
-        verts = [(box.midpoint() if freeze_p is None else np.atleast_1d(freeze_p),
-                  np.zeros(system.nparams))]
+        verts = [(box.midpoint(), np.zeros(system.nparams))]
     else:
         verts = [(p, r) for p in corners for r in rates]
-    blocks = [ref_main_block(*system.frozen(p), pi, psi, layout, p, r) for p, r in verts]
+    blocks = [ref_main_block(*system.frozen(p), pi, psi, n_p, n_q, p, r) for p, r in verts]
+
+    def psd(first, weights):  # sum_k weights[k] * (slab first + k) >= 0
+        basis = ref_basis(n)
+        K = np.zeros(((n_p + n_q) * len(basis), n, n))
+        for k, w in enumerate(weights):
+            for b, Eb in enumerate(basis):
+                K[(first + k) * len(basis) + b] = w * Eb
+        return np.zeros((n, n)), K
+
     if mode in ("gkyp", "lpv_ff"):
-        blocks.append(_psd_block(layout, "Q", [1.0]))
-    elif mode in ("lpv_ef", "theorem2"):
-        blocks += [_psd_block(layout, "P" if mode == "lpv_ef" else "Q", np.r_[1.0, p])
-                   for p in corners]
+        blocks.append(psd(n_p, [1.0]))
+    elif mode == "lpv_ef":
+        blocks += [psd(0, np.r_[1.0, p]) for p in corners]
+    elif mode == "theorem2":
+        blocks += [psd(n_p, np.r_[1.0, p]) for p in corners]
     return ff.AffineSymmetricForm([c for c, _ in blocks], [K for _, K in blocks])
 
 
@@ -309,7 +329,7 @@ def ref_grid_eigs(problem, x, grid_density):
     psi = ff.frequency_weight(problem.range).psi \
         if problem.mode in ("gkyp", "lpv_ff", "theorem2") else None
     if problem.mode in ("kyp", "gkyp") or l == 0:
-        pgrid, rgrid = [problem.vertex_list[0][0]], [np.zeros(l)]
+        pgrid, rgrid = [sysm.box.midpoint()], [np.zeros(l)]
     else:
         pgrid = sysm.box.p_grid(grid_density)
         r = np.maximum(np.abs(sysm.box.rate_lower), np.abs(sysm.box.rate_upper))
@@ -319,7 +339,7 @@ def ref_grid_eigs(problem, x, grid_density):
     out = []
     for p in pgrid:
         for r in rgrid:
-            c, K = ref_main_block(*sysm.frozen(p), pi, psi, problem.layout, p, r)
+            c, K = ref_main_block(*sysm.frozen(p), pi, psi, *ref_slabs(problem.mode, l), p, r)
             G = -(c + np.tensordot(x, K, axes=(0, 0)))
             out.append((p, r, float(np.linalg.eigvalsh(G).max()), np.abs(G).max()))
     return out
@@ -413,3 +433,36 @@ def test_build_problem_two_parameters_matches_kron_assembly(mode):
     sysm = _two_parameter_system()
     _assert_forms_match(build_problem(sysm, MID, mode, 2.5).form,
                         ref_build_form(sysm, MID, mode, 2.5))
+
+
+@pytest.mark.parametrize("system", ["example", "two_parameter"])
+def test_decay_blocks_match_hand_written_derivative(benchmark_system, system):
+    # the template with B, C, D empty is -(A(p)^T P(p) + P(p) A(p) + sum_i r_i P_i)
+    from finitefreq.lmi import _uas_family
+    sysm = benchmark_system if system == "example" else _two_parameter_system()
+    _, form, scalars = _uas_family(sysm)
+    x = np.random.default_rng(4).normal(size=form.nvar)
+    basis = ref_basis(sysm.n)
+    t = len(basis)
+    Ps = [sum(xk * Eb for xk, Eb in zip(x[k * t:(k + 1) * t], basis))
+          for k in range(sysm.nparams + 1)]
+    box = sysm.box
+
+    def corners(lo, hi):
+        return [np.array(c) for c in itertools.product(
+            *[[a] if a == b else [a, b] for a, b in zip(lo, hi)])]
+
+    pcs, rcs = corners(box.p_lower, box.p_upper), corners(box.rate_lower, box.rate_upper)
+    want = []
+    for p in pcs:
+        Pp = Ps[0] + sum(pi * Pi for pi, Pi in zip(p, Ps[1:]))
+        want += [Pp, -Pp]
+    for p in pcs:
+        A, Pp = sysm.A(p), Ps[0] + sum(pi * Pi for pi, Pi in zip(p, Ps[1:]))
+        want += [-(A.T @ Pp + Pp @ A + sum(ri * Pi for ri, Pi in zip(r, Ps[1:]))) for r in rcs]
+    got = form.eval_blocks(x)
+    assert len(got) == len(want)
+    scale = max(np.abs(w).max() for w in want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * scale
+    assert scalars == [(0, -1.0), (1, 1.0)] * len(pcs) + [(2, -1.0)] * (len(pcs) * len(rcs))

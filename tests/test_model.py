@@ -94,11 +94,13 @@ def test_box_vertices_two_parameters():
 
 
 def test_corners_product_order_and_degenerate_axes():
-    from finitefreq.model import corners
-    assert np.array_equal(corners([0.0, 2.0], [1.0, 3.0]),
+    from finitefreq.model import grid
+    assert np.array_equal(grid([0.0, 2.0], [1.0, 3.0]),
                           [[0.0, 2.0], [0.0, 3.0], [1.0, 2.0], [1.0, 3.0]])
-    assert np.array_equal(corners([0.0, 2.0, 5.0], [1.0, 2.0, 5.0]), [[0.0, 2.0, 5.0], [1.0, 2.0, 5.0]])
-    assert corners(np.zeros(0), np.zeros(0)).shape == (1, 0)
+    assert np.array_equal(grid([0.0, 2.0, 5.0], [1.0, 2.0, 5.0]), [[0.0, 2.0, 5.0], [1.0, 2.0, 5.0]])
+    assert grid(np.zeros(0), np.zeros(0)).shape == (1, 0)
+    # finer grids keep the product order and the degenerate axis
+    assert np.array_equal(grid([0.0, 2.0], [1.0, 2.0], 3), [[0.0, 2.0], [0.5, 2.0], [1.0, 2.0]])
 
 
 def test_batch_matches_pointwise_evaluation():

@@ -159,16 +159,5 @@ def test_with_constants_shares_coefficients_and_checks_constants():
         form.with_constants([np.eye(3)])
     with pytest.raises(ValueError):
         form.with_constants([np.eye(2), np.eye(2)])
-
-
-def test_form_stacking_and_dump(tmp_path):
-    a, b = _interval_form(), _scalar_kyp_form(1.5)
     with pytest.raises(ValueError):
         AffineSymmetricForm([[[-1.0]]], [])  # mismatched block lists
-    stacked = AffineSymmetricForm.stack([a, _interval_form()])
-    assert stacked.block_sizes == [1, 1, 1, 1]
-    path = tmp_path / "form.json"
-    b.dump_json(path)
-    import json
-    obj = json.loads(path.read_text())
-    assert obj["block_sizes"] == [2] and obj["nvar"] == 1

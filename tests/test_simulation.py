@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,19 @@ def test_parseval_energy_consistency():
     U = np.fft.fft(u)
     e_freq = float(np.sum(np.abs(U) ** 2)) * step / u.size
     assert e_freq == pytest.approx(e_time, rel=0.01)
+
+
+def test_simulate_warns_when_the_schedule_leaves_the_box(benchmark_system):
+    box = benchmark_system.box  # p in [0.1, 0.2]
+    sig = ff.BandLimitedSignal(((1.0, 1.0, 0.0),))
+    # p(t) = 0.15 + 0.06 sin(t) first leaves the box at t = asin(5/6) ~ 0.985 s
+    leaving = ff.ScheduleTrajectory.sinusoid([0.15], [0.06], 1.0, box=box)
+    with pytest.warns(UserWarning, match="parameter box"):
+        ff.simulate(benchmark_system, leaving, sig, 1.0, 1e-3)
+    inside = ff.ScheduleTrajectory.sinusoid([0.15], [0.04], 1.0, box=box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ff.simulate(benchmark_system, inside, sig, 1.0, 1e-3)
 
 
 def test_simulate_warns_on_coarse_step():
