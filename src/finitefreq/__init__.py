@@ -1,9 +1,9 @@
 """Finite-frequency input-output analysis for LTI and LPV systems."""
 
 from .model import (AffineMatrixFunction, DimensionError, FrequencyRange,
-                    FrequencyWeight, LpvSystem, ParameterBox, PerformanceIndex,
-                    THETA, THETA_D, box_vertices, eval_affine, frequency_weight,
-                    load_system, system_from_dict, system_to_dict, transfer_function)
+                    FrequencyWeight, LpvSystem, ParameterBox, THETA, THETA_D,
+                    eval_affine, frequency_weight, load_system, system_from_dict,
+                    system_to_dict, transfer_function)
 from .sdp import (AffineSymmetricForm, FeasibilityResult, max_eig_neg,
                   real_embedding, solve_feasibility)
 from .lmi import (GammaResult, LmiProblem, UasCertificate, build_problem, min_gamma,

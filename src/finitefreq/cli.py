@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 from . import reference
 from .enlargement import recommend_range
 from .gramians import gramian_lpv_frozen, gramian_set
-from .lmi import MODES, min_gamma, uas_certificate
+from .lmi import MODES, check_decay_scalars, min_gamma, uas_certificate
 from .model import FrequencyRange, load_system
 from .simulation import (BandLimitedSignal, ScheduleTrajectory, iqc_value,
                          performance_ratio, simulate, spectrum_fraction)
@@ -117,9 +118,11 @@ def _load(args):
 
 
 def _uas_scalars(args):
-    """(c1, c2) from the command line: both or neither."""
-    if (args.c1 is None) != (args.c2 is None):
-        raise UsageError("give both --c1 and --c2, or neither")
+    """(c1, c2) from the command line, checked with --c3 before any solve."""
+    try:
+        check_decay_scalars(args.c1, args.c2, args.c3)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return args.c1, args.c2
 
 
@@ -348,6 +351,7 @@ def cmd_reproduce(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="finitefreq",
                                  description="Finite-frequency analysis of LTI/LPV systems")

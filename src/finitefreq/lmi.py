@@ -24,7 +24,9 @@ are symmetrized to +-max |rate| per axis.  The corners are the product grid
 at 2 points per axis; ``verify_on_grid`` re-checks the same template on a
 finer product grid.  The decay certificate (``uas_certificate``) is the
 template with B, C and D empty, -(A^T P(p) + P(p) A + Pdot), with the rates
-taken as stored.
+taken as stored; with its scalars free, its c1 is maximized in one barrier
+run and strictly certified by an exact eigen re-check, and the dead band
+applies to fixed scalars only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 
 from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox, frequency_weight,
                     grid)
-from .sdp import AffineSymmetricForm, max_eig_neg, real_embedding, solve_feasibility
+from .sdp import (AffineSymmetricForm, max_eig_neg, minimize, real_embedding, solve_feasibility,
+                  stack_blocks)
 
 # mode: (P, Q), each "constant", "affine" in p, or None (absent)
 _MODE_TABLE = {
@@ -413,53 +416,58 @@ def _uas_family(system: LpvSystem):
     return layout, AffineSymmetricForm([np.zeros((n, n))] * len(coeffs), coeffs), scalars
 
 
+def check_decay_scalars(c1, c2, c3):
+    """Raise ValueError unless 0 < c3 < inf and, when given, 0 < c1 <= c2 < inf (both or neither)."""
+    if not 0 < c3 < np.inf:
+        raise ValueError(f"c3 must be positive and finite, got {c3}")
+    if (c1 is None) != (c2 is None):
+        raise ValueError("supply both c1 and c2 or neither")
+    if c1 is not None and not 0 < c1 <= c2 < np.inf:
+        raise ValueError(f"need 0 < c1 <= c2 < inf, got c1={c1}, c2={c2}")
+
+
 def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> UasCertificate:
     """Decay certificate with affine P(p) at fixed c3 (halved on failure).
 
     With c1, c2 supplied the scalars are held fixed and only P is searched
     (boundary-tight certificates are accepted within a small dead band).  With
-    them free, c2 is normalized to 1 and the largest feasible c1 is located by
-    bisection, which minimizes the overshoot ratio alpha = c2/c1.
+    them free, c2 is normalized to 1, which minimizes the overshoot ratio
+    alpha = 1/c1: a feasibility solve at c1 = 1e-6 gives a strictly interior
+    point, and one barrier run from it maximizes c1 with P.  That c1 passes an
+    exact eigen re-check at (c1, 1, c3) with no dead band; a c3 whose first
+    solve passes only inside the dead band counts as failed.
     """
-    if c3_target <= 0:
-        raise ValueError("c3_target must be positive")
-    fixed = c1 is not None and c2 is not None
-    if (c1 is None) != (c2 is None):
-        raise ValueError("supply both c1 and c2 or neither")
-
+    check_decay_scalars(c1, c2, c3_target)
     layout, base, scalars = _uas_family(system)
     eye = np.eye(system.n)
 
-    def try_fixed(c1v, c2v, c3v):
-        c = (c1v, c2v, c3v)
-        form = base.with_constants([sign * c[i] * eye for i, sign in scalars])
-        res = solve_feasibility(form, 0.0, max_iters=_NEWTON_STEPS)
-        dead = 1e-6 * form.scale()
-        return res.feasible or res.achieved_margin >= -dead, res
+    def form_at(c):
+        return base.with_constants([sign * c[i] * eye for i, sign in scalars])
+
+    def certificate(c, x, achieved):
+        P, _ = layout.unpack(x)
+        return UasCertificate(c[0], c[1], c[2], c[1] / c[0], c[2] / (2.0 * c[1]), P, achieved)
 
     c3 = float(c3_target)
     for _ in range(40):
-        if fixed:
-            ok, res = try_fixed(float(c1), float(c2), c3)
-            if ok:
-                P, _ = layout.unpack(res.x)
-                a, b = float(c2) / float(c1), c3 / (2.0 * float(c2))
-                return UasCertificate(float(c1), float(c2), c3, a, b, P, res.achieved_margin)
+        if c1 is not None:
+            c = (float(c1), float(c2), c3)
+            form = form_at(c)
+            res = solve_feasibility(form, 0.0, max_iters=_NEWTON_STEPS)
+            if res.feasible or res.achieved_margin >= -1e-6 * form.scale():
+                return certificate(c, res.x, res.achieved_margin)
         else:
-            ok, res = try_fixed(1e-6, 1.0, c3)
-            if ok:
-                lo_c1, hi_c1 = 1e-6, 1.0
-                best = (lo_c1, res)
-                for _ in range(30):
-                    mid = 0.5 * (lo_c1 + hi_c1)
-                    okm, resm = try_fixed(mid, 1.0, c3)
-                    if okm:
-                        lo_c1 = mid
-                        best = (mid, resm)
-                    else:
-                        hi_c1 = mid
-                c1v, res = best
-                P, _ = layout.unpack(res.x)
-                return UasCertificate(c1v, 1.0, c3, 1.0 / c1v, c3 / 2.0, P, res.achieved_margin)
+            res = solve_feasibility(form_at((1e-6, 1.0, c3)), 0.0, max_iters=_NEWTON_STEPS)
+            if res.feasible:
+                # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
+                lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
+                          for (i, sign), K in zip(scalars, base.coeff_blocks)]
+                groups = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
+                top = minimize(groups, np.append(res.x, 1e-6), _NEWTON_STEPS, target=np.inf)
+                c = (top.t, 1.0, c3)
+                v = max_eig_neg(form_at(c), top.x)
+                if v <= 0.0:
+                    return certificate(c, top.x, -v)
+                return certificate((1e-6, 1.0, c3), res.x, res.achieved_margin)
         c3 *= 0.5
     raise RuntimeError("no UAS certificate found under affine P_s")

@@ -133,15 +133,6 @@ def grid(lo, hi, density=2) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), len(axes))
 
 
-def box_vertices(box: ParameterBox):
-    """All 2^l x 2^l combinations of parameter and rate bounds, as (p, pdot) pairs.
-
-    Degenerate axes (lower == upper) contribute a single value instead of two.
-    """
-    return [(p, r) for p in grid(box.p_lower, box.p_upper)
-            for r in grid(box.rate_lower, box.rate_upper)]
-
-
 @dataclass(frozen=True)
 class LpvSystem:
     """State-space model with parameter-affine A, B, C, D and a parameter box.
@@ -355,28 +346,6 @@ def frequency_weight(rng: FrequencyRange) -> FrequencyWeight:
     else:  # entire: zero weight recovers the unrestricted conditions
         m = np.zeros((2, 2))
     return FrequencyWeight(m)
-
-
-@dataclass(frozen=True)
-class PerformanceIndex:
-    """Hermitian quadratic index on stacked (output, input) signals."""
-
-    pi_matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.pi_matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("pi_matrix must be real symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "pi_matrix", m)
-
-    @classmethod
-    def l2_gain(cls, gamma, n_outputs, n_inputs):
-        """diag(I, -gamma^2 I): the induced L2-gain index."""
-        blocks = np.zeros((n_outputs + n_inputs, n_outputs + n_inputs))
-        blocks[:n_outputs, :n_outputs] = np.eye(n_outputs)
-        blocks[n_outputs:, n_outputs:] = -float(gamma) ** 2 * np.eye(n_inputs)
-        return cls(blocks)
 
 
 def transfer_function(system: LpvSystem, omega, p=None) -> np.ndarray:

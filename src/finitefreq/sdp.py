@@ -1,13 +1,21 @@
-"""Dense small-scale semidefinite feasibility engine.
+"""Dense small-scale semidefinite engine: feasibility, and one maximized variable.
 
-F(x) = F0 + sum_j x_j Fj >= margin*I holds iff t* >= 0, for t* = max t subject
-to Ftilde(x) >= t*I on the normalized pencil Ftilde (margin folded into the
-constant blocks, each block scaled to unit size).  t* is approached by
-log-barrier path following (Boyd & Vandenberghe, Convex Optimization, ch. 11)
-over same-size blocks stacked into batches, and each Newton step yields a dual
-point bounding t* from above.  A feasible verdict is re-checked by an exact
-eigensolve, a dual bound below zero certifies infeasibility, and any other
-infeasible verdict means "not shown feasible".
+``minimize`` maximizes the last variable t of a stacked block pencil
+S(y) = C + sum_j y_j A_j >= 0 by log-barrier path following (Boyd &
+Vandenberghe, Convex Optimization, ch. 11), up to a stop target: each Newton
+step yields a dual point bounding t* from above, and the run ends once t
+exceeds the target, a dual bound falls below zero, or the duality gap falls
+below 1e-9.  ``stack_blocks`` builds that pencil for both of its callers:
+every block is normalized to unit size and same-size blocks are stacked into
+batches.
+
+``solve_feasibility`` decides F(x) = F0 + sum_j x_j Fj >= margin*I through
+t* >= 0 for t* = max t subject to Ftilde(x) >= t*I on the normalized pencil
+Ftilde (margin folded into the constant blocks), with target 0.  A feasible
+verdict is re-checked by an exact eigensolve, a dual bound below zero
+certifies infeasibility, and any other infeasible verdict means "not shown
+feasible".  The decay certificate (``lmi.uas_certificate``) instead puts its
+own variable last and runs ``minimize`` to the gap, with no target.
 """
 
 from __future__ import annotations
@@ -108,6 +116,7 @@ RADIUS = 1e9  # box |x_j| <= RADIUS: bounds the barrier along directions that on
 @dataclass
 class NewtonResult:
     x: np.ndarray
+    t: float  # the maximized variable at x
     bound: float  # dual upper bound on t*, inf until a dual point is PSD
     nit: int  # Newton steps
     nfev: int  # barrier evaluations, one Cholesky pass over all blocks each
@@ -138,15 +147,16 @@ def _step_length(w, slope):
     return a
 
 
-def minimize(groups, y, max_iters):
+def minimize(groups, y, max_iters, target=0.0):
     """Maximize t = y[-1] over the stacked blocks by barrier path following from interior y.
 
-    Stops at the first t > 0, at a dual bound below zero, at a duality gap below
-    1e-9, or after max_iters Newton steps; returns the iterate with the largest t.
+    Runs until t exceeds ``target`` (0 for a feasibility search; inf to maximize
+    t outright), a dual bound below zero certifies t* < 0, the duality gap falls
+    below 1e-9, or max_iters Newton steps; returns the iterate with the largest t.
     """
     N = sum(C.shape[0] * C.shape[1] for C, _ in groups)
     M, best, bound, mu, nit, nfev = _whiten(groups, y), y, np.inf, 1.0 / N, 0, 1
-    while y[-1] <= 0.0 and nit < max_iters and M is not None:
+    while y[-1] <= target and nit < max_iters and M is not None:
         Mf = np.concatenate([m.transpose(1, 0, 2, 3).reshape(y.size, -1) for m in M], axis=1)
         H = Mf @ Mf.T  # Hessian of -log det S
         tr = sum(np.einsum("bjkk->j", m) for m in M)
@@ -158,7 +168,7 @@ def minimize(groups, y, max_iters):
             gap = mu * (N - w.sum())  # sum_b <Z_b, S_b>
             if a[-1] < 0:  # weak duality over the box, with the residuals of a charged in full
                 bound = min(bound, (gap - a @ y + RADIUS * np.abs(a[:-1]).sum()) / -a[-1])
-            if bound < 0.0 or gap <= 1e-9:  # certified, or t* is zero to solver resolution
+            if bound < 0.0 or gap <= 1e-9:  # certified, or t* is reached to solver resolution
                 break
         if w @ w <= 0.0625:  # centred (Newton decrement below 1/4)
             mu *= 0.1
@@ -166,7 +176,29 @@ def minimize(groups, y, max_iters):
         y = y + _step_length(w, dy[-1] / mu) * dy
         M, nit, nfev = _whiten(groups, y), nit + 1, nfev + 1
         best = y if y[-1] > best[-1] else best
-    return NewtonResult(best[:-1], bound, nit, nfev)
+    return NewtonResult(best[:-1], float(best[-1]), bound, nit, nfev)
+
+
+def stack_blocks(blocks, margin_column):
+    """Normalized blocks stacked by size, with the box |x_j| <= RADIUS; the last variable is t.
+
+    Each (C, K) block is divided by its largest spectral norm over C and the
+    coefficients K.  With ``margin_column`` every normalized block then gets the
+    coefficient -I for t, a margin common to all blocks; otherwise K already
+    holds t's coefficient as its last entry.  Blocks of one size keep their
+    order.  Returns the (constants, coefficients) groups ``minimize`` takes,
+    the box rows last.
+    """
+    groups = {}
+    for C, K in blocks:
+        sb = max(float(np.linalg.norm(C, 2)), float(np.linalg.norm(K, 2, axis=(1, 2)).max()), 1e-12)
+        K = np.concatenate([K / sb, -np.eye(len(C))[None]]) if margin_column else K / sb
+        groups.setdefault(len(C), []).append((C / sb, K))
+    groups = [tuple(map(np.stack, zip(*g))) for g in groups.values()]
+    nvar = groups[0][1].shape[1] - 1
+    E = np.eye(nvar, nvar + 1)
+    groups.append((np.full((2 * nvar, 1, 1), RADIUS), np.concatenate([E, -E])[:, :, None, None]))
+    return groups
 
 
 def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int = 6000,
@@ -188,16 +220,9 @@ def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int =
     if nvar == 0 or v <= -margin:
         return FeasibilityResult(v <= -margin, x, -v, 0)
 
-    # Normalized pencil, stacked by block size, with a last coefficient -I carrying t.
-    groups = {}
-    for C, K in zip(form.constant_blocks, form.coeff_blocks):
-        Cs = C - margin * np.eye(len(C))
-        sb = max(float(np.linalg.norm(Cs, 2)), float(np.linalg.norm(K, 2, axis=(1, 2)).max()), 1e-12)
-        groups.setdefault(len(C), []).append((Cs / sb, np.concatenate([K / sb, -np.eye(len(C))[None]])))
-    groups.setdefault(1, []).append((np.ones((1, 1)), -np.eye(nvar + 1)[-1][:, None, None]))  # t <= 1
-    groups = [tuple(map(np.stack, zip(*g))) for g in groups.values()]
-    E = np.eye(nvar, nvar + 1)
-    groups.append((np.full((2 * nvar, 1, 1), RADIUS), np.concatenate([E, -E])[:, :, None, None]))
+    # the margin t common to all normalized blocks, and the row t <= 1
+    blocks = [(C - margin * np.eye(len(C)), K) for C, K in zip(form.constant_blocks, form.coeff_blocks)]
+    groups = stack_blocks(blocks + [(np.ones((1, 1)), np.zeros((nvar, 1, 1)))], True)
     t0 = min(np.linalg.eigvalsh(C + np.einsum("bjkl,j->bkl", A[:, :-1], x)).min()
              for C, A in groups[:-1]) - 1.0
     res = minimize(groups, np.append(x, t0), max_iters)

@@ -72,10 +72,22 @@ def test_json_flag_is_gone(tmp_path):
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c2", "0.6"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.5"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c2", "0.6"],
-], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2"])
-def test_usage_errors_exit_1_without_output(tmp_path, argv):
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0", "--c2", "1"],
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "-1"],
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c3", "0"],
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.6", "--c2", "0.5"],
+], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2",
+        "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero", "certify-uas-c1-above-c2"])
+def test_usage_errors_exit_1_without_output(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(lmi, "solve_feasibility", None)  # no solve may start
     assert cli.main(["--out", str(tmp_path), *argv]) == 1
     assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("error:" in err or "usage:" in err)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_certify_uas_with_both_scalars(tmp_path):

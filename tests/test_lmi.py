@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import finitefreq as ff
+from finitefreq import lmi
 from finitefreq.lmi import build_problem
+from finitefreq.model import grid
 from finitefreq.sdp import solve_feasibility
 from conftest import inband_sup, random_stable_lti
 
@@ -100,7 +102,9 @@ def test_reduction_constant_q_matches_band_condition(benchmark_system):
     f_ff = build_problem(benchmark_system, band, "lpv_ff", 4.0).form
     f_t2 = build_problem(benchmark_system, band, "theorem2", 4.0).form
     n_vertices = len(f_ff.coeff_blocks) - 1  # lpv_ff adds one Q >= 0 block
-    assert n_vertices == len(ff.box_vertices(benchmark_system.box)) == 4
+    box = benchmark_system.box
+    n_corners = len(grid(box.p_lower, box.p_upper)) * len(grid(box.rate_lower, box.rate_upper))
+    assert n_vertices == n_corners == 4
     for lhs, rhs in zip(f_t2.eval_blocks(x_t2)[:n_vertices], f_ff.eval_blocks(x_ff)[:n_vertices]):
         assert np.allclose(lhs, rhs, atol=1e-10)
     # and the enlarged decision space can only lower the certified gain
@@ -227,10 +231,131 @@ def test_uas_certificate_c3_failover():
     assert cert.beta == pytest.approx(cert.c3 / 2.0)
 
 
-def test_uas_certificate_free_mode(benchmark_system):
+def _decay_min_eigs(system, cert):
+    """Smallest eigenvalues of P(p) - c1 I, c2 I - P(p) and the decay block less c3 I over the corners.
+
+    The decay block -(A(p)^T P(p) + P(p) A(p) + sum_i r_i P_i) is written out by
+    hand and taken at every parameter corner and stored rate corner.
+    """
+    box, n = system.box, system.n
+    out = []
+    for p in grid(box.p_lower, box.p_upper):
+        P = cert.P[0] + sum(pi * Pi for pi, Pi in zip(p, cert.P[1:]))
+        A = system.A(p)
+        out += [np.linalg.eigvalsh(P - cert.c1 * np.eye(n)).min(),
+                np.linalg.eigvalsh(cert.c2 * np.eye(n) - P).min()]
+        for r in grid(box.rate_lower, box.rate_upper):
+            Pdot = sum(ri * Pi for ri, Pi in zip(r, cert.P[1:]))
+            out.append(np.linalg.eigvalsh(-(A.T @ P + P @ A + Pdot) - cert.c3 * np.eye(n)).min())
+    return np.array(out)
+
+
+def ref_free_c1(system, c3):
+    """The c1 bisection the direct solve replaced: 30 halvings of [1e-6, 1] at c2 = 1 and
+    fixed c3, accepting a probe only when the solver's exact re-check passes (no dead band)."""
+    _, base, scalars = lmi._uas_family(system)
+    eye = np.eye(system.n)
+    lo, hi = 1e-6, 1.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        form = base.with_constants([sign * (mid, 1.0, c3)[i] * eye for i, sign in scalars])
+        if solve_feasibility(form, 0.0, max_iters=4000).feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _spy(monkeypatch, module, name):
+    """Record the results of module.name in a list while the test runs."""
+    orig, seen = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        seen.append(orig(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+C1_BELOW_ONE = {  # A, c3, and the c1 the dead-band bisection returned
+    "upper-triangular-2": ([[-1.0, 10.0], [0.0, -1.0]], 1 / 32, 0.0183092),
+    "upper-triangular-3": ([[-2.0, 5.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -3.0]], 1 / 8, 0.0733657),
+}
+
+
+def _free_mode_certificate(system, c3, monkeypatch):
+    """The free-mode certificate and its barrier run, checked against the strict bisection."""
+    ref = ref_free_c1(system, c3)
+    tops = _spy(monkeypatch, lmi, "minimize")
+    cert = ff.uas_certificate(system, c3)
+    assert len(tops) == 1 and cert.c1 == tops[0].t  # one barrier run, no bisection
+    assert cert.c1 >= ref - 1e-9
+    assert cert.c1 <= tops[0].bound <= cert.c1 + 1e-5
+    assert (cert.c2, cert.c3) == (1.0, c3)
+    assert cert.alpha == 1.0 / cert.c1 and cert.beta == c3 / 2.0
+    assert cert.achieved_margin >= 0.0
+    assert _decay_min_eigs(system, cert).min() >= 0.0
+    return cert, tops[0]
+
+
+def test_uas_certificate_free_mode(benchmark_system, monkeypatch):
+    cert, _ = _free_mode_certificate(benchmark_system, 1.0, monkeypatch)
+    assert 1.0 - 1e-8 <= cert.c1 <= 1.0
+
+
+@pytest.mark.parametrize("case", C1_BELOW_ONE)
+def test_uas_certificate_free_mode_below_one(monkeypatch, case):
+    A, c3, dead_band_c1 = C1_BELOW_ONE[case]
+    n = len(A)
+    system = ff.LpvSystem.lti(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+    cert, top = _free_mode_certificate(system, c3, monkeypatch)
+    assert cert.c1 < 0.1
+    assert dead_band_c1 > top.bound  # the dead band let the old search exceed the dual bound
+
+
+def test_uas_certificate_free_mode_rejects_a_dead_band_start(monkeypatch):
+    # A(p) = [[-1, 6], [0, -2]] + p [[0, 2], [-1, 0]] is unstable at p = -0.5: no
+    # certificate exists, yet the phase-1 solve at c3 = 2^-17 passes inside the dead band
+    system = ff.LpvSystem(
+        ff.AffineMatrixFunction([[-1.0, 6.0], [0.0, -2.0]], ([[0.0, 2.0], [-1.0, 0.0]],)),
+        ff.AffineMatrixFunction([[1.0], [0.0]], ([[0.0], [0.0]],)),
+        ff.AffineMatrixFunction([[1.0, 0.0]], ([[0.0, 0.0]],)),
+        ff.AffineMatrixFunction([[0.0]], ([[0.0]],)),
+        ff.ParameterBox([-0.5], [0.5], [-0.3], [0.3]))
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    tops = _spy(monkeypatch, lmi, "minimize")
+    with pytest.raises(RuntimeError, match="no UAS certificate"):
+        ff.uas_certificate(system, 1.0)
+    assert len(solves) == 40 and not tops and not any(r.feasible for r in solves)
+    # inside the dead band 1e-6 * form.scale() (the scale is at least 1), which the
+    # free mode used to accept
+    assert any(r.achieved_margin >= -1e-6 for r in solves)
+
+
+def test_uas_certificate_free_mode_keeps_the_phase1_point_when_the_recheck_fails(
+        benchmark_system, monkeypatch):
+    orig = lmi.minimize
+
+    def overshoot(*args, **kwargs):  # a c1 no P can meet
+        res = orig(*args, **kwargs)
+        return dataclasses.replace(res, t=2.0)
+
+    monkeypatch.setattr(lmi, "minimize", overshoot)
     cert = ff.uas_certificate(benchmark_system, 1.0)
-    assert cert.c2 == 1.0 and cert.alpha >= 1.0
-    assert cert.alpha == pytest.approx(1.0 / cert.c1)
+    assert cert.c1 == 1e-6 and cert.achieved_margin >= 0.0
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
+
+
+@pytest.mark.parametrize("c1, c2, c3", [(0.0, 1.0, 1.0), (0.6, 0.5, 1.0), (0.5, 0.6, -1.0),
+                                        (None, None, 0.0), (0.5, None, 1.0), (None, None, np.nan),
+                                        (0.5, np.inf, 1.0)])
+def test_uas_certificate_rejects_bad_scalars_before_solving(benchmark_system, monkeypatch,
+                                                           c1, c2, c3):
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    with pytest.raises(ValueError):
+        ff.uas_certificate(benchmark_system, c3, c1, c2)
+    assert solves == []
 
 
 def test_controllability_warning():
@@ -287,10 +412,15 @@ def ref_main_block(A, B, C, D, pi_matrix, psi, n_p, n_q, p, pdot):
     return const, np.stack(coeffs)
 
 
+def ref_pi(gamma, n_outputs, n_inputs):
+    """The L2-gain index diag(I, -gamma^2 I)."""
+    return np.diag(np.r_[np.ones(n_outputs), -float(gamma) ** 2 * np.ones(n_inputs)])
+
+
 def ref_build_form(system, rng, mode, gamma):
     """The stacked vertex form, assembled vertex by vertex at one gain."""
     n = system.n
-    pi = ff.PerformanceIndex.l2_gain(gamma, system.n_outputs, system.n_inputs).pi_matrix
+    pi = ref_pi(gamma, system.n_outputs, system.n_inputs)
     psi = ff.frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
     n_p, n_q = ref_slabs(mode, system.nparams)
     box = system.box
@@ -325,7 +455,7 @@ def ref_build_form(system, rng, mode, gamma):
 def ref_grid_eigs(problem, x, grid_density):
     """(p, pdot, lambda_max, max |entry|) of the main block at every grid point, one kron assembly each."""
     sysm, l = problem.system, problem.system.nparams
-    pi = ff.PerformanceIndex.l2_gain(problem.gamma, sysm.n_outputs, sysm.n_inputs).pi_matrix
+    pi = ref_pi(problem.gamma, sysm.n_outputs, sysm.n_inputs)
     psi = ff.frequency_weight(problem.range).psi \
         if problem.mode in ("gkyp", "lpv_ff", "theorem2") else None
     if problem.mode in ("kyp", "gkyp") or l == 0:

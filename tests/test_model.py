@@ -75,24 +75,6 @@ def test_band_indicator_sign_straddles_thresholds(rng, inside, outside):
         assert not rng.contains(w)
 
 
-def test_box_vertices_benchmark(benchmark_system):
-    verts = ff.box_vertices(benchmark_system.box)
-    pairs = {(float(p[0]), float(r[0])) for p, r in verts}
-    assert pairs == {(0.1, 0.4), (0.1, 0.6), (0.2, 0.4), (0.2, 0.6)}
-
-
-def test_box_vertices_degenerate():
-    box = ff.ParameterBox([0.3], [0.3], [-1.0], [1.0])
-    verts = ff.box_vertices(box)
-    assert len(verts) == 2
-    assert all(p[0] == 0.3 for p, _ in verts)
-
-
-def test_box_vertices_two_parameters():
-    box = ff.ParameterBox([0, 0], [1, 1], [0, 0], [1, 1])
-    assert len(ff.box_vertices(box)) == 16
-
-
 def test_corners_product_order_and_degenerate_axes():
     from finitefreq.model import grid
     assert np.array_equal(grid([0.0, 2.0], [1.0, 3.0]),
@@ -197,7 +179,3 @@ def test_theta_constants():
     assert np.allclose(ff.THETA, [[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(ff.THETA_D, [[0.0, 0.0], [0.0, 1.0]])
 
-
-def test_performance_index_l2():
-    pi = ff.PerformanceIndex.l2_gain(2.0, 1, 1)
-    assert np.allclose(pi.pi_matrix, [[1.0, 0.0], [0.0, -4.0]])

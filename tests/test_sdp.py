@@ -161,3 +161,20 @@ def test_with_constants_shares_coefficients_and_checks_constants():
         form.with_constants([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         AffineSymmetricForm([[[-1.0]]], [])  # mismatched block lists
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_to_the_gap_finds_the_smallest_eigenvalue(seed):
+    # max s subject to M - s*I >= 0, with one free variable x boxed by -1 <= x <= 1;
+    # M is positive definite, since a dual bound below zero stops the run
+    from finitefreq.sdp import minimize, stack_blocks
+    G = np.random.default_rng(seed).normal(size=(4, 4))
+    M = 3.0 * G @ G.T + 0.01 * np.eye(4)
+    blocks = [(M, np.stack([np.zeros((4, 4)), -np.eye(4)])),
+              (np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
+              (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
+    lam = np.linalg.eigvalsh(M).min()
+    res = minimize(stack_blocks(blocks, False), np.array([0.0, lam - 1.0]), 4000, target=np.inf)
+    assert res.t == pytest.approx(lam, abs=1e-9)
+    assert res.t <= lam <= res.bound
+    assert np.linalg.eigvalsh(M - res.t * np.eye(4)).min() >= 0.0
