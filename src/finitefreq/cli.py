@@ -137,14 +137,14 @@ def cmd_analyze(args):
     label = " (conditional on in-band state behavior)" if args.mode == "lpv_ff" else ""
     print(f"mode={args.mode} range={rng} gamma*={res.gamma_star:.6g}{label}")
     print(f"relaxation_gap_flag={res.relaxation_gap_flag} "
-          f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g})")
+          f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) lo_certified={res.lo_certified}")
     out = os.path.join(args.out, "certificate.json")
     write_json(out, {
         "mode": res.mode, "range": rng, "gamma_star": res.gamma_star,
         "certificate": res.certificate, "bisection_trace": res.bisection_trace,
         "relaxation_gap_flag": res.relaxation_gap_flag,
         "grid_violations": [(p, r, lam) for p, r, lam in res.violations],
-        "margin": res.margin, "bracket": list(res.bracket),
+        "margin": res.margin, "bracket": list(res.bracket), "lo_certified": res.lo_certified,
     })
     print(f"wrote {out}")
     return 0
@@ -358,11 +358,12 @@ def build_parser():
     ap.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="minimal certified gain by bisection")
+    pa = sub.add_parser("analyze", help="minimal certified gain: one barrier run over gamma^2")
     pa.add_argument("--system", required=True)
     pa.add_argument("--range", default="entire")
     pa.add_argument("--mode", default="lpv_ff", choices=MODES)
-    pa.add_argument("--bisect-tol", type=float, default=1e-3)
+    pa.add_argument("--bisect-tol", type=float, default=1e-3,
+                    help="largest width of the reported gain bracket")
     pa.set_defaults(func=cmd_analyze)
 
     pe = sub.add_parser("enlarge", help="gap, traces, and recommended band widening")

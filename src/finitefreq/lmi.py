@@ -1,4 +1,4 @@
-"""Band-restricted performance LMIs, vertex relaxation, and gain bisection.
+"""Band-restricted performance LMIs, vertex relaxation, and the smallest certified gain.
 
 Every condition is one template, Iwasaki & Hara's GKYP form (IEEE TAC 2005),
 on the stacked signal (xdot, x):
@@ -22,11 +22,18 @@ vector; a constant one is one slab), an affine P brings the rate term
 Pdot = sum_i pdot_i P_i, and the band weight Psi appears iff Q does.  Rates
 are symmetrized to +-max |rate| per axis.  The corners are the product grid
 at 2 points per axis; ``verify_on_grid`` re-checks the same template on a
-finer product grid.  The decay certificate (``uas_certificate``) is the
-template with B, C and D empty, -(A^T P(p) + P(p) A + Pdot), with the rates
-taken as stored; with its scalars free, its c1 is maximized in one barrier
-run and strictly certified by an exact eigen re-check, and the dead band
-applies to fixed scalars only.
+finer product grid.
+
+The index enters the constants only, as gamma^2 times a fixed matrix, so
+``min_gamma`` treats gamma^2 as one more decision variable: after doubling
+gamma to a strictly feasible level g, one barrier run maximizes g^2 - gamma^2
+(an eigenvalue problem) and an exact eigen re-check accepts the level it
+reaches; the run's dual bound, or a probe just below, closes the bracket.
+The decay certificate (``uas_certificate``) is the template with B, C and D
+empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
+scalars free, its c1 is maximized in one barrier run the same way and
+strictly certified by an exact eigen re-check, and the dead band applies to
+fixed scalars only.
 """
 
 from __future__ import annotations
@@ -264,10 +271,11 @@ class GammaResult:
     gamma_star: float
     certificate: dict
     x: np.ndarray
-    bisection_trace: list
+    bisection_trace: list  # (gamma, verdict) of every feasibility probe, in order
     relaxation_gap_flag: bool
     violations: list
     bracket: tuple
+    lo_certified: bool  # bracket[0] rests on a dual bound below zero, not on "not shown feasible"
     margin: float
     mode: str
     range: FrequencyRange
@@ -275,14 +283,26 @@ class GammaResult:
 
 def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: float = 1e-3,
               gamma_cap: float = 1e6) -> GammaResult:
-    """Smallest certified L2-gain level, located by bisection over the gain.
+    """Smallest certified L2-gain level: gamma^2 minimized in one barrier run.
 
-    Feasibility of the stacked vertex form is monotone in gamma^2, so bisection
-    keeps a bracket (lo, hi) with hi always certified: a feasible verdict at hi
-    carries a point that an exact eigensolve confirms.  An infeasible verdict
-    at lo is a dual certificate or only "not shown feasible", so the true
-    optimum may lie below lo.  gamma_star is hi, within bisect_tol of lo.
-    After convergence the certificate is re-checked on a parameter grid;
+    Feasibility of the stacked vertex form is monotone in gamma^2, and its
+    constants are C(gamma) = C0 + gamma^2 * gain.  Phase 1 doubles gamma from 1
+    until a probe is feasible at g, at the margin m = max(margin(0), margin(g)):
+    ||C(gamma)|| is convex in gamma^2, so m bounds margin(gamma) for every
+    gamma <= g.  Phase 2 adds t = g^2 - gamma^2 to the decision vector (its
+    coefficient is -gain in the main blocks, 0 in the PSD blocks, m folded into
+    every constant) and maximizes it with one ``minimize`` run from (x_g, 0),
+    an eigenvalue problem (Boyd, El Ghaoui, Feron & Balakrishnan, 1994, section 2.2).
+
+    hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
+    passes at margin(hi); otherwise hi = g.  lo is the largest of the last
+    infeasible doubling probe and the barrier's dual bound mapped back to gamma,
+    at most hi.  While hi - lo > bisect_tol, probes warm-started from hi's point
+    move one end: the first at max(hi - bisect_tol, (lo + hi)/2), the others at
+    the midpoint, so a hi left at g costs a bisection, not a scan.
+    ``lo_certified`` says whether lo rests on a dual bound below zero (the
+    barrier's, at the folded margin m, or a probe's, at margin(lo)) rather than
+    on "not shown feasible".  gamma_star is hi.  The certificate is then re-checked on a parameter grid;
     violations set relaxation_gap_flag instead of failing.
     """
     if bisect_tol <= 0:
@@ -290,66 +310,59 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     _check_controllability(system)
 
     family = build_problem(system, rng, mode, 0.0)
-    warm = {"x": None}
     trace = []
 
-    def probe(g):
+    def probe(g, margin_floor, x0=None):
         prob = family.at(g)
-        res = solve_feasibility(prob.form, prob.margin, max_iters=_NEWTON_STEPS, x0=warm["x"])
-        if res.feasible:
-            warm["x"] = res.x
+        margin = max(margin_floor, prob.margin)
+        res = solve_feasibility(prob.form, margin, max_iters=_NEWTON_STEPS, x0=x0)
         trace.append((float(g), bool(res.feasible)))
-        return res, prob
+        return res, prob, margin
 
-    # Upper bracket by doubling from 1; lower by halving when 1 is feasible.
-    g = 1.0
-    res, prob = probe(g)
-    if res.feasible:
-        hi, hi_res, hi_prob = g, res, prob
-        lo = g
-        while lo > 1e-9:
-            lo *= 0.5
-            res, prob = probe(lo)
-            if not res.feasible:
-                break
-            hi, hi_res, hi_prob = lo, res, prob
-        else:
-            lo = 0.0
-        if lo == hi:
-            lo = 0.0
-    else:
-        lo = g
-        while True:
-            g *= 2.0
-            if g > gamma_cap:
-                raise RuntimeError(
-                    "system appears not to admit a finite bound under this relaxation")
-            res, prob = probe(g)
-            if res.feasible:
-                hi, hi_res, hi_prob = g, res, prob
-                break
-            lo = g
+    # Phase 1: a point strictly inside at margin m for some g.
+    g, lo, lo_certified = 1.0, 0.0, True  # 0 bounds every gain from below
+    res, top, m = probe(g, family.margin)
+    while not res.feasible:
+        lo, lo_certified = g, bool(res.dual_bound < 0)
+        g *= 2.0
+        if g > gamma_cap:
+            raise RuntimeError(
+                "system appears not to admit a finite bound under this relaxation")
+        res, top, m = probe(g, family.margin)
 
+    # Phase 2: maximize t = g^2 - gamma^2 over the lifted pencil.
+    nmain = len(family.const0)
+    lifted = [(C - m * np.eye(len(C)),
+               np.concatenate([K, (-family.gain if b < nmain else 0.0 * C)[None]]))
+              for b, (C, K) in enumerate(zip(top.form.constant_blocks, top.form.coeff_blocks))]
+    run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), _NEWTON_STEPS, target=np.inf)
+    hi, x = g, res.x
+    gamma = float(np.sqrt(max(g * g - run.t, 0.0)))
+    prob = family.at(gamma)
+    if max_eig_neg(prob.form, run.x) <= -prob.margin:
+        hi, x = gamma, run.x
+    if g * g - run.bound > lo * lo:
+        lo, lo_certified = float(np.sqrt(g * g - run.bound)), True
+    lo = min(lo, hi)
+
+    gamma = max(hi - bisect_tol, 0.5 * (lo + hi))  # hi is usually within bisect_tol of the optimum
     while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        res, prob = probe(mid)
+        res, _, _ = probe(gamma, 0.0, x)
         if res.feasible:
-            hi, hi_res, hi_prob = mid, res, prob
+            hi, x = gamma, res.x
         else:
-            lo = mid
+            lo, lo_certified = gamma, bool(res.dual_bound < 0)
+        gamma = 0.5 * (lo + hi)
 
-    # Re-verify the kept certificate with a fresh eigensolve.
-    if max_eig_neg(hi_prob.form, hi_res.x) > -hi_prob.margin / 2:
-        warnings.warn("certificate re-verification is marginal", stacklevel=2)
-
-    P, Q = hi_prob.layout.unpack(hi_res.x)
+    prob = family.at(hi)
+    P, Q = prob.layout.unpack(x)
     cert = {f"P{k}": M for k, M in enumerate(P)}
     cert.update({f"Q{k}": M for k, M in enumerate(Q)})
-    violations = verify_on_grid(hi_prob, hi_res.x)
+    violations = verify_on_grid(prob, x)
     return GammaResult(
-        gamma_star=hi, certificate=cert, x=hi_res.x,
+        gamma_star=hi, certificate=cert, x=x,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
-        violations=violations, bracket=(lo, hi), margin=hi_prob.margin,
+        violations=violations, bracket=(lo, hi), lo_certified=lo_certified, margin=prob.margin,
         mode=mode, range=rng,
     )
 

@@ -47,6 +47,9 @@ class AffineMatrixFunction:
                     f"coefficient shape {c.shape} != constant shape {self.constant.shape}"
                 )
         object.__setattr__(self, "coeffs", cs)
+        flat = np.array(cs).reshape(len(cs), self.constant.size)  # row i: M_i, flattened
+        flat.setflags(write=False)
+        object.__setattr__(self, "_flat", flat)
 
     @property
     def shape(self):
@@ -57,30 +60,17 @@ class AffineMatrixFunction:
         return len(self.coeffs)
 
     def __call__(self, p):
-        return eval_affine(self, p)
+        """M(p) for one parameter vector; a batch of one row."""
+        return self.batch(np.atleast_1d(np.asarray(p, dtype=float))[None])[0]
 
     def batch(self, P) -> np.ndarray:
         """M(p) at every row of P (N, nparams), as one (N, r, c) array."""
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.nparams:
             raise DimensionError(f"parameter rows have shape {P.shape}, expected (N, {self.nparams})")
-        out = np.einsum("ni,irc->nrc", P, np.array(self.coeffs).reshape((self.nparams,) + self.shape))
+        out = (P @ self._flat).reshape((len(P),) + self.shape)
         out += self.constant
         return out
-
-
-def eval_affine(M: AffineMatrixFunction, p) -> np.ndarray:
-    """Evaluate M(p) = M0 + sum_i p_i M_i.
-
-    Raises DimensionError when len(p) differs from the coefficient count.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    if p.ndim != 1 or p.size != M.nparams:
-        raise DimensionError(f"parameter vector has length {p.size}, expected {M.nparams}")
-    out = M.constant.copy()
-    for pi, Mi in zip(p, M.coeffs):
-        out += pi * Mi
-    return out
 
 
 @dataclass(frozen=True)

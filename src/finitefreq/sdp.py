@@ -4,9 +4,9 @@
 S(y) = C + sum_j y_j A_j >= 0 by log-barrier path following (Boyd &
 Vandenberghe, Convex Optimization, ch. 11), up to a stop target: each Newton
 step yields a dual point bounding t* from above, and the run ends once t
-exceeds the target, a dual bound falls below zero, or the duality gap falls
-below 1e-9.  ``stack_blocks`` builds that pencil for both of its callers:
-every block is normalized to unit size and same-size blocks are stacked into
+exceeds the target, a dual bound falls below a finite target, or the duality
+gap falls below 1e-9.  ``stack_blocks`` builds that pencil for every caller:
+each block is normalized to unit size and same-size blocks are stacked into
 batches.
 
 ``solve_feasibility`` decides F(x) = F0 + sum_j x_j Fj >= margin*I through
@@ -14,8 +14,11 @@ t* >= 0 for t* = max t subject to Ftilde(x) >= t*I on the normalized pencil
 Ftilde (margin folded into the constant blocks), with target 0.  A feasible
 verdict is re-checked by an exact eigensolve, a dual bound below zero
 certifies infeasibility, and any other infeasible verdict means "not shown
-feasible".  The decay certificate (``lmi.uas_certificate``) instead puts its
-own variable last and runs ``minimize`` to the gap, with no target.
+feasible".  Two callers instead put their own variable last and run
+``minimize`` to the gap, with no target: ``lmi.min_gamma`` maximizes
+g^2 - gamma^2 from a feasible level g, and the decay certificate
+(``lmi.uas_certificate``) maximizes c1.  The optimum may then be negative,
+so a negative dual bound does not end the run.
 """
 
 from __future__ import annotations
@@ -151,8 +154,10 @@ def minimize(groups, y, max_iters, target=0.0):
     """Maximize t = y[-1] over the stacked blocks by barrier path following from interior y.
 
     Runs until t exceeds ``target`` (0 for a feasibility search; inf to maximize
-    t outright), a dual bound below zero certifies t* < 0, the duality gap falls
-    below 1e-9, or max_iters Newton steps; returns the iterate with the largest t.
+    t outright), a dual bound proves a finite target out of reach, the duality
+    gap falls below 1e-9, or max_iters Newton steps; returns the iterate with
+    the largest t.  With target inf only the gap ends the run, so t* may be
+    negative.
     """
     N = sum(C.shape[0] * C.shape[1] for C, _ in groups)
     M, best, bound, mu, nit, nfev = _whiten(groups, y), y, np.inf, 1.0 / N, 0, 1
@@ -168,7 +173,7 @@ def minimize(groups, y, max_iters, target=0.0):
             gap = mu * (N - w.sum())  # sum_b <Z_b, S_b>
             if a[-1] < 0:  # weak duality over the box, with the residuals of a charged in full
                 bound = min(bound, (gap - a @ y + RADIUS * np.abs(a[:-1]).sum()) / -a[-1])
-            if bound < 0.0 or gap <= 1e-9:  # certified, or t* is reached to solver resolution
+            if bound < target < np.inf or gap <= 1e-9:  # certified, or t* to solver resolution
                 break
         if w @ w <= 0.0625:  # centred (Newton decrement below 1/4)
             mu *= 0.1

@@ -117,3 +117,5 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     x = _decision_vector(cert["certificate"])
     assert x.size == prob.layout.nvar
     assert ff.max_eig_neg(prob.form, x) <= -prob.margin / 2
+    assert cert["bracket"][0] <= hi <= cert["bracket"][0] + 1e-2
+    assert isinstance(cert["lo_certified"], bool)

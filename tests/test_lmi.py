@@ -555,7 +555,84 @@ def test_min_gamma_probes_match_per_probe_build(benchmark_system, mode, band):
         warm = out.x if out.feasible else warm
         # the factored assembly reproduces the vertex-by-vertex kron assembly
         _assert_forms_match(prob.form, ref_build_form(benchmark_system, band, mode, g))
-    assert res.gamma_star == res.bracket[1] == min(g for g, v in res.bisection_trace if v)
+    assert res.gamma_star == res.bracket[1] <= min(g for g, v in res.bisection_trace if v)
+
+
+def ref_bisect_min_gamma(system, rng, mode, bisect_tol):
+    """The gain bisection the barrier run replaced: doubling or halving from 1 to a bracket,
+    then halving it, every probe at margin(gamma) and warm-started from the last feasible
+    point.  Returns (lo, hi, the point at hi, the problem at hi)."""
+    family = build_problem(system, rng, mode, 0.0)
+    warm = None
+
+    def probe(g):
+        nonlocal warm
+        prob = family.at(g)
+        res = solve_feasibility(prob.form, prob.margin, max_iters=4000, x0=warm)
+        warm = res.x if res.feasible else warm
+        return res.feasible, (g, res.x, prob)
+
+    ok, best = probe(1.0)
+    if ok:
+        lo = 1.0
+        while lo > 1e-9:
+            lo *= 0.5
+            ok, found = probe(lo)
+            if not ok:
+                break
+            best = found
+        else:
+            lo = 0.0
+    else:
+        g = 1.0
+        while not ok:
+            lo, g = g, 2.0 * g
+            ok, best = probe(g)
+    while best[0] - lo > bisect_tol:
+        mid = 0.5 * (lo + best[0])
+        ok, found = probe(mid)
+        if ok:
+            best = found
+        else:
+            lo = mid
+    return (lo,) + best
+
+
+@pytest.mark.parametrize("mode,band", MODE_CASES + [("lpv_ff", MID)], ids=lambda v: str(v))
+def test_min_gamma_against_reference_bisection(benchmark_system, mode, band, monkeypatch):
+    lo_ref, hi_ref, x_ref, prob_ref = ref_bisect_min_gamma(benchmark_system, band, mode, 1e-3)
+    runs = _spy(monkeypatch, lmi, "minimize")
+    res = ff.min_gamma(benchmark_system, band, mode, bisect_tol=1e-3)
+    lo, hi = res.bracket
+    assert len(runs) == 1 and len(res.bisection_trace) <= 5  # the bisection took 11 to 16
+    assert res.gamma_star == hi <= hi_ref
+    assert 0.0 <= hi - lo <= 1e-3
+    prob = build_problem(benchmark_system, band, mode, hi)
+    assert res.margin == prob.margin
+    assert ff.max_eig_neg(prob.form, res.x) <= -prob.margin
+    if not ff.verify_on_grid(prob_ref, x_ref):
+        assert res.violations == [] and res.relaxation_gap_flag is False
+    if res.lo_certified:  # then no level below lo is feasible, the reference's hi included
+        assert lo <= hi_ref
+
+
+def test_min_gamma_keeps_the_phase1_level_when_the_recheck_fails(benchmark_system, monkeypatch):
+    orig = lmi.minimize
+
+    def overshoot(*args, **kwargs):  # t beyond g^2: gamma = 0, which no certificate meets
+        res = orig(*args, **kwargs)
+        return dataclasses.replace(res, t=2.0 * res.t)
+
+    monkeypatch.setattr(lmi, "minimize", overshoot)
+    res = ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=1e-3)
+    lo, hi = res.bracket
+    # hi stays at g = 4 and the dual bound puts lo near 2.13: one probe at hi - tol,
+    # then halvings of a bracket narrower than 2 (fewer than 11), not a scan in steps of tol
+    assert [g for g, _ in res.bisection_trace[:3]] == [1.0, 2.0, 4.0]
+    assert len(res.bisection_trace) <= 3 + 1 + 11
+    assert 0.0 <= hi - lo <= 1e-3 and 2.1496 - 2e-3 <= lo <= hi <= 2.1504 + 1e-3
+    prob = build_problem(benchmark_system, LOW1, "lpv_ff", hi)
+    assert ff.max_eig_neg(prob.form, res.x) <= -prob.margin
 
 
 @pytest.mark.parametrize("mode", ["lpv_ff", "theorem2"])

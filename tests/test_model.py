@@ -35,6 +35,20 @@ def test_eval_affine_is_linear_in_p(p1, p2, alpha):
     assert np.allclose(left, right, atol=1e-12)
 
 
+def test_call_is_a_batch_of_one(benchmark_system):
+    rng = np.random.default_rng(8)
+    M = ff.AffineMatrixFunction(rng.normal(size=(2, 3)),
+                                tuple(rng.normal(size=(2, 3)) for _ in range(2)))
+    assert np.array_equal(M([0.3, -0.7]), M.batch([[0.3, -0.7]])[0])
+    hand = M.constant + 0.3 * M.coeffs[0] - 0.7 * M.coeffs[1]
+    assert np.abs(M([0.3, -0.7]) - hand).max() <= 1e-15 * np.abs(hand).max()
+    # one parameter: the sum has one term, so M(p) is exactly M0 + p * M1
+    A = benchmark_system.A
+    assert np.array_equal(A(0.1), A.constant + 0.1 * A.coeffs[0])
+    lti = ff.AffineMatrixFunction([[1.0, 2.0]])
+    assert np.array_equal(lti([]), lti.constant)
+
+
 def test_frequency_weight_low_unit():
     w = ff.frequency_weight(ff.FrequencyRange.low(1.0))
     assert np.allclose(w.psi, [[-1.0, 0.0], [0.0, 1.0]])

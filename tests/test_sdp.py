@@ -163,18 +163,40 @@ def test_with_constants_shares_coefficients_and_checks_constants():
         AffineSymmetricForm([[[-1.0]]], [])  # mismatched block lists
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_minimize_to_the_gap_finds_the_smallest_eigenvalue(seed):
-    # max s subject to M - s*I >= 0, with one free variable x boxed by -1 <= x <= 1;
-    # M is positive definite, since a dual bound below zero stops the run
-    from finitefreq.sdp import minimize, stack_blocks
+def _random_positive_definite(seed):
     G = np.random.default_rng(seed).normal(size=(4, 4))
-    M = 3.0 * G @ G.T + 0.01 * np.eye(4)
-    blocks = [(M, np.stack([np.zeros((4, 4)), -np.eye(4)])),
+    return 3.0 * G @ G.T + 0.01 * np.eye(4)
+
+
+def _maximize_shift(M, c):
+    """max t subject to M - (c + t)*I >= 0, one free variable x boxed by -1 <= x <= 1."""
+    from finitefreq.sdp import minimize, stack_blocks
+    blocks = [(M - c * np.eye(4), np.stack([np.zeros((4, 4)), -np.eye(4)])),
               (np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
               (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
+    t0 = np.linalg.eigvalsh(M).min() - c - 1.0
+    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), 4000, target=np.inf)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_to_the_gap_finds_the_smallest_eigenvalue(seed):
+    M = _random_positive_definite(seed)
     lam = np.linalg.eigvalsh(M).min()
-    res = minimize(stack_blocks(blocks, False), np.array([0.0, lam - 1.0]), 4000, target=np.inf)
+    res = _maximize_shift(M, 0.0)
     assert res.t == pytest.approx(lam, abs=1e-9)
     assert res.t <= lam <= res.bound
     assert np.linalg.eigvalsh(M - res.t * np.eye(4)).min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_to_the_gap_reaches_a_negative_optimum(seed):
+    # c = lambda_min(M) + 1 puts t* at -1: with no finite target, dual bounds below
+    # zero must not end the run
+    M = _random_positive_definite(seed)
+    c = np.linalg.eigvalsh(M).min() + 1.0
+    t_star = np.linalg.eigvalsh(M).min() - c
+    res = _maximize_shift(M, c)
+    assert t_star < 0.0 and res.nit > 0
+    assert res.t == pytest.approx(t_star, abs=1e-9)
+    assert res.t <= t_star <= res.bound
+    assert np.linalg.eigvalsh(M - (c + res.t) * np.eye(4)).min() >= 0.0
