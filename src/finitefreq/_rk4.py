@@ -2,14 +2,16 @@
 
 For xdot = A(t) x + b(t) the RK4 update is affine, x_{k+1} = M_k x_k + g_k,
 and both M_k and g_k depend only on the step's stage data, so all step
-matrices are built in one vectorized pass.  The recurrence itself runs as a
-blocked two-level scan (Blelloch, "Prefix sums and their applications", 1990):
-the N steps are cut into about sqrt(N) blocks of about sqrt(N) steps, every
-block's affine end map is formed with all blocks advancing together, a short
-sequential pass chains the block start states, and a second pass reruns all
-blocks from those exact start states into the output.  The Python-level work
-is O(sqrt(N)) batched matrix products instead of N single-step products, and
-no per-step product array is stored.
+matrices are built in one vectorized pass.  The stage times t_k, t_k + h/2
+and t_k + h of all steps lie on one half-step grid, so stage data is
+sampled there once and each stage is a strided view of it.  The recurrence
+itself runs as a blocked two-level scan (Blelloch, "Prefix sums and their
+applications", 1990): the N steps are cut into about sqrt(N) blocks of about
+sqrt(N) steps, every block's affine end map is formed with all blocks
+advancing together, a short sequential pass chains the block start states,
+and a second pass reruns all blocks from those exact start states into the
+output.  The Python-level work is O(sqrt(N)) batched matrix products instead
+of N single-step products, and no per-step product array is stored.
 """
 
 from __future__ import annotations
@@ -19,10 +21,24 @@ from math import isqrt
 import numpy as np
 
 
+def half_steps(h, N, t0=0.0):
+    """The half-step grid t0 + (h/2) j, j = 0..2N: every stage time of N RK4 steps.
+
+    Its even rows are the step times t0 + h k, bit for bit.
+    """
+    return t0 + 0.5 * h * np.arange(2 * N + 1)
+
+
+def stages(rows):
+    """Stage views (t_k, t_k + h/2, t_k + h), k < N, of data sampled on ``half_steps``."""
+    return rows[0:-1:2], rows[1::2], rows[2::2]
+
+
 def step_matrices(A_stages, h):
     """RK4 transition matrices M_k from stage matrices (A(t_k), A(t_k+h/2), A(t_k+h)).
 
-    A_stages: tuple of three (N, n, n) arrays.  Returns (N, n, n).
+    A_stages: tuple of three (N, n, n) arrays, such as ``stages`` of A on
+    ``half_steps``.  Returns (N, n, n).
     """
     F1, F2, F3 = A_stages
     n = F1.shape[-1]
@@ -39,9 +55,9 @@ def step_offsets(A_stages, b_stages, h):
     F1, F2, F3 = A_stages
     b1, b2, b3 = b_stages
     k1 = b1
-    k2 = (F2 @ (0.5 * h * k1)[..., None])[..., 0] + b2
-    k3 = (F2 @ (0.5 * h * k2)[..., None])[..., 0] + b2
-    k4 = (F3 @ (h * k3)[..., None])[..., 0] + b3
+    k2 = np.einsum("tij,tj->ti", F2, 0.5 * h * k1) + b2
+    k3 = np.einsum("tij,tj->ti", F2, 0.5 * h * k2) + b2
+    k4 = np.einsum("tij,tj->ti", F3, h * k3) + b3
     return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

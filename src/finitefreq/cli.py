@@ -58,18 +58,18 @@ def parse_signal(spec: str) -> BandLimitedSignal:
         term = term.strip()
         if not term.startswith("cos:"):
             raise UsageError(f"bad signal term {term!r}")
-        body = term[len("cos:"):]
-        freq = 1.0
-        if "@" in body:
-            body, fs = body.split("@", 1)
-            freq = float(fs)
+        body, at, fs = term[len("cos:"):].partition("@")
         fields = body.split(":")
         if len(fields) != 2:
             raise UsageError(f"bad signal term {term!r}")
-        comps.append((float(fields[0]), freq, float(fields[1])))
-    if not comps:
-        raise UsageError("empty signal spec")
-    return BandLimitedSignal(tuple(comps))
+        try:
+            comps.append((float(fields[0]), float(fs) if at else 1.0, float(fields[1])))
+        except ValueError as exc:
+            raise UsageError(f"bad signal term {term!r}: {exc}") from exc
+    try:
+        return BandLimitedSignal(tuple(comps))
+    except ValueError as exc:
+        raise UsageError(f"bad signal spec {spec!r}: {exc}") from exc
 
 
 def parse_schedule(spec: str, box=None) -> ScheduleTrajectory:
@@ -179,8 +179,11 @@ def cmd_simulate(args):
     signal = parse_signal(args.signal)
     schedule = parse_schedule(args.schedule, box=system.box) if args.schedule \
         else reference.example_schedule()
-    result = simulate(system, schedule, signal, args.t_end, args.step)
-    gamma_r = performance_ratio(result)
+    try:
+        result = simulate(system, schedule, signal, args.t_end, args.step)
+        gamma_r = performance_ratio(result)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     ranges = [parse_range(s) for s in (args.range or ["low:1"])]
     reports = [iqc_value(result, r) for r in ranges]
 

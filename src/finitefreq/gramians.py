@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._rk4 import propagate_matrix, step_matrices
+from ._rk4 import half_steps, propagate_matrix, stages, step_matrices
 from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, grid
 from .lmi import UasCertificate
 from .simulation import param_rows, warn_if_outside_box
@@ -117,32 +117,19 @@ class StateTransition:
     trajectory: object
 
 
-def _stage_A(system: LpvSystem, trajectory, times, h, transform=None):
-    """Stage matrices (A at t, t+h/2, t+h) for all steps; optional map per matrix."""
-    def A_of(ts):
-        return system.A.batch(param_rows(trajectory.p, ts))
-
-    A1 = A_of(times)
-    A2 = A_of(times + 0.5 * h)
-    A3 = A_of(times + h)
-    if transform is not None:
-        A1, A2, A3 = transform(A1), transform(A2), transform(A3)
-    return A1, A2, A3
-
-
 def state_transition(system: LpvSystem, trajectory, t0: float, t_end: float,
                      step: float) -> StateTransition:
     """Integrate the matrix equation Phidot = A(p(t)) Phi from Phi(t0, t0) = I."""
     if step <= 0:
         raise ValueError("step must be positive")
     N = max(1, int(round((t_end - t0) / step)))
-    times = t0 + step * np.arange(N + 1)
-    warn_if_outside_box(trajectory, param_rows(trajectory.p, times))
+    P = param_rows(trajectory.p, half_steps(step, N, t0))
+    warn_if_outside_box(trajectory, P)
     if t_end == t0:
         return StateTransition(np.array([t0]), np.eye(system.n)[None, :, :], trajectory)
-    M = step_matrices(_stage_A(system, trajectory, times[:-1], step), step)
+    M = step_matrices(stages(system.A.batch(P)), step)
     phi = propagate_matrix(M, np.eye(system.n))
-    return StateTransition(times, phi, trajectory)
+    return StateTransition(t0 + step * np.arange(N + 1), phi, trajectory)
 
 
 def _transition_from_t(system: LpvSystem, trajectory, t: float, step: float):
@@ -153,14 +140,8 @@ def _transition_from_t(system: LpvSystem, trajectory, t: float, step: float):
     dY/ds = A(p(t-s))^T Y, which is itself a stable forward propagation.
     """
     N = max(1, int(round(t / step)))
-    s = step * np.arange(N + 1)
-
-    class _Rev:
-        def p(self, ts):
-            return trajectory.p(t - ts)
-
-    M = step_matrices(_stage_A(system, _Rev(), s[:-1], step,
-                               transform=lambda A: np.swapaxes(A, 1, 2)), step)
+    A = system.A.batch(param_rows(trajectory.p, t - half_steps(step, N)))
+    M = step_matrices(stages(np.swapaxes(A, 1, 2)), step)
     Y = propagate_matrix(M, np.eye(system.n))
     # Y[j] = Phi(t, t - s_j)^T; reorder to tau ascending
     phi_t_tau = np.swapaxes(Y[::-1], 1, 2)

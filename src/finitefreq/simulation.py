@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._rk4 import propagate_vector, step_matrices, step_offsets
+from ._rk4 import half_steps, propagate_vector, stages, step_matrices, step_offsets
 from .model import FrequencyRange, FrequencyWeight, LpvSystem, frequency_weight
 
 
@@ -33,6 +34,10 @@ class BandLimitedSignal:
     def __post_init__(self):
         comps = tuple((float(a), float(w), float(ph)) for a, w, ph in self.components)
         object.__setattr__(self, "components", comps)
+        for i, comp in enumerate(comps):
+            for name, v in zip(("amplitude", "frequency", "phase"), comp):
+                _check_finite(f"component {i} {name}", v)
+        _check_finite("discount", self.discount_lambda)
         if self.discount_lambda < 0:
             raise ValueError("discount must be nonnegative")
         if self.band is not None:
@@ -70,6 +75,12 @@ class BandLimitedSignal:
         return sample_signal(self, t)
 
 
+def _check_finite(name, value):
+    """Raise a ValueError naming the field when any entry of value is NaN or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 def sample_signal(signal: BandLimitedSignal, t):
     """Evaluate the signal; scalar in, scalar out; array in, array out."""
     t = np.asarray(t, dtype=float)
@@ -99,6 +110,12 @@ class ScheduleTrajectory:
     times: np.ndarray = None
     values: np.ndarray = None
     box: object = None
+
+    def __post_init__(self):
+        for name in ("center", "amplitude", "rate", "phase", "times", "values"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_finite(name, value)
 
     @classmethod
     def constant(cls, p0, box=None):
@@ -174,9 +191,13 @@ def warn_if_outside_box(trajectory, P):
         warnings.warn("schedule leaves the parameter box", stacklevel=3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
-    """Sampled trajectories; x_dot comes from the right-hand side, not differencing."""
+    """Sampled trajectories; x_dot comes from the right-hand side, not differencing.
+
+    Frozen, and its arrays are read as given: the input spectrum is computed
+    on first use and kept.
+    """
 
     times: np.ndarray
     u: np.ndarray       # (N+1, n_inputs)
@@ -185,43 +206,46 @@ class SimulationResult:
     y: np.ndarray       # (N+1, n_outputs)
     step: float
 
+    @cached_property
+    def spectrum(self):
+        """The input channel's ``_spectrum``."""
+        return _spectrum(self.u[:, 0] if self.u.ndim > 1 else self.u, self.step)
+
 
 def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimitedSignal,
              t_end: float, step: float = 1e-3) -> SimulationResult:
     """RK4 integration from zero initial state with exact stage evaluations."""
-    if step <= 0 or t_end <= 0:
-        raise ValueError("step and t_end must be positive")
+    if not (np.isfinite(step) and np.isfinite(t_end) and step > 0 and t_end > 0):
+        raise ValueError(f"step and t_end must be positive and finite, got {step} and {t_end}")
     wmax = signal.max_frequency
     if wmax > 0 and step > 1.0 / (10.0 * wmax):
         warnings.warn("step is coarse for the fastest input component", stacklevel=2)
 
     N = int(round(t_end / step))
-    times = step * np.arange(N + 1)
-    l = system.nparams
+    if N < 1:
+        raise ValueError(f"t_end {t_end} is shorter than one step {step}")
+    ts = half_steps(step, N)
+    P = param_rows(trajectory.p, ts) if system.nparams else np.zeros((len(ts), 0))
+    warn_if_outside_box(trajectory, P)
 
-    def params(ts):
-        return param_rows(trajectory.p, ts) if l else np.zeros((len(ts), 0))
-
-    warn_if_outside_box(trajectory, params(times))
-
-    stages = []
-    for off in (0.0, 0.5 * step, step):
-        P = params(times[:-1] + off)
-        A_s, B_s = system.A.batch(P), system.B.batch(P)
-        u_s = np.atleast_1d(sample_signal(signal, times[:-1] + off))
-        stages.append((A_s, (B_s * u_s[:, None, None]).sum(axis=2)))
-    M = step_matrices(tuple(A for A, _ in stages), step)
-    g = step_offsets(tuple(A for A, _ in stages), tuple(b for _, b in stages), step)
+    # every time-dependent quantity once on the half-step grid; the RK4
+    # stages are strided views of it and the outputs use its even rows
+    A, B = system.A.batch(P), system.B.batch(P)
+    u = np.atleast_1d(sample_signal(signal, ts))
+    b = (B * u[:, None, None]).sum(axis=2)
+    A_stages = stages(A)
+    M = step_matrices(A_stages, step)
+    g = step_offsets(A_stages, stages(b), step)
     xs = propagate_vector(M, g, np.zeros(system.n))
     if not np.all(np.isfinite(xs)):
         raise RuntimeError("integration diverged")
 
-    P = params(times)
-    u = np.atleast_1d(sample_signal(signal, times))[:, None] * np.ones((1, system.n_inputs))
-    A, B, C, D = (M.batch(P) for M in (system.A, system.B, system.C, system.D))
+    P, A, B = P[::2], A[::2], B[::2]
+    u = u[::2, None] * np.ones((1, system.n_inputs))
+    C, D = system.C.batch(P), system.D.batch(P)
     x_dot = np.einsum("tij,tj->ti", A, xs) + np.einsum("tij,tj->ti", B, u)
     y = np.einsum("tij,tj->ti", C, xs) + np.einsum("tij,tj->ti", D, u)
-    return SimulationResult(times, u, xs, x_dot, y, step)
+    return SimulationResult(ts[::2], u, xs, x_dot, y, step)
 
 
 def performance_ratio(result: SimulationResult) -> np.ndarray:
@@ -281,25 +305,36 @@ def spectrum_fraction(data, rng: FrequencyRange, step: float = None,
                       t_end: float = 60.0) -> float:
     """Fraction of (Hann-windowed) spectral energy inside the band, in [0, 1].
 
-    Accepts a SimulationResult (uses its input channel), a BandLimitedSignal
-    (sampled on a default window), or a uniformly sampled array with ``step``.
+    Accepts a SimulationResult (uses its input channel, whose spectrum is
+    kept for further bands), a BandLimitedSignal (sampled on a default
+    window), or a uniformly sampled array with ``step``.  A signal without
+    windowed energy is vacuously band limited (1.0).
     """
     if isinstance(data, SimulationResult):
-        u = data.u[:, 0] if data.u.ndim > 1 else data.u
-        step = data.step
-    elif isinstance(data, BandLimitedSignal):
-        step = step or 1e-3
-        u = sample_signal(data, step * np.arange(int(round(t_end / step)) + 1))
+        spectrum = data.spectrum
     else:
-        u = np.asarray(data, dtype=float)
-        if step is None:
-            raise ValueError("step required for raw sample arrays")
-    if not np.any(u):
+        if isinstance(data, BandLimitedSignal):
+            step = step or 1e-3
+            u = sample_signal(data, step * np.arange(int(round(t_end / step)) + 1))
+        else:
+            u = np.asarray(data, dtype=float)
+            if step is None:
+                raise ValueError("step required for raw sample arrays")
+        spectrum = _spectrum(u, step)
+    if spectrum is None:
         return 1.0  # vacuously band limited
-    w = np.hanning(u.size)
-    U = np.fft.rfft(u * w)
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(u.size, d=step)
-    energy = np.abs(U) ** 2
-    f = np.abs(freqs)
+    f, energy = spectrum
     mask = (rng.lo <= f) & (f <= rng.hi)  # FrequencyRange.contains, edges included
     return float(energy[mask].sum() / energy.sum())
+
+
+def _spectrum(u, step):
+    """(|angular frequency|, Hann-windowed energy) per rfft bin of u.
+
+    None when the windowed signal has no energy: u is zero, or nonzero only
+    at the ends, where the window vanishes (every run of one step).
+    """
+    energy = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
+    if not np.any(energy):
+        return None
+    return np.abs(2.0 * np.pi * np.fft.rfftfreq(u.size, d=step)), energy

@@ -119,3 +119,38 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     assert ff.max_eig_neg(prob.form, x) <= -prob.margin / 2
     assert cert["bracket"][0] <= hi <= cert["bracket"][0] + 1e-2
     assert isinstance(cert["lo_certified"], bool)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--t-end", "0.0001"], "shorter than one step"),
+    (["--step", "0"], "positive and finite"),
+    (["--t-end", "-1"], "positive and finite"),
+    (["--step", "nan"], "positive and finite"),
+    (["--signal", "cos:1:0@nan"], "component 0 frequency must be finite"),
+    (["--signal", "cos:1:0.2,cos:nan:0"], "component 1 amplitude must be finite"),
+    (["--signal", "cos:1:inf@0.5"], "component 0 phase must be finite"),
+    (["--signal", "cos:1:0@"], "bad signal term"),
+    (["--schedule", "sin:0.15:nan:2.0"], "amplitude must be finite"),
+    (["--schedule", "sin:0.15:0.01:inf"], "rate must be finite"),
+    (["--schedule", "const:nan"], "center must be finite"),
+], ids=["t-end-below-step", "step-zero", "t-end-negative", "step-nan", "frequency-nan",
+        "amplitude-nan", "phase-inf", "frequency-empty", "schedule-amplitude-nan",
+        "schedule-rate-inf", "schedule-const-nan"])
+def test_bad_simulate_inputs_exit_1_without_output(tmp_path, capsys, extra, message):
+    argv = ["--out", str(tmp_path), "simulate", "--system", str(EXAMPLE),
+            "--signal", "cos:1:0", "--t-end", "1.0", *extra]
+    assert cli.main(argv) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_simulate_runs_of_one_step_succeed(tmp_path):
+    argv = ["--out", str(tmp_path), "simulate", "--system", str(EXAMPLE),
+            "--signal", "cos:1:0", "--t-end", "0.001"]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "simulate.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,1,0,0,")
+    # the Hann window vanishes on both samples: no energy, vacuously in band
+    summary = json.loads((tmp_path / "simulate.json").read_text())
+    assert summary["band_energy_fraction"] == {"low:1": 1.0}

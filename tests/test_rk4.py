@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import finitefreq as ff
-from finitefreq._rk4 import propagate_matrix, propagate_vector, step_matrices, step_offsets
-from finitefreq.gramians import _stage_A
+from finitefreq._rk4 import (half_steps, propagate_matrix, propagate_vector, stages,
+                             step_matrices, step_offsets)
 from finitefreq.reference import example_schedule, example_system
+from finitefreq.simulation import param_rows
 
 H = 1e-3
 
@@ -33,10 +34,10 @@ def sequential_matrix(M, X0):
 def example_steps(N):
     """RK4 step matrices and offsets of the benchmark system along its schedule."""
     sysm = example_system()
-    times = H * np.arange(N)
-    stages = _stage_A(sysm, example_schedule(), times, H)
-    b = tuple(np.cos(times + off)[:, None] * sysm.B.constant[:, 0] for off in (0.0, 0.5 * H, H))
-    return step_matrices(stages, H), step_offsets(stages, b, H)
+    ts = half_steps(H, N)
+    A = stages(sysm.A.batch(param_rows(example_schedule().p, ts)))
+    b = stages(np.cos(ts)[:, None] * sysm.B.constant[:, 0])
+    return step_matrices(A, H), step_offsets(A, b, H)
 
 
 def assert_rel_close(got, ref, rel=1e-13):

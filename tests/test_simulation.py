@@ -214,3 +214,101 @@ def test_simulate_warns_on_coarse_step():
     sig = ff.BandLimitedSignal(((1.0, 10.0, 0.0),))
     with pytest.warns(UserWarning, match="coarse"):
         ff.simulate(sys, traj, sig, 1.0, 0.05)
+
+
+def sequential_rk4(system, trajectory, signal, t_end, h):
+    """Reference: one RK4 step at a time, stages evaluated at t_k, t_k + h/2 and t_k + h."""
+    N = int(round(t_end / h))
+
+    def inputs(t):
+        return np.full(system.n_inputs, ff.sample_signal(signal, t))
+
+    def params(t):
+        return trajectory.p(t) if system.nparams else np.zeros(0)
+
+    def f(t, x):
+        p = params(t)
+        return system.A(p) @ x + system.B(p) @ inputs(t)
+
+    times = h * np.arange(N + 1)
+    xs = np.zeros((N + 1, system.n))
+    for k in range(N):
+        t, x = times[k], xs[k]
+        k1 = f(t, x)
+        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = f(t + h, x + h * k3)
+        xs[k + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u = np.array([inputs(t) for t in times])
+    x_dot = np.array([f(t, x) for t, x in zip(times, xs)])
+    y = np.array([system.C(params(t)) @ x + system.D(params(t)) @ v
+                  for t, x, v in zip(times, xs, u)])
+    return times, u, xs, x_dot, y
+
+
+def two_parameter_system():
+    """Seeded LPV system: 3 states, 2 inputs, 2 outputs, 2 scheduling parameters."""
+    g = np.random.default_rng(11)
+    mk = ff.AffineMatrixFunction
+    A = mk(-1.5 * np.eye(3) + 0.3 * g.normal(size=(3, 3)),
+           tuple(0.2 * g.normal(size=(3, 3)) for _ in range(2)))
+    B = mk(g.normal(size=(3, 2)), tuple(0.3 * g.normal(size=(3, 2)) for _ in range(2)))
+    C = mk(g.normal(size=(2, 3)), tuple(0.3 * g.normal(size=(2, 3)) for _ in range(2)))
+    D = mk(0.2 * g.normal(size=(2, 2)), tuple(0.1 * g.normal(size=(2, 2)) for _ in range(2)))
+    box = ff.ParameterBox([-1.0, -1.0], [1.0, 1.0], [-2.0, -2.0], [2.0, 2.0])
+    system = ff.LpvSystem(A, B, C, D, box)
+    schedule = ff.ScheduleTrajectory.sinusoid([0.1, -0.2], [0.3, 0.4], 2.0, 0.3, box=box)
+    return system, schedule
+
+
+@pytest.mark.parametrize("case", ["example", "two-parameter"])
+def test_simulate_matches_sequential_rk4(case):
+    if case == "example":
+        system, schedule, signal, h = example_system(), example_schedule(), example_signal(), 1e-3
+    else:
+        system, schedule = two_parameter_system()
+        signal, h = ff.BandLimitedSignal(((1.0, 0.7, 0.2), (0.5, 2.3, 1.1))), 2e-3
+    res = ff.simulate(system, schedule, signal, 2.0, h)
+    want = sequential_rk4(system, schedule, signal, 2.0, h)
+    assert np.array_equal(res.times, want[0])
+    for got, ref in zip((res.u, res.x, res.x_dot, res.y), want[1:]):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_simulate_rejects_runs_shorter_than_one_step(benchmark_system):
+    with pytest.raises(ValueError, match="shorter than one step"):
+        ff.simulate(benchmark_system, example_schedule(), example_signal(), 4e-4, 1e-3)
+    res = ff.simulate(benchmark_system, example_schedule(), example_signal(), 6e-4, 1e-3)
+    assert res.times.tolist() == [0.0, 1e-3]
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ff.BandLimitedSignal(((np.nan, 1.0, 0.0),)), "component 0 amplitude"),
+    (lambda: ff.BandLimitedSignal(((1.0, 1.0, 0.0), (1.0, np.inf, 0.0))), "component 1 frequency"),
+    (lambda: ff.BandLimitedSignal(((1.0, 1.0, -np.inf),)), "component 0 phase"),
+    (lambda: ff.BandLimitedSignal(((1.0, 1.0, 0.0),), discount_lambda=np.nan), "discount"),
+    (lambda: ff.ScheduleTrajectory.constant([0.1, np.nan]), "center"),
+    (lambda: ff.ScheduleTrajectory.sinusoid([0.1], [np.inf], 1.0), "amplitude"),
+    (lambda: ff.ScheduleTrajectory.sinusoid([0.1], [0.01], np.nan), "rate"),
+    (lambda: ff.ScheduleTrajectory.sinusoid([0.1], [0.01], 1.0, np.inf), "phase"),
+])
+def test_non_finite_specs_are_rejected_by_field(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("band", [ff.FrequencyRange.low(1.5), ff.FrequencyRange.middle(0.5, 2.0),
+                                  ff.FrequencyRange.high(1.0)], ids=["low", "mid", "high"])
+def test_spectrum_fraction_of_a_result_equals_the_raw_array_path(benchmark_run, band):
+    raw = ff.spectrum_fraction(benchmark_run.u[:, 0], band, benchmark_run.step)
+    assert ff.spectrum_fraction(benchmark_run, band) == raw
+
+
+def test_spectrum_is_computed_once_per_result(benchmark_system, monkeypatch):
+    res = ff.simulate(benchmark_system, example_schedule(), example_signal(), 5.0, 1e-3)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    low, mid = ff.spectrum_fraction(res, LOW1), ff.spectrum_fraction(res, ff.FrequencyRange.middle(0.5, 2.0))
+    assert len(calls) == 1 and 0.0 < mid and 0.0 < low < 1.0
