@@ -1,6 +1,9 @@
 """Command-line front end: analyze, enlarge, simulate, gramians, certify-uas, reproduce.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible / failed reproduction.
+Exit codes, set in ``main`` alone: 0 success; 1 for a ValueError (a bad
+option, spec, system file or input), printed as ``error: ...`` on stderr;
+2 for a RuntimeError (no certificate found, a diverged run), printed as
+``infeasible: ...`` on stdout, and for a reproduction with a failed row.
 All JSON output is deterministic (sorted keys, no timestamps).
 """
 
@@ -27,7 +30,7 @@ from .simulation import (BandLimitedSignal, ScheduleTrajectory, iqc_value,
 _CSV_CHUNK = 256  # simulate.csv rows formatted per write
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -108,53 +111,43 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def _write(args, name, report):
+    """Write report as JSON to name in the output directory, and say where."""
+    path = os.path.join(args.out, name)
+    write_json(path, report)
+    print(f"wrote {path}")
+
+
 def _load(args):
     try:
         return load_system(args.system)
-    except FileNotFoundError as exc:
-        raise UsageError(f"system file not found: {args.system}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad system file: {exc}") from exc
-
-
-def _uas_scalars(args):
-    """(c1, c2) from the command line, checked with --c3 before any solve."""
-    try:
-        check_decay_scalars(args.c1, args.c2, args.c3)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return args.c1, args.c2
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or not a system description
+        raise UsageError(f"bad system file {args.system}: {exc}") from exc
 
 
 def cmd_analyze(args):
     system = _load(args)
     rng = parse_range(args.range)
-    try:
-        res = min_gamma(system, rng, args.mode, bisect_tol=args.bisect_tol)
-    except RuntimeError as exc:
-        print(f"infeasible: {exc}")
-        return 2
+    res = min_gamma(system, rng, args.mode, bisect_tol=args.bisect_tol)
     label = " (conditional on in-band state behavior)" if args.mode == "lpv_ff" else ""
     print(f"mode={args.mode} range={rng} gamma*={res.gamma_star:.6g}{label}")
     print(f"relaxation_gap_flag={res.relaxation_gap_flag} "
           f"bracket=({res.bracket[0]:.6g}, {res.bracket[1]:.6g}) lo_certified={res.lo_certified}")
-    out = os.path.join(args.out, "certificate.json")
-    write_json(out, {
+    _write(args, "certificate.json", {
         "mode": res.mode, "range": rng, "gamma_star": res.gamma_star,
         "certificate": res.certificate, "bisection_trace": res.bisection_trace,
         "relaxation_gap_flag": res.relaxation_gap_flag,
         "grid_violations": [(p, r, lam) for p, r, lam in res.violations],
         "margin": res.margin, "bracket": list(res.bracket), "lo_certified": res.lo_certified,
     })
-    print(f"wrote {out}")
     return 0
 
 
 def cmd_enlarge(args):
     system = _load(args)
     rng = parse_range(args.range)
-    c1, c2 = _uas_scalars(args)
-    uas = uas_certificate(system, args.c3, c1, c2) if c1 is not None else None
+    check_decay_scalars(args.c1, args.c2, args.c3)  # before any solve
+    uas = uas_certificate(system, args.c3, args.c1, args.c2) if args.c1 is not None else None
     res = recommend_range(system, rng, uas=uas, c3_target=args.c3)
     print(f"gap^2 = {res.gap_squared:.6g}")
     print(f"rho_unif = {res.rho_unif:.6g}")
@@ -162,15 +155,13 @@ def cmd_enlarge(args):
           f"W_dot_p={res.trace_W_dot_p:.6g} ({res.trace_provenance})")
     print(f"delta^2 = {res.delta_squared:.6g}")
     print(f"range: {res.original} -> {res.enlarged}")
-    out = os.path.join(args.out, "enlarge.json")
-    write_json(out, {
+    _write(args, "enlarge.json", {
         "gap_squared": res.gap_squared, "delta_squared": res.delta_squared,
         "mode": res.mode, "rho_unif": res.rho_unif,
         "trace_W_p_min": res.trace_W_p_min, "trace_W_hat_p": res.trace_W_hat_p,
         "trace_W_dot_p": res.trace_W_dot_p, "trace_provenance": res.trace_provenance,
         "original_range": res.original, "enlarged_range": res.enlarged,
     })
-    print(f"wrote {out}")
     return 0
 
 
@@ -179,12 +170,9 @@ def cmd_simulate(args):
     signal = parse_signal(args.signal)
     schedule = parse_schedule(args.schedule, box=system.box) if args.schedule \
         else reference.example_schedule()
-    try:
-        result = simulate(system, schedule, signal, args.t_end, args.step)
-        gamma_r = performance_ratio(result)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     ranges = [parse_range(s) for s in (args.range or ["low:1"])]
+    result = simulate(system, schedule, signal, args.t_end, args.step)
+    gamma_r = performance_ratio(result)
     reports = [iqc_value(result, r) for r in ranges]
 
     csv_path = os.path.join(args.out, "simulate.csv")
@@ -195,7 +183,7 @@ def cmd_simulate(args):
                 [f"xdot{i+1}" for i in range(n)] + ["y", "gamma_R"] +
                 [f"S[{r.describe()}]" for r in ranges])
         wr.writerow(head)
-        stride = max(1, int(round(args.csv_stride)))
+        stride = max(1, args.csv_stride)
         table = np.column_stack(
             [result.times[::stride], result.u[::stride, 0], result.x[::stride],
              result.x_dot[::stride], result.y[::stride, 0], gamma_r[::stride]] +
@@ -212,12 +200,11 @@ def cmd_simulate(args):
                 for r, rep in zip(ranges, reports)},
         "band_energy_fraction": {r.describe(): spectrum_fraction(result, r) for r in ranges},
     }
-    js_path = os.path.join(args.out, "simulate.json")
-    write_json(js_path, summary)
     print(f"final gamma_R = {gamma_r[-1]:.6g}")
     for r, rep in zip(ranges, reports):
         print(f"IQC on {r}: final={rep.final_value:.6g} verdict={rep.sign_verdict}")
-    print(f"wrote {csv_path} and {js_path}")
+    print(f"wrote {csv_path}")
+    _write(args, "simulate.json", summary)
     return 0
 
 
@@ -248,27 +235,18 @@ def cmd_gramians(args):
         }
     report.update({"range": rng, "quad_nodes": args.quad_nodes,
                    "classical_normalization": bool(args.classical)})
-    out = os.path.join(args.out, "gramians.json")
-    write_json(out, report)
     print(json.dumps(_jsonable(report["traces"]), sort_keys=True))
-    print(f"wrote {out}")
+    _write(args, "gramians.json", report)
     return 0
 
 
 def cmd_certify_uas(args):
-    system = _load(args)
-    try:
-        cert = uas_certificate(system, args.c3, *_uas_scalars(args))
-    except RuntimeError as exc:
-        print(f"infeasible: {exc}")
-        return 2
+    cert = uas_certificate(_load(args), args.c3, args.c1, args.c2)
     print(f"c1={cert.c1:.6g} c2={cert.c2:.6g} c3={cert.c3:.6g}")
     print(f"alpha={cert.alpha:.6g} beta={cert.beta:.6g}")
-    out = os.path.join(args.out, "uas.json")
-    write_json(out, {"c1": cert.c1, "c2": cert.c2, "c3": cert.c3,
-                     "alpha": cert.alpha, "beta": cert.beta,
-                     "P": [M for M in cert.P]})
-    print(f"wrote {out}")
+    _write(args, "uas.json", {"c1": cert.c1, "c2": cert.c2, "c3": cert.c3,
+                              "alpha": cert.alpha, "beta": cert.beta,
+                              "P": [M for M in cert.P]})
     return 0
 
 
@@ -301,7 +279,7 @@ def cmd_reproduce(args):
                      "reference": f"<= {min(g_ff.gamma_star, g_ef.gamma_star):.4f}",
                      "band": None,
                      "pass": gamma_r <= min(g_ff.gamma_star, g_ef.gamma_star)})
-    elif args.which == "example2":
+    else:  # example2
         from .enlargement import (delta_squared, enlarge_range, gap,
                                   uniform_spectral_radius)
         from .gramians import shifted_trace_bound
@@ -334,8 +312,6 @@ def cmd_reproduce(args):
         rows.append({"name": "iqc_sign_on_enlarged_band", "computed": rep.sign_verdict,
                      "reference": "nonnegative", "band": None,
                      "pass": rep.sign_verdict == "nonnegative"})
-    else:
-        raise UsageError(f"unknown reproduction target {args.which!r}")
 
     width = max(len(r["name"]) for r in rows)
     for r in rows:
@@ -344,9 +320,7 @@ def cmd_reproduce(args):
         comp = f"{r['computed']:.6g}" if isinstance(r["computed"], float) else r["computed"]
         print(f"{r['name']:<{width}}  computed={comp}  reference={r['reference']}"
               f"{band}  [{flag}]")
-    out = os.path.join(args.out, f"reproduce_{args.which}.json")
-    write_json(out, {"rows": rows, "target": args.which})
-    print(f"wrote {out}")
+    _write(args, f"reproduce_{args.which}.json", {"rows": rows, "target": args.which})
     failed = [r["name"] for r in rows if r["pass"] is False]
     if failed:
         print(f"failed bands: {', '.join(failed)}")
@@ -384,7 +358,7 @@ def build_parser():
     ps.add_argument("--range", action="append")
     ps.add_argument("--t-end", type=float, default=60.0)
     ps.add_argument("--step", type=float, default=1e-3)
-    ps.add_argument("--csv-stride", type=float, default=10)
+    ps.add_argument("--csv-stride", type=int, default=10)
     ps.set_defaults(func=cmd_simulate)
 
     pg = sub.add_parser("gramians", help="band-restricted controllability Gramians")
@@ -419,9 +393,12 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError, DimensionError, LinAlgError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"infeasible: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

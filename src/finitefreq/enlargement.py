@@ -19,8 +19,10 @@ from .lmi import UasCertificate, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
 
+_P_GRID = 11  # grid points per parameter axis, vertices included
 
-def gap(system: LpvSystem, rng: FrequencyRange, p_grid_density: int = 11) -> float:
+
+def gap(system: LpvSystem, rng: FrequencyRange) -> float:
     """Squared gap between the frozen system matrix and the band.
 
     For each grid parameter p the block [A* I](Psi (x) I)[A; I] is formed; the
@@ -34,7 +36,7 @@ def gap(system: LpvSystem, rng: FrequencyRange, p_grid_density: int = 11) -> flo
     n = system.n
     I = np.eye(n)
     worst = 0.0
-    for p in system.box.p_grid(p_grid_density):
+    for p in system.box.p_grid(_P_GRID):
         A = system.A(p)
         K = psi[0, 0] * (A.conj().T @ A) + psi[0, 1] * A.conj().T + psi[1, 0] * A + psi[1, 1] * I
         if not np.isfinite(K).all():  # LAPACK may return finite eigenvalues for NaN input
@@ -104,7 +106,7 @@ def enlarge_range(rng: FrequencyRange, delta_sq: float) -> FrequencyRange:
     return FrequencyRange.high(np.sqrt(rng.lo**2 - delta_sq))
 
 
-def uniform_spectral_radius(system: LpvSystem, p_grid_density: int = 11) -> float:
+def uniform_spectral_radius(system: LpvSystem) -> float:
     """Largest spectral norm of the frozen system matrix over the box.
 
     The matrix 2-norm (largest singular value) is used: it dominates the
@@ -112,7 +114,7 @@ def uniform_spectral_radius(system: LpvSystem, p_grid_density: int = 11) -> floa
     bands a band edge at or above this value makes the gap vanish exactly.
     """
     return max(float(np.linalg.norm(system.A(p), 2))
-               for p in system.box.p_grid(p_grid_density))
+               for p in system.box.p_grid(_P_GRID))
 
 
 @dataclass
@@ -130,9 +132,8 @@ class EnlargementResult:
 
 
 def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
-                    uas: UasCertificate = None, c3_target: float = 1.0,
-                    trajectory=None, t: float = 20.0, p_grid_density: int = 11,
-                    quad_nodes: int = 201, step: float = 1e-3) -> EnlargementResult:
+                    uas: UasCertificate = None, c3_target: float = 1.0, trajectory=None,
+                    t: float = 20.0, quad_nodes: int = 201, step: float = 1e-3) -> EnlargementResult:
     """End-to-end band recommendation: gap, traces, widening, enlarged band.
 
     A zero gap short-circuits everything (no widening needed; the
@@ -141,18 +142,18 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
     mode computes them, and the weighted Gramian, by quadrature along the
     supplied schedule.
     """
-    rho = uniform_spectral_radius(system, p_grid_density)
-    g2 = gap(system, rng, p_grid_density)
+    rho = uniform_spectral_radius(system)
+    g2 = gap(system, rng)
     if g2 == 0.0:
         return EnlargementResult(0.0, 0.0, mode.upper(), np.nan, np.nan, 0.0,
                                  rng, rng, rho, "none (gap is zero)")
 
     tr_w_p_min = min(float(np.trace(gramian_lpv_frozen(system, p, rng, quad_nodes)))
-                     for p in system.box.p_grid(p_grid_density))
+                     for p in system.box.p_grid(_P_GRID))
     tr_hat = 0.0
     if mode.upper() == "UAS":
         cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
-        bound = shifted_trace_bound(system, rng, cert, grid_density=p_grid_density)
+        bound = shifted_trace_bound(system, rng, cert)
         tr_dot = bound.bound_1 + bound.bound_2
         prov = bound.method
     else:

@@ -247,6 +247,8 @@ class GramianSet:
 def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
                 quad_nodes: int = 201, step: float = 1e-3,
                 classical: bool = False) -> GramianSet:
+    if not 0.0 <= t < np.inf:  # NaN included
+        raise ValueError(f"time t must be finite and nonnegative, got {t}")
     p_t = np.atleast_1d(trajectory.p(t))
     W_p = gramian_lpv_frozen(system, p_t, rng, quad_nodes, classical)
     W_hat = gramian_lpv_weighted(system, trajectory, t, rng, quad_nodes, step)
@@ -292,8 +294,8 @@ def _lam_max_gram(M) -> float:
     return float(np.linalg.eigvalsh(G).max())
 
 
-def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
-                omega_nodes: int):
+def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int = 11,
+                omega_nodes: int = 21):
     """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands.
 
     M_1 = (A(p) - A(p')) R B(p') over parameter pairs and M_2 = R Bdot(r) over
@@ -320,8 +322,8 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int,
 
 
 def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
-                        uas: UasCertificate | Callable[[], UasCertificate] = None,
-                        grid_density: int = 11, omega_nodes: int = 21) -> ShiftedTraceBound:
+                        uas: UasCertificate | Callable[[], UasCertificate] = None
+                        ) -> ShiftedTraceBound:
     """Decay-certificate upper bounds on the drift-correction Gramian traces.
 
     Needs a decay certificate unless both drift integrands vanish identically
@@ -329,7 +331,7 @@ def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
     ``uas`` may also be a zero-argument callable returning the certificate; it
     is called only when a drift integrand is nonzero.
     """
-    m1, m2 = _drift_sups(system, rng, grid_density, omega_nodes)
+    m1, m2 = _drift_sups(system, rng)
     if m1 == 0.0 and m2 == 0.0:
         return ShiftedTraceBound(0.0, 0.0, "lyapunov_lmi", 0.0, 0.0)
     if uas is None:

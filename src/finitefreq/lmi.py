@@ -59,8 +59,6 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 
-_NEWTON_STEPS = 4000  # budget of each feasibility solve
-
 
 def _sym_basis(n):
     """Basis of S^n as a (t, n, n) stack: E_ii and E_ij + E_ji."""
@@ -305,8 +303,8 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     on "not shown feasible".  gamma_star is hi.  The certificate is then re-checked on a parameter grid;
     violations set relaxation_gap_flag instead of failing.
     """
-    if bisect_tol <= 0:
-        raise ValueError("bisect_tol must be positive")
+    if not bisect_tol > 0:  # NaN included
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
     _check_controllability(system)
 
     family = build_problem(system, rng, mode, 0.0)
@@ -315,7 +313,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     def probe(g, margin_floor, x0=None):
         prob = family.at(g)
         margin = max(margin_floor, prob.margin)
-        res = solve_feasibility(prob.form, margin, max_iters=_NEWTON_STEPS, x0=x0)
+        res = solve_feasibility(prob.form, margin, x0=x0)
         trace.append((float(g), bool(res.feasible)))
         return res, prob, margin
 
@@ -335,7 +333,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     lifted = [(C - m * np.eye(len(C)),
                np.concatenate([K, (-family.gain if b < nmain else 0.0 * C)[None]]))
               for b, (C, K) in enumerate(zip(top.form.constant_blocks, top.form.coeff_blocks))]
-    run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), _NEWTON_STEPS, target=np.inf)
+    run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), target=np.inf)
     hi, x = g, res.x
     gamma = float(np.sqrt(max(g * g - run.t, 0.0)))
     prob = family.at(gamma)
@@ -466,17 +464,17 @@ def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> Ua
         if c1 is not None:
             c = (float(c1), float(c2), c3)
             form = form_at(c)
-            res = solve_feasibility(form, 0.0, max_iters=_NEWTON_STEPS)
+            res = solve_feasibility(form, 0.0)
             if res.feasible or res.achieved_margin >= -1e-6 * form.scale():
                 return certificate(c, res.x, res.achieved_margin)
         else:
-            res = solve_feasibility(form_at((1e-6, 1.0, c3)), 0.0, max_iters=_NEWTON_STEPS)
+            res = solve_feasibility(form_at((1e-6, 1.0, c3)), 0.0)
             if res.feasible:
                 # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
                 lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
                           for (i, sign), K in zip(scalars, base.coeff_blocks)]
                 groups = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
-                top = minimize(groups, np.append(res.x, 1e-6), _NEWTON_STEPS, target=np.inf)
+                top = minimize(groups, np.append(res.x, 1e-6), target=np.inf)
                 c = (top.t, 1.0, c3)
                 v = max_eig_neg(form_at(c), top.x)
                 if v <= 0.0:

@@ -195,6 +195,8 @@ def _flat(v):
 
 def system_from_dict(obj) -> LpvSystem:
     """Build an LpvSystem from the JSON system-description schema."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a system description is a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - _SYSTEM_KEYS
     if unknown:
         raise ValueError(f"unknown system keys: {sorted(unknown)}")
@@ -208,7 +210,7 @@ def system_from_dict(obj) -> LpvSystem:
 
     def mk(base_key, coeff_key):
         coeffs = obj[coeff_key]
-        if len(coeffs) != l:
+        if not isinstance(coeffs, list) or len(coeffs) != l:
             raise DimensionError(f"{coeff_key} must list {l} coefficient matrices")
         return AffineMatrixFunction(obj[base_key], tuple(coeffs))
 

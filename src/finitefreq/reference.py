@@ -3,13 +3,10 @@
 ``example_system`` is the parameter-varying benchmark used across the test
 suite and by the ``reproduce`` command.  REFERENCE holds the published
 reference values for it together with the relative tolerance band each one is
-held to; a band of None marks values reported for information only (recorded
-against our own regression constants instead).
+held to; a band of None marks values reported for information only.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, ParameterBox
 from .simulation import BandLimitedSignal, ScheduleTrajectory
@@ -63,17 +60,6 @@ REFERENCE = {
     "uas_c": ((0.5, 0.6, 7.4), None),
     "uas_alpha": (1.2, 1e-9),
     "uas_beta": (7.4 / 1.2, 1e-9),
-}
-
-# Regression constants computed by this implementation (frozen once verified
-# against the independent oracles in the test suite).
-REGRESSION = {
-    # band-restricted Gramian trace at p = 0.15 on [-1, 1], 201 nodes, no 1/(2pi)
-    "trace_w_p_mid": 29.690378,
-    # grid minimum of the same trace over the parameter box
-    "trace_w_p_min": 26.844868,
-    # frozen transfer function at p = 0.15, omega = 0
-    "g_dc_mid": 0.570260,
 }
 
 

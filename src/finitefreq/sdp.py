@@ -114,6 +114,7 @@ def real_embedding(H) -> np.ndarray:
 
 
 RADIUS = 1e9  # box |x_j| <= RADIUS: bounds the barrier along directions that only add slack
+NEWTON_STEPS = 4000  # Newton-step budget of each barrier run
 
 
 @dataclass
@@ -150,18 +151,18 @@ def _step_length(w, slope):
     return a
 
 
-def minimize(groups, y, max_iters, target=0.0):
+def minimize(groups, y, target=0.0):
     """Maximize t = y[-1] over the stacked blocks by barrier path following from interior y.
 
     Runs until t exceeds ``target`` (0 for a feasibility search; inf to maximize
     t outright), a dual bound proves a finite target out of reach, the duality
-    gap falls below 1e-9, or max_iters Newton steps; returns the iterate with
+    gap falls below 1e-9, or NEWTON_STEPS Newton steps; returns the iterate with
     the largest t.  With target inf only the gap ends the run, so t* may be
     negative.
     """
     N = sum(C.shape[0] * C.shape[1] for C, _ in groups)
     M, best, bound, mu, nit, nfev = _whiten(groups, y), y, np.inf, 1.0 / N, 0, 1
-    while y[-1] <= target and nit < max_iters and M is not None:
+    while y[-1] <= target and nit < NEWTON_STEPS and M is not None:
         Mf = np.concatenate([m.transpose(1, 0, 2, 3).reshape(y.size, -1) for m in M], axis=1)
         H = Mf @ Mf.T  # Hessian of -log det S
         tr = sum(np.einsum("bjkk->j", m) for m in M)
@@ -206,8 +207,7 @@ def stack_blocks(blocks, margin_column):
     return groups
 
 
-def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int = 6000,
-                      x0=None) -> FeasibilityResult:
+def solve_feasibility(form: AffineSymmetricForm, margin: float, x0=None) -> FeasibilityResult:
     """Search for x with F(x) >= margin*I, i.e. t* >= 0 on the normalized pencil.
 
     A warm start x0 meeting the margin returns at 0 iterations; otherwise
@@ -230,6 +230,6 @@ def solve_feasibility(form: AffineSymmetricForm, margin: float, max_iters: int =
     groups = stack_blocks(blocks + [(np.ones((1, 1)), np.zeros((nvar, 1, 1)))], True)
     t0 = min(np.linalg.eigvalsh(C + np.einsum("bjkl,j->bkl", A[:, :-1], x)).min()
              for C, A in groups[:-1]) - 1.0
-    res = minimize(groups, np.append(x, t0), max_iters)
+    res = minimize(groups, np.append(x, t0))
     v = max_eig_neg(form, res.x)
     return FeasibilityResult(v <= -margin, res.x, -v, res.nit, res.bound)

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from ._rk4 import half_steps, propagate_vector, stages, step_matrices, step_offsets
-from .model import FrequencyRange, FrequencyWeight, LpvSystem, frequency_weight
+from .model import DimensionError, FrequencyRange, FrequencyWeight, LpvSystem, frequency_weight
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class BandLimitedSignal:
     components: tuple  # of (amplitude, frequency [rad/s], phase [rad])
     discount_lambda: float = 0.0
     band: FrequencyRange = None
-    truncate_negative_time: bool = True
 
     def __post_init__(self):
         comps = tuple((float(a), float(w), float(ph)) for a, w, ph in self.components)
@@ -89,8 +88,7 @@ def sample_signal(signal: BandLimitedSignal, t):
         out = out + a * np.cos(w * t + ph)
     if signal.discount_lambda > 0:
         out = out * np.exp(-signal.discount_lambda * t)
-    if signal.truncate_negative_time:
-        out = np.where(t < 0, 0.0, out)
+    out = np.where(t < 0, 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -116,6 +114,8 @@ class ScheduleTrajectory:
             value = getattr(self, name)
             if value is not None:
                 _check_finite(name, value)
+        if self.box is not None and (k := self.p(0.0).size) != self.box.nparams:
+            raise DimensionError(f"schedule has {k} parameters, the box has {self.box.nparams}")
 
     @classmethod
     def constant(cls, p0, box=None):

@@ -76,14 +76,57 @@ def test_json_flag_is_gone(tmp_path):
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "-1"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c3", "0"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.6", "--c2", "0.5"],
+    ["analyze", "--system", str(EXAMPLE), "--range", "low:1", "--bisect-tol", "nan"],
+    ["analyze", "--system", "NOT_AN_OBJECT", "--range", "low:1"],
+    ["certify-uas", "--system", str(EXAMPLE.parent), "--c3", "1.0"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule", "const:0.15",
+     "--t", "-1"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule", "const:0.15",
+     "--t", "nan"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule",
+     "sin:0.15,0.1:0.01,0.01:1"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--p", "0.15,0.1"],
+    ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--range", "low:x"],
+    ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "inf"],
+    ["reproduce", "example3"],
 ], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2",
-        "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero", "certify-uas-c1-above-c2"])
-def test_usage_errors_exit_1_without_output(tmp_path, capsys, monkeypatch, argv):
+        "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero",
+        "certify-uas-c1-above-c2", "analyze-bisect-tol-nan", "analyze-system-not-an-object",
+        "certify-uas-system-is-a-directory", "gramians-t-negative", "gramians-t-nan", "gramians-schedule-two-params", "gramians-p-two-params",
+        "simulate-range", "simulate-csv-stride", "reproduce-target"])
+def test_usage_errors_exit_1_without_output(tmp_path, tmp_path_factory, capsys, monkeypatch,
+                                           argv):
+    not_an_object = tmp_path_factory.mktemp("systems") / "int.json"
+    not_an_object.write_text("5\n")
+    argv = [str(not_an_object) if a == "NOT_AN_OBJECT" else a for a in argv]
     monkeypatch.setattr(lmi, "solve_feasibility", None)  # no solve may start
     assert cli.main(["--out", str(tmp_path), *argv]) == 1
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
-    assert "Traceback" not in err and ("error:" in err or "usage:" in err)
+    assert "Traceback" not in err and "error:" in err
+
+
+@pytest.fixture
+def unstable_system(tmp_path_factory):
+    """data/example1.json with A0 = 5 I: no gain bound, no decay certificate, a diverging run."""
+    obj = json.loads(EXAMPLE.read_text())
+    obj["A0"] = (5.0 * np.eye(2)).tolist()
+    path = tmp_path_factory.mktemp("systems") / "unstable.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--mode", "lpv_ef"],
+    ["certify-uas", "--c3", "1"],
+    ["enlarge", "--range", "low:1"],
+    ["simulate", "--signal", "cos:1:0", "--t-end", "200", "--step", "0.01"],
+], ids=["analyze", "certify-uas", "enlarge", "simulate"])
+def test_infeasible_runs_exit_2_without_output(tmp_path, capsys, unstable_system, argv):
+    assert cli.main(["--out", str(tmp_path), *argv, "--system", unstable_system]) == 2
+    assert list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out.startswith("infeasible:") and "Traceback" not in out + err
 
 
 def test_parser_is_built_once():
@@ -133,9 +176,10 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     (["--schedule", "sin:0.15:nan:2.0"], "amplitude must be finite"),
     (["--schedule", "sin:0.15:0.01:inf"], "rate must be finite"),
     (["--schedule", "const:nan"], "center must be finite"),
+    (["--schedule", "const:0.15,0.1"], "schedule has 2 parameters, the box has 1"),
 ], ids=["t-end-below-step", "step-zero", "t-end-negative", "step-nan", "frequency-nan",
         "amplitude-nan", "phase-inf", "frequency-empty", "schedule-amplitude-nan",
-        "schedule-rate-inf", "schedule-const-nan"])
+        "schedule-rate-inf", "schedule-const-nan", "schedule-two-params"])
 def test_bad_simulate_inputs_exit_1_without_output(tmp_path, capsys, extra, message):
     argv = ["--out", str(tmp_path), "simulate", "--system", str(EXAMPLE),
             "--signal", "cos:1:0", "--t-end", "1.0", *extra]

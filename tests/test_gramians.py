@@ -229,6 +229,12 @@ def test_gramian_set_bundle(benchmark_system):
     assert gs.time == 5.0
 
 
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+def test_gramian_set_rejects_a_time_that_is_negative_or_not_finite(benchmark_system, t):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        ff.gramian_set(benchmark_system, example_schedule(), t, LOW1)
+
+
 def shifted_reference(system, trajectory, t, rng, quad_nodes, step):
     """Reference: the per-node quadrature, one resolvent and four tau-sums per node."""
     taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)

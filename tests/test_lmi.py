@@ -259,7 +259,7 @@ def ref_free_c1(system, c3):
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         form = base.with_constants([sign * (mid, 1.0, c3)[i] * eye for i, sign in scalars])
-        if solve_feasibility(form, 0.0, max_iters=4000).feasible:
+        if solve_feasibility(form, 0.0).feasible:
             lo = mid
         else:
             hi = mid
@@ -550,7 +550,7 @@ def test_min_gamma_probes_match_per_probe_build(benchmark_system, mode, band):
     warm = None
     for g, verdict in res.bisection_trace:
         prob = build_problem(benchmark_system, band, mode, g)
-        out = solve_feasibility(prob.form, prob.margin, max_iters=4000, x0=warm)
+        out = solve_feasibility(prob.form, prob.margin, x0=warm)
         assert out.feasible == verdict
         warm = out.x if out.feasible else warm
         # the factored assembly reproduces the vertex-by-vertex kron assembly
@@ -568,7 +568,7 @@ def ref_bisect_min_gamma(system, rng, mode, bisect_tol):
     def probe(g):
         nonlocal warm
         prob = family.at(g)
-        res = solve_feasibility(prob.form, prob.margin, max_iters=4000, x0=warm)
+        res = solve_feasibility(prob.form, prob.margin, x0=warm)
         warm = res.x if res.feasible else warm
         return res.feasible, (g, res.x, prob)
 
@@ -614,6 +614,14 @@ def test_min_gamma_against_reference_bisection(benchmark_system, mode, band, mon
         assert res.violations == [] and res.relaxation_gap_flag is False
     if res.lo_certified:  # then no level below lo is feasible, the reference's hi included
         assert lo <= hi_ref
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+def test_min_gamma_rejects_a_tolerance_that_is_not_positive(benchmark_system, monkeypatch, tol):
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    with pytest.raises(ValueError, match="bisect_tol must be positive"):
+        ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=tol)
+    assert solves == []
 
 
 def test_min_gamma_keeps_the_phase1_level_when_the_recheck_fails(benchmark_system, monkeypatch):

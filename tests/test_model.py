@@ -161,6 +161,21 @@ def test_system_json_rejects_unknown_keys(benchmark_system):
         system_from_dict(d)
 
 
+@pytest.mark.parametrize("top", [5, [1, 2], "A0"])
+def test_system_json_rejects_a_top_level_that_is_not_an_object(top):
+    with pytest.raises(ValueError, match="is a JSON object, got"):
+        system_from_dict(top)
+
+
+@pytest.mark.parametrize("coeffs", [5, [], [[[1.0, 0.0], [0.0, 1.0]]] * 2])
+def test_system_json_rejects_coefficients_that_do_not_list_one_per_parameter(
+        benchmark_system, coeffs):
+    d = system_to_dict(benchmark_system)
+    d["A"] = coeffs
+    with pytest.raises(DimensionError, match="A must list 1 coefficient matrices"):
+        system_from_dict(d)
+
+
 @pytest.mark.parametrize("key,index", [("A0", (0, 0)), ("D", (0, 0, 0)), ("rate_upper", (0,))])
 def test_system_json_rejects_non_finite_entries(benchmark_system, key, index):
     for bad in (float("nan"), float("inf"), None):

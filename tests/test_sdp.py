@@ -175,7 +175,7 @@ def _maximize_shift(M, c):
               (np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
               (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
     t0 = np.linalg.eigvalsh(M).min() - c - 1.0
-    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), 4000, target=np.inf)
+    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=np.inf)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

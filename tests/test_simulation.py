@@ -57,6 +57,16 @@ def test_schedule_kinds():
     assert pw.nparams == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda box: ff.ScheduleTrajectory.constant([0.15, 0.1], box=box),
+    lambda box: ff.ScheduleTrajectory.sinusoid([0.15], [0.01, 0.01], 1.0, box=box),
+    lambda box: ff.ScheduleTrajectory.piecewise_linear([0.0, 1.0], [[0.1, 0.2]] * 2, box=box),
+], ids=["constant", "sinusoid-broadcast", "pwl"])
+def test_schedule_with_the_wrong_parameter_count_names_both_counts(benchmark_system, make):
+    with pytest.raises(ff.DimensionError, match="schedule has 2 parameters, the box has 1"):
+        make(benchmark_system.box)
+
+
 def test_simulate_zero_input_stays_at_origin(benchmark_system):
     sig = ff.BandLimitedSignal(((0.0, 1.0, 0.0),))
     res = ff.simulate(benchmark_system, example_schedule(), sig, 2.0, 1e-3)
