@@ -4,21 +4,32 @@ For xdot = A(t) x + b(t) the RK4 update is affine, x_{k+1} = M_k x_k + g_k,
 and both M_k and g_k depend only on the step's stage data, so all step
 matrices are built in one vectorized pass.  The stage times t_k, t_k + h/2
 and t_k + h of all steps lie on one half-step grid, so stage data is
-sampled there once and each stage is a strided view of it.  The recurrence
-itself runs as a blocked two-level scan (Blelloch, "Prefix sums and their
-applications", 1990): the N steps are cut into about sqrt(N) blocks of about
-sqrt(N) steps, every block's affine end map is formed with all blocks
-advancing together, a short sequential pass chains the block start states,
-and a second pass reruns all blocks from those exact start states into the
-output.  The Python-level work is O(sqrt(N)) batched matrix products instead
-of N single-step products, and no per-step product array is stored.
+sampled there once and each stage is a strided view of it.
+
+Every array here has the step (time) axis first, (N, n, n) or (N, n), and is
+meant to be stored time-major: time is the fastest axis in memory, as in
+``AffineMatrixFunction.batch`` output and ``np.empty(shape, order="F")``.
+The products over the step axis are then ``product``: n broadcast
+multiply-adds, each one ufunc over contiguous time rows, instead of
+numpy's per-item loop over 2x2 matrices.  Elementwise ufuncs keep the order
+of their inputs, so step matrices, offsets and states all stay time-major.
+C-ordered inputs give the same numbers, only more slowly.
+
+The recurrence runs as a recursive blocked scan (Blelloch, "Prefix sums and
+their applications", 1990): the N steps are cut into B blocks of
+L ~ N^(1/3) steps, every block's affine end map [Phi_b | c_b] is formed with
+all blocks advancing together, the block start states are the same scan
+over the B block maps, and a second pass reruns all blocks from those exact
+start states into the output.  The Python-level work is O(N^(1/3)) batched
+products at the top level and fewer below it, and no per-step product array
+is stored.
 """
 
 from __future__ import annotations
 
-from math import isqrt
-
 import numpy as np
+
+_LOOP_STEPS = 8  # below this many steps the scan is a plain loop
 
 
 def half_steps(h, N, t0=0.0):
@@ -34,68 +45,127 @@ def stages(rows):
     return rows[0:-1:2], rows[1::2], rows[2::2]
 
 
+def product(A, X, out=None):
+    """A_k X_k for every k of the leading axis: A (N, p, q), X (N, q, r) or (N, q).
+
+    Sums the q broadcast terms A[:, :, j] X[:, j, :]; on time-major inputs
+    each is one ufunc over contiguous time rows and the result is time-major.
+    ``out``, if given, must not overlap A or X.
+    """
+    if X.ndim == 2:
+        return product(A, X[..., None], None if out is None else out[..., None])[..., 0]
+    q = A.shape[2]
+    if q == 0:  # an empty sum, as for B u without inputs
+        out = np.empty(A.shape[:2] + X.shape[2:], order="F") if out is None else out
+        out.fill(0.0)
+        return out
+    out = np.multiply(A[:, :, :1], X[:, None, 0, :], out=out)
+    if q > 1:
+        term = np.empty_like(out)
+        for j in range(1, q):
+            out += np.multiply(A[:, :, j:j + 1], X[:, None, j, :], out=term)
+    return out
+
+
+def _add_identity(Z):
+    """Z_k += I for every k, on the diagonal entries only."""
+    for i in range(Z.shape[1]):
+        Z[:, i, i] += 1.0
+
+
 def step_matrices(A_stages, h):
     """RK4 transition matrices M_k from stage matrices (A(t_k), A(t_k+h/2), A(t_k+h)).
 
     A_stages: tuple of three (N, n, n) arrays, such as ``stages`` of A on
-    ``half_steps``.  Returns (N, n, n).
+    ``half_steps``.  Returns (N, n, n), time-major for time-major stages:
+
+        K1 = F1, K2 = F2 (I + h/2 K1), K3 = F2 (I + h/2 K2), K4 = F3 (I + h K3),
+        M = I + h/6 (K1 + 2 K2 + 2 K3 + K4),
+
+    with K2, K3 and K4 written into one buffer in turn.
     """
     F1, F2, F3 = A_stages
-    n = F1.shape[-1]
-    I = np.eye(n)
-    K1 = F1
-    K2 = F2 @ (I + 0.5 * h * K1)
-    K3 = F2 @ (I + 0.5 * h * K2)
-    K4 = F3 @ (I + h * K3)
-    return I + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    Z = (0.5 * h) * F1
+    _add_identity(Z)
+    K = product(F2, Z)  # K2
+    S = 2.0 * K
+    S += F1
+    np.multiply(0.5 * h, K, out=Z)
+    _add_identity(Z)
+    product(F2, Z, out=K)  # K3
+    S += np.multiply(2.0, K, out=Z)
+    np.multiply(h, K, out=Z)
+    _add_identity(Z)
+    S += product(F3, Z, out=K)  # K4
+    S *= h / 6.0
+    _add_identity(S)
+    return S
 
 
 def step_offsets(A_stages, b_stages, h):
-    """RK4 affine offsets g_k for the forced system; shapes (N, n)."""
-    F1, F2, F3 = A_stages
+    """RK4 affine offsets g_k for the forced system; shapes (N, n).
+
+    k1 = b1, k2 = F2 (h/2 k1) + b2, k3 = F2 (h/2 k2) + b2, k4 = F3 (h k3) + b3,
+    g = h/6 (k1 + 2 k2 + 2 k3 + k4).
+    """
+    _, F2, F3 = A_stages
     b1, b2, b3 = b_stages
-    k1 = b1
-    k2 = np.einsum("tij,tj->ti", F2, 0.5 * h * k1) + b2
-    k3 = np.einsum("tij,tj->ti", F2, 0.5 * h * k2) + b2
-    k4 = np.einsum("tij,tj->ti", F3, h * k3) + b3
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    z = (0.5 * h) * b1
+    k = product(F2, z)
+    k += b2  # k2
+    S = 2.0 * k
+    S += b1
+    np.multiply(0.5 * h, k, out=z)
+    product(F2, z, out=k)
+    k += b2  # k3
+    S += np.multiply(2.0, k, out=z)
+    np.multiply(h, k, out=z)
+    product(F3, z, out=k)
+    S += np.add(k, b3, out=k)  # k4
+    S *= h / 6.0
+    return S
 
 
 def _sweep(M, g, out):
     """Fill out[1:] with X_{k+1} = M_k X_k + g_k from X_0 = out[0].
 
     M: (N, n, n); g: (N, n, r), or None for g = 0; out: (N+1, n, r), written
-    in place.  The first B*L steps form B blocks of L = isqrt(N) steps, so the
+    in place.  The first B*L steps form B blocks of L ~ N^(1/3) steps, so the
     basic slice [j:B*L:L] of a step array holds step j of every block.  The
-    fewer than L steps left over are swept the same way from the state the
-    blocks end in.
+    block start states are this same sweep over the block maps, and the
+    fewer than L steps left over are swept from the state the blocks end in.
     """
     N, n = M.shape[0], M.shape[1]
-    if N == 0:
+    if N < _LOOP_STEPS:
+        for k in range(N):
+            X = product(M[k:k + 1], out[k:k + 1])
+            if g is not None:
+                X += g[k:k + 1]
+            out[k + 1:k + 2] = X
         return
-    L = isqrt(N)
+    L = round(N ** (1.0 / 3.0))
     B = N // L
     head = B * L
 
-    # pass 1: every block's affine end map [Phi_b | c_b], all blocks together
-    T = np.zeros((B, n, n if g is None else n + g.shape[-1]))
-    T[:, :, :n] = np.eye(n)
-    for j in range(L):
-        T = M[j:head:L] @ T
+    # pass 1: every block's affine end map T_b = [Phi_b | c_b], all blocks together
+    T = np.empty((B, n, n if g is None else n + g.shape[-1]), order="F")
+    T[:, :, :n] = M[0:head:L]
+    if g is not None:
+        T[:, :, n:] = g[0:head:L]
+    for j in range(1, L):
+        T = product(M[j:head:L], T)
         if g is not None:
             T[:, :, n:] += g[j:head:L]
 
-    # middle pass: chain the block start states
-    starts = np.empty((B,) + out.shape[1:])
-    X = out[0]
-    for b in range(B):
-        starts[b] = X
-        X = T[b, :, :n] @ X + T[b, :, n:] if g is not None else T[b] @ X
+    # the block start states: the same scan over the B block maps
+    starts = np.empty((B + 1,) + out.shape[1:], order="F")
+    starts[0] = out[0]
+    _sweep(T[:, :, :n], None if g is None else T[:, :, n:], starts)
 
     # pass 2: rerun every block from its exact start state into the output
-    X = starts
+    X = starts[:B]
     for j in range(L):
-        X = M[j:head:L] @ X
+        X = product(M[j:head:L], X)
         if g is not None:
             X += g[j:head:L]
         out[j + 1:head + 1:L] = X
@@ -104,12 +174,12 @@ def _sweep(M, g, out):
 
 
 def propagate_vector(M, g, x0):
-    """x_{k+1} = M_k x_k + g_k from x_0; returns (N+1, n) including x_0.
+    """x_{k+1} = M_k x_k + g_k from x_0; returns (N+1, n), time-major, including x_0.
 
     Overflow is left to the caller's finiteness check.
     """
     N = M.shape[0]
-    out = np.empty((N + 1, x0.size))
+    out = np.empty((N + 1, x0.size), order="F")
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep(M, np.asarray(g, dtype=float)[..., None], out[..., None])
@@ -117,9 +187,9 @@ def propagate_vector(M, g, x0):
 
 
 def propagate_matrix(M, X0):
-    """X_{k+1} = M_k X_k from X_0; returns (N+1, n, n)."""
+    """X_{k+1} = M_k X_k from X_0; returns (N+1, n, n), time-major."""
     N = M.shape[0]
-    out = np.empty((N + 1,) + X0.shape)
+    out = np.empty((N + 1,) + X0.shape, order="F")
     out[0] = X0
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep(M, None, out)

@@ -28,6 +28,7 @@ from .simulation import (BandLimitedSignal, ScheduleTrajectory, iqc_value,
 
 
 _CSV_CHUNK = 256  # simulate.csv rows formatted per write
+_GRAMIAN_T = 20.0  # gramians --t when a schedule is given
 
 
 class UsageError(ValueError):
@@ -213,8 +214,8 @@ def cmd_gramians(args):
     rng = parse_range(args.range)
     if args.schedule:
         schedule = parse_schedule(args.schedule, box=system.box)
-        gs = gramian_set(system, schedule, args.t, rng, args.quad_nodes,
-                         classical=args.classical)
+        t = _GRAMIAN_T if args.t is None else args.t
+        gs = gramian_set(system, schedule, t, rng, args.quad_nodes, classical=args.classical)
         report = {
             "traces": gs.traces,
             "eigenvalues": {
@@ -223,8 +224,10 @@ def cmd_gramians(args):
                 "W_dot_p_1": np.linalg.eigvalsh(gs.W_dot_p_1),
                 "W_dot_p_2": np.linalg.eigvalsh(gs.W_dot_p_2),
             },
-            "time": args.t,
+            "time": t,
         }
+    elif args.t is not None:
+        raise UsageError("--t needs --schedule: a frozen Gramian has no time")
     else:
         p = [float(v) for v in args.p.split(",")] if args.p else system.box.midpoint()
         W = gramian_lpv_frozen(system, p, rng, args.quad_nodes, args.classical)
@@ -366,7 +369,8 @@ def build_parser():
     pg.add_argument("--range", required=True)
     pg.add_argument("--p", default=None)
     pg.add_argument("--schedule", default=None)
-    pg.add_argument("--t", type=float, default=20.0)
+    pg.add_argument("--t", type=float, default=None,
+                    help=f"time along the schedule (default {_GRAMIAN_T:g}); needs --schedule")
     pg.add_argument("--quad-nodes", type=int, default=201)
     pg.add_argument("--classical", action="store_true")
     pg.set_defaults(func=cmd_gramians)

@@ -64,13 +64,17 @@ class AffineMatrixFunction:
         return self.batch(np.atleast_1d(np.asarray(p, dtype=float))[None])[0]
 
     def batch(self, P) -> np.ndarray:
-        """M(p) at every row of P (N, nparams), as one (N, r, c) array."""
+        """M(p) at every row of P (N, nparams), as one (N, r, c) array.
+
+        The array is time-major: its row axis is the fastest in memory, as
+        the batched RK4 products in ``_rk4`` want it.
+        """
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.nparams:
             raise DimensionError(f"parameter rows have shape {P.shape}, expected (N, {self.nparams})")
-        out = (P @ self._flat).reshape((len(P),) + self.shape)
-        out += self.constant
-        return out
+        out = (self._flat.T @ P.T).reshape(self.shape + (len(P),))
+        out += self.constant[..., None]
+        return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,10 @@ class LpvSystem:
         """A(p), B(p), C(p), D(p) at a fixed parameter (default: box midpoint)."""
         if p is None:
             p = self.box.midpoint()
+        if (k := np.size(p)) != self.nparams:
+            l = self.nparams
+            raise DimensionError(f"p has {k} value{'s' * (k != 1)}, "
+                                 f"the system has {l} parameter{'s' * (l != 1)}")
         return self.A(p), self.B(p), self.C(p), self.D(p)
 
     @classmethod
@@ -186,6 +194,7 @@ _SYSTEM_KEYS = {
     "A0", "A", "B0", "B", "C0", "C", "D0", "D",
     "p_lower", "p_upper", "rate_lower", "rate_upper",
 }
+_COUNT_KEYS = ("n", "inputs", "outputs", "params")
 
 
 def _flat(v):
@@ -204,8 +213,16 @@ def system_from_dict(obj) -> LpvSystem:
     if missing:
         raise ValueError(f"missing system keys: {sorted(missing)}")
     for key in sorted(_SYSTEM_KEYS):
-        if not np.isfinite(np.asarray(_flat(obj[key]), dtype=float)).all():
+        try:
+            values = np.asarray(_flat(obj[key]), dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"system key {key!r} must hold numbers, got {obj[key]!r}") from None
+        if not np.isfinite(values).all():
             raise ValueError(f"system key {key!r} has a non-finite entry")
+    for key in _COUNT_KEYS:
+        v = obj[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v) or v < 0:
+            raise ValueError(f"system key {key!r} must be a nonnegative integer, got {v!r}")
     l = int(obj["params"])
 
     def mk(base_key, coeff_key):

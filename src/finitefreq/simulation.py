@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._rk4 import half_steps, propagate_vector, stages, step_matrices, step_offsets
+from ._rk4 import half_steps, product, propagate_vector, stages, step_matrices, step_offsets
 from .model import DimensionError, FrequencyRange, FrequencyWeight, LpvSystem, frequency_weight
 
 
@@ -195,8 +195,8 @@ def warn_if_outside_box(trajectory, P):
 class SimulationResult:
     """Sampled trajectories; x_dot comes from the right-hand side, not differencing.
 
-    Frozen, and its arrays are read as given: the input spectrum is computed
-    on first use and kept.
+    Frozen, and its arrays are read as given: the input spectrum and the
+    state's quadratic forms are computed on first use and kept.
     """
 
     times: np.ndarray
@@ -210,6 +210,13 @@ class SimulationResult:
     def spectrum(self):
         """The input channel's ``_spectrum``."""
         return _spectrum(self.u[:, 0] if self.u.ndim > 1 else self.u, self.step)
+
+    @cached_property
+    def quadratic_forms(self):
+        """Per-sample (xdot.xdot, x.x, xdot.x), shared by the IQC of every band."""
+        return (np.einsum("ti,ti->t", self.x_dot, self.x_dot),
+                np.einsum("ti,ti->t", self.x, self.x),
+                np.einsum("ti,ti->t", self.x_dot, self.x))
 
 
 def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimitedSignal,
@@ -228,24 +235,23 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     P = param_rows(trajectory.p, ts) if system.nparams else np.zeros((len(ts), 0))
     warn_if_outside_box(trajectory, P)
 
-    # every time-dependent quantity once on the half-step grid; the RK4
-    # stages are strided views of it and the outputs use its even rows
+    # every time-dependent quantity once on the half-step grid, time-major;
+    # the RK4 stages are strided views of it and the outputs use its even rows
     A, B = system.A.batch(P), system.B.batch(P)
     u = np.atleast_1d(sample_signal(signal, ts))
-    b = (B * u[:, None, None]).sum(axis=2)
+    U = np.tile(u, (system.n_inputs, 1)).T  # every input channel carries u
     A_stages = stages(A)
     M = step_matrices(A_stages, step)
-    g = step_offsets(A_stages, stages(b), step)
+    g = step_offsets(A_stages, stages(product(B, U)), step)
     xs = propagate_vector(M, g, np.zeros(system.n))
     if not np.all(np.isfinite(xs)):
         raise RuntimeError("integration diverged")
 
-    P, A, B = P[::2], A[::2], B[::2]
-    u = u[::2, None] * np.ones((1, system.n_inputs))
+    P, A, B, U = P[::2], A[::2], B[::2], U[::2]
     C, D = system.C.batch(P), system.D.batch(P)
-    x_dot = np.einsum("tij,tj->ti", A, xs) + np.einsum("tij,tj->ti", B, u)
-    y = np.einsum("tij,tj->ti", C, xs) + np.einsum("tij,tj->ti", D, u)
-    return SimulationResult(ts[::2], u, xs, x_dot, y, step)
+    x_dot = product(A, xs) + product(B, U)
+    y = product(C, xs) + product(D, U)
+    return SimulationResult(ts[::2], U, xs, x_dot, y, step)
 
 
 def performance_ratio(result: SimulationResult) -> np.ndarray:
@@ -286,9 +292,7 @@ def iqc_value(result: SimulationResult, weight) -> IqcReport:
         rng, psi = None, weight.psi
     else:
         raise TypeError("weight must be a FrequencyRange or FrequencyWeight")
-    dd = np.einsum("ti,ti->t", result.x_dot, result.x_dot)
-    xx = np.einsum("ti,ti->t", result.x, result.x)
-    dx = np.einsum("ti,ti->t", result.x_dot, result.x)
+    dd, xx, dx = result.quadratic_forms
     p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
     integrand = 2.0 * (np.real(p00) * dd + np.real(p11) * xx + 2.0 * np.real(p01) * dx)
     h = result.step

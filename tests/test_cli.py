@@ -66,6 +66,24 @@ def test_json_flag_is_gone(tmp_path):
     assert cli.main(argv[:2] + argv[3:]) == 0
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--p", "0.15,0.1"], "p has 2 values, the system has 1 parameter"),
+    (["--t", "nan"], "--t needs --schedule"),
+])
+def test_gramians_usage_errors_name_the_problem(tmp_path, capsys, args, message):
+    argv = ["--out", str(tmp_path), "gramians", "--system", str(EXAMPLE), "--range", "low:1"]
+    assert cli.main(argv + args) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_gramians_time_defaults_to_20_with_a_schedule(tmp_path):
+    argv = ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule", "const:0.15"]
+    assert cli.main(["--out", str(tmp_path / "a"), *argv]) == 0
+    assert cli.main(["--out", str(tmp_path / "b"), *argv, "--t", "20"]) == 0
+    a, b = ((tmp_path / d / "gramians.json").read_text() for d in "ab")
+    assert a == b and json.loads(a)["time"] == 20.0
+
+
 @pytest.mark.parametrize("argv", [
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--mode", "BIBS"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c1", "0.5"],
@@ -86,6 +104,10 @@ def test_json_flag_is_gone(tmp_path):
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule",
      "sin:0.15,0.1:0.01,0.01:1"],
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--p", "0.15,0.1"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--t", "nan"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--t", "20"],
+    ["certify-uas", "--system", "N_IS_A_LIST", "--c3", "1"],
+    ["certify-uas", "--system", "A0_IS_AN_OBJECT", "--c3", "1"],
     ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--range", "low:x"],
     ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "inf"],
     ["reproduce", "example3"],
@@ -93,12 +115,17 @@ def test_json_flag_is_gone(tmp_path):
         "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero",
         "certify-uas-c1-above-c2", "analyze-bisect-tol-nan", "analyze-system-not-an-object",
         "certify-uas-system-is-a-directory", "gramians-t-negative", "gramians-t-nan", "gramians-schedule-two-params", "gramians-p-two-params",
+        "gramians-t-nan-without-schedule", "gramians-t-without-schedule",
+        "certify-uas-n-is-a-list", "certify-uas-A0-is-an-object",
         "simulate-range", "simulate-csv-stride", "reproduce-target"])
 def test_usage_errors_exit_1_without_output(tmp_path, tmp_path_factory, capsys, monkeypatch,
                                            argv):
-    not_an_object = tmp_path_factory.mktemp("systems") / "int.json"
-    not_an_object.write_text("5\n")
-    argv = [str(not_an_object) if a == "NOT_AN_OBJECT" else a for a in argv]
+    systems = tmp_path_factory.mktemp("systems")
+    files = {"NOT_AN_OBJECT": 5, "N_IS_A_LIST": {"n": [1]}, "A0_IS_AN_OBJECT": {"A0": {"a": 1}}}
+    for name, change in files.items():
+        obj = change if isinstance(change, int) else {**json.loads(EXAMPLE.read_text()), **change}
+        (systems / f"{name}.json").write_text(json.dumps(obj))
+    argv = [str(systems / f"{a}.json") if a in files else a for a in argv]
     monkeypatch.setattr(lmi, "solve_feasibility", None)  # no solve may start
     assert cli.main(["--out", str(tmp_path), *argv]) == 1
     assert list(tmp_path.iterdir()) == []

@@ -113,6 +113,18 @@ def test_batch_matches_pointwise_evaluation():
         M.batch(P[:, :1])
 
 
+def test_batch_is_time_major_and_equals_the_row_major_product():
+    rng = np.random.default_rng(13)
+    for l in (0, 1, 2, 3):
+        M = ff.AffineMatrixFunction(rng.normal(size=(2, 3)),
+                                    tuple(rng.normal(size=(2, 3)) for _ in range(l)))
+        P = rng.normal(size=(50, l))
+        got = M.batch(P)
+        assert got.shape == (50, 2, 3) and got.strides[0] == got.itemsize
+        row_major = (P @ M._flat).reshape(50, 2, 3) + M.constant
+        assert np.array_equal(got, row_major)
+
+
 def test_transfer_function_scalar_dc():
     s = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     assert ff.transfer_function(s, 0.0) == pytest.approx(1.0)
@@ -186,6 +198,38 @@ def test_system_json_rejects_non_finite_entries(benchmark_system, key, index):
         entry[index[-1]] = bad
         with pytest.raises(ValueError, match=f"'{key}'"):
             system_from_dict(d)
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("n", [1], "'n' must be a nonnegative integer"),
+    ("params", 1.5, "'params' must be a nonnegative integer"),
+    ("inputs", "1", "'inputs' must be a nonnegative integer"),
+    ("outputs", True, "'outputs' must be a nonnegative integer"),
+    ("n", -2, "'n' must be a nonnegative integer"),
+    ("A0", {"a": 1}, "'A0' must hold numbers"),
+    ("B", [[["x"], [1.0]]], "'B' must hold numbers"),
+    ("p_lower", "low", "'p_lower' must hold numbers"),
+])
+def test_system_json_rejects_entries_of_the_wrong_json_type(benchmark_system, key, value, match):
+    d = system_to_dict(benchmark_system)
+    d[key] = value
+    with pytest.raises(ValueError, match=match):
+        system_from_dict(d)
+
+
+def test_system_json_accepts_integral_float_counts(benchmark_system):
+    d = system_to_dict(benchmark_system)
+    d["n"] = 2.0
+    assert system_from_dict(d).n == 2
+
+
+def test_frozen_names_both_parameter_counts(benchmark_system):
+    with pytest.raises(DimensionError, match="p has 2 values, the system has 1 parameter$"):
+        benchmark_system.frozen([0.15, 0.1])
+    lti = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    with pytest.raises(DimensionError, match="p has 1 value, the system has 0 parameters"):
+        lti.frozen([0.1])
+    assert np.array_equal(benchmark_system.frozen(0.15)[0], benchmark_system.A([0.15]))
 
 
 def test_shipped_system_file_matches_benchmark(benchmark_system):

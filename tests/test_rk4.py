@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import finitefreq as ff
-from finitefreq._rk4 import (half_steps, propagate_matrix, propagate_vector, stages,
+from finitefreq._rk4 import (half_steps, product, propagate_matrix, propagate_vector, stages,
                              step_matrices, step_offsets)
 from finitefreq.reference import example_schedule, example_system
 from finitefreq.simulation import param_rows
@@ -31,12 +31,40 @@ def sequential_matrix(M, X0):
     return out
 
 
-def example_steps(N):
-    """RK4 step matrices and offsets of the benchmark system along its schedule."""
+def reference_step_matrices(A_stages, h):
+    """The RK4 step matrices as stacked @ products over C-ordered stages."""
+    F1, F2, F3 = (np.ascontiguousarray(F) for F in A_stages)
+    I = np.eye(F1.shape[-1])
+    K1 = F1
+    K2 = F2 @ (I + 0.5 * h * K1)
+    K3 = F2 @ (I + 0.5 * h * K2)
+    K4 = F3 @ (I + h * K3)
+    return I + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def reference_step_offsets(A_stages, b_stages, h):
+    """The RK4 offsets as einsum matvecs over C-ordered stages."""
+    F1, F2, F3 = (np.ascontiguousarray(F) for F in A_stages)
+    b1, b2, b3 = (np.ascontiguousarray(b) for b in b_stages)
+    k1 = b1
+    k2 = np.einsum("tij,tj->ti", F2, 0.5 * h * k1) + b2
+    k3 = np.einsum("tij,tj->ti", F2, 0.5 * h * k2) + b2
+    k4 = np.einsum("tij,tj->ti", F3, h * k3) + b3
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def example_stages(N):
+    """Time-major stage matrices and offsets of the benchmark system along its schedule."""
     sysm = example_system()
     ts = half_steps(H, N)
     A = stages(sysm.A.batch(param_rows(example_schedule().p, ts)))
-    b = stages(np.cos(ts)[:, None] * sysm.B.constant[:, 0])
+    b = stages(np.asfortranarray(np.cos(ts)[:, None] * sysm.B.constant[:, 0]))
+    return A, b
+
+
+def example_steps(N):
+    """RK4 step matrices and offsets of the benchmark system along its schedule."""
+    A, b = example_stages(N)
     return step_matrices(A, H), step_offsets(A, b, H)
 
 
@@ -45,14 +73,17 @@ def assert_rel_close(got, ref, rel=1e-13):
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("N", [1, 2, 49, 50, 60000])
+LENGTHS = [1, 2, 7, 8, 9, 26, 27, 28, 49, 50, 1000, 60000]  # around the scan's block edges
+
+
+@pytest.mark.parametrize("N", LENGTHS)
 def test_propagate_vector_matches_sequential_loop(N):
     M, g = example_steps(N)
     for x0 in (np.zeros(2), np.array([0.7, -1.3])):
         assert_rel_close(propagate_vector(M, g, x0), sequential_vector(M, g, x0))
 
 
-@pytest.mark.parametrize("N", [1, 2, 49, 50, 60000])
+@pytest.mark.parametrize("N", LENGTHS)
 def test_propagate_matrix_matches_sequential_loop(N):
     M, _ = example_steps(N)
     for X0 in (np.eye(2), np.array([[0.3, -2.0], [1.1, 0.4]])):
@@ -80,3 +111,52 @@ def test_unstable_run_still_reports_divergence():
     M = np.full((20000, 1, 1), np.exp(50.0 * H))
     xs = propagate_vector(M, np.zeros((20000, 1)), np.ones(1))
     assert not np.all(np.isfinite(xs))
+
+
+def is_time_major(a):
+    return a.strides[0] == a.itemsize
+
+
+def test_step_data_match_the_stacked_product_formulas():
+    A, b = example_stages(20000)
+    M, g = step_matrices(A, H), step_offsets(A, b, H)
+    assert M.shape == (20000, 2, 2) and g.shape == (20000, 2)
+    assert is_time_major(M) and is_time_major(g)
+    assert np.abs(M - reference_step_matrices(A, H)).max() <= 1e-15
+    assert np.abs(g - reference_step_offsets(A, b, H)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", [1, 50, 60000])
+def test_c_ordered_and_time_major_inputs_give_the_same_states(N):
+    M, g = example_steps(N)
+    Mc, gc = np.ascontiguousarray(M), np.ascontiguousarray(g)
+    assert not is_time_major(Mc) or N == 1
+    A, b = example_stages(N)
+    Ac, bc = (tuple(np.ascontiguousarray(F) for F in S) for S in (A, b))
+    assert np.array_equal(step_matrices(Ac, H), M)
+    assert np.array_equal(step_offsets(Ac, bc, H), g)
+    x0, X0 = np.array([0.7, -1.3]), np.array([[0.3, -2.0], [1.1, 0.4]])
+    assert np.array_equal(propagate_vector(Mc, gc, x0), propagate_vector(M, g, x0))
+    assert np.array_equal(propagate_matrix(Mc, X0), propagate_matrix(M, X0))
+
+
+@pytest.mark.parametrize("N", [1, 9, 1000])
+def test_propagated_states_are_time_major_with_unchanged_shapes(N):
+    M, g = example_steps(N)
+    xs, Xs = propagate_vector(M, g, np.zeros(2)), propagate_matrix(M, np.eye(2))
+    assert xs.shape == (N + 1, 2) and Xs.shape == (N + 1, 2, 2)
+    assert is_time_major(xs) and is_time_major(Xs)
+
+
+@pytest.mark.parametrize("q", [0, 1, 3])
+@pytest.mark.parametrize("r", [None, 1, 3])
+def test_product_matches_matmul(q, r):
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(500, 2, q))
+    X = rng.normal(size=(500, q) if r is None else (500, q, r))
+    ref = np.einsum("tij,tj->ti", A, X) if r is None else A @ X
+    for Ai, Xi in ((A, X), (np.asfortranarray(A), np.asfortranarray(X))):
+        got = product(Ai, Xi)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= 1e-15 * np.abs(ref).max(initial=0.0)
+    assert is_time_major(product(np.asfortranarray(A), np.asfortranarray(X)))

@@ -322,3 +322,37 @@ def test_spectrum_is_computed_once_per_result(benchmark_system, monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
     low, mid = ff.spectrum_fraction(res, LOW1), ff.spectrum_fraction(res, ff.FrequencyRange.middle(0.5, 2.0))
     assert len(calls) == 1 and 0.0 < mid and 0.0 < low < 1.0
+
+
+def test_iqc_quadratic_forms_are_computed_once_per_result(benchmark_system, monkeypatch):
+    res = ff.simulate(benchmark_system, example_schedule(), example_signal(), 5.0, 1e-3)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    low = ff.iqc_value(res, LOW1)
+    mid = ff.iqc_value(res, ff.FrequencyRange.middle(0.5, 2.0))
+    assert calls == ["ti,ti->t"] * 3  # xdot.xdot, x.x and xdot.x, once for both bands
+    assert low.final_value != mid.final_value
+
+
+@pytest.mark.parametrize("band", [LOW1, ff.FrequencyRange.middle(0.5, 2.0),
+                                  ff.FrequencyRange.high(1.0), ff.FrequencyRange.low(5.955)],
+                         ids=["low", "mid", "high", "low-enlarged"])
+def test_iqc_value_equals_its_direct_form_bit_for_bit(benchmark_run, band):
+    x, xd, h = benchmark_run.x, benchmark_run.x_dot, benchmark_run.step
+    psi = ff.frequency_weight(band).psi
+    dd, xx, dx = (np.einsum("ti,ti->t", a, b) for a, b in ((xd, xd), (x, x), (xd, x)))
+    p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
+    integrand = 2.0 * (np.real(p00) * dd + np.real(p11) * xx + 2.0 * np.real(p01) * dx)
+    final = float(np.cumsum(0.5 * h * (integrand[1:] + integrand[:-1]))[-1])
+    absint = 2.0 * (abs(p00) * dd + abs(p11) * xx + 2.0 * abs(p01) * np.abs(dx))
+    rep = ff.iqc_value(benchmark_run, band)
+    assert rep.final_value == final
+    assert rep.scale == float(np.trapezoid(absint, dx=h))
+
+
+def test_a_system_without_inputs_stays_at_rest():
+    sysm = ff.LpvSystem.lti([[-1.0]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)))
+    res = ff.simulate(sysm, ff.ScheduleTrajectory.constant(np.zeros(0)),
+                      ff.BandLimitedSignal(((1.0, 1.0, 0.0),)), 1.0, 1e-2)
+    assert res.u.shape == (101, 0) and not res.x.any() and not res.y.any()
