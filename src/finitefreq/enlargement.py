@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramians import gramian_lpv_frozen, gramian_lpv_weighted, quadrature_trace_bound, \
-    shifted_trace_bound
+from .gramians import (gramian_lpv_frozen, gramian_lpv_shifted, gramian_lpv_weighted,
+                       shifted_trace_bound)
 from .lmi import UasCertificate, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
@@ -32,7 +32,7 @@ def gap(system: LpvSystem, rng: FrequencyRange) -> float:
     max(0, sigma_max(A(p))^2 - edge^2).  A non-finite system matrix raises
     ValueError rather than reading as a zero gap.
     """
-    psi = frequency_weight(rng).psi
+    psi = frequency_weight(rng)
     n = system.n
     I = np.eye(n)
     worst = 0.0
@@ -155,14 +155,14 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
         cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
         bound = shifted_trace_bound(system, rng, cert)
         tr_dot = bound.bound_1 + bound.bound_2
-        prov = bound.method
+        prov = "lyapunov_lmi"
     else:
         if trajectory is None:
             raise ValueError("BIBS mode needs a schedule for the weighted Gramian")
         tr_hat = float(np.trace(gramian_lpv_weighted(system, trajectory, t, rng,
                                                      quad_nodes, step)))
-        bound = quadrature_trace_bound(system, trajectory, t, rng, quad_nodes, step)
-        tr_dot = bound.bound_1 + bound.bound_2
+        W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
+        tr_dot = float(np.trace(W1)) + float(np.trace(W2))
         prov = "quadrature"
 
     d2 = delta_squared(g2, {"tr_w_p_min": tr_w_p_min, "tr_w_hat_p": tr_hat,

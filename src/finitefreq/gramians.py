@@ -91,15 +91,6 @@ def _resolvent_gramian(A, B, rng, quad_nodes):
     return 0.5 * (W + W.T)
 
 
-def gramian_lti_ff(A, B, rng: FrequencyRange, quad_nodes: int = 201,
-                   classical: bool = False) -> np.ndarray:
-    """Band-restricted controllability Gramian of a fixed (A, B) pair."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    W = _resolvent_gramian(A, B, rng, quad_nodes)
-    return W / (2.0 * np.pi) if classical else W
-
-
 def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: int = 201,
                        classical: bool = False) -> np.ndarray:
     """Band-restricted Gramian of the system frozen at parameter p."""
@@ -108,28 +99,20 @@ def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: in
     return W / (2.0 * np.pi) if classical else W
 
 
-@dataclass
-class StateTransition:
-    """Sampled transition matrices Phi(t_k, t0) along one schedule."""
-
-    grid_times: np.ndarray
-    phi: np.ndarray  # (N+1, n, n)
-    trajectory: object
-
-
 def state_transition(system: LpvSystem, trajectory, t0: float, t_end: float,
-                     step: float) -> StateTransition:
-    """Integrate the matrix equation Phidot = A(p(t)) Phi from Phi(t0, t0) = I."""
+                     step: float) -> np.ndarray:
+    """Transition matrices Phi(t_k, t0) on the grid t_k = t0 + k*step, as (N+1, n, n).
+
+    Integrates the matrix equation Phidot = A(p(t)) Phi from Phi(t0, t0) = I.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
     N = max(1, int(round((t_end - t0) / step)))
     P = param_rows(trajectory.p, half_steps(step, N, t0))
     warn_if_outside_box(trajectory, P)
     if t_end == t0:
-        return StateTransition(np.array([t0]), np.eye(system.n)[None, :, :], trajectory)
-    M = step_matrices(stages(system.A.batch(P)), step)
-    phi = propagate_matrix(M, np.eye(system.n))
-    return StateTransition(t0 + step * np.arange(N + 1), phi, trajectory)
+        return np.eye(system.n)[None, :, :]
+    return propagate_matrix(step_matrices(stages(system.A.batch(P)), step), np.eye(system.n))
 
 
 def _transition_from_t(system: LpvSystem, trajectory, t: float, step: float):
@@ -155,8 +138,7 @@ def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: Frequency
 
     The resolvent is frozen at p(t) while the input matrix is taken at p(0).
     """
-    st = state_transition(system, trajectory, 0.0, t, step)
-    Phi = st.phi[-1]
+    Phi = state_transition(system, trajectory, 0.0, t, step)[-1]
     A_t = system.A(np.atleast_1d(trajectory.p(t)))
     B_0 = system.B(np.atleast_1d(trajectory.p(0.0)))
     Win = _resolvent_gramian(A_t, B_0, rng, quad_nodes)
@@ -224,15 +206,12 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
 
 @dataclass
 class GramianSet:
-    """All band-restricted Gramians of one system along one schedule at time t."""
+    """All band-restricted Gramians of one system along one schedule at one time."""
 
     W_p: np.ndarray
     W_hat_p: np.ndarray
     W_dot_p_1: np.ndarray
     W_dot_p_2: np.ndarray
-    range: FrequencyRange
-    time: float
-    classical: bool = False
 
     @property
     def traces(self):
@@ -255,7 +234,7 @@ def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
     W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
     if classical:
         W_hat, W1, W2 = (W / (2.0 * np.pi) for W in (W_hat, W1, W2))
-    return GramianSet(W_p, W_hat, W1, W2, rng, t, classical)
+    return GramianSet(W_p, W_hat, W1, W2)
 
 
 @dataclass
@@ -271,7 +250,6 @@ class ShiftedTraceBound:
 
     bound_1: float
     bound_2: float
-    method: str  # 'lyapunov_lmi' or 'quadrature'
     m_1: float = 0.0
     m_2: float = 0.0
 
@@ -333,17 +311,11 @@ def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
     """
     m1, m2 = _drift_sups(system, rng)
     if m1 == 0.0 and m2 == 0.0:
-        return ShiftedTraceBound(0.0, 0.0, "lyapunov_lmi", 0.0, 0.0)
+        return ShiftedTraceBound(0.0, 0.0)
     if uas is None:
         raise ValueError("a decay certificate is required when drift terms are nonzero")
     if callable(uas):
         uas = uas()
     c = (uas.alpha / uas.beta) ** 2 * system.n_inputs
-    return ShiftedTraceBound(c * m1, c * m2, "lyapunov_lmi", m1, m2)
+    return ShiftedTraceBound(c * m1, c * m2, m1, m2)
 
-
-def quadrature_trace_bound(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
-                           quad_nodes: int = 201, step: float = 1e-3) -> ShiftedTraceBound:
-    """Directly computed drift traces packaged as a (tight) bound record."""
-    W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
-    return ShiftedTraceBound(float(np.trace(W1)), float(np.trace(W2)), "quadrature")

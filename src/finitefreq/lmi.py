@@ -58,6 +58,7 @@ _MODE_TABLE = {
     "theorem2": ("affine", "affine"),
 }
 MODES = tuple(_MODE_TABLE)
+_GRID_CHUNK = 4096  # grid rows per template evaluation in verify_on_grid
 
 
 def _sym_basis(n):
@@ -180,7 +181,7 @@ def _main_blocks(system: LpvSystem, rng: FrequencyRange, layout: _Layout, P, R, 
     """The template at rows (P, R) with Pi = diag(I, 0), i.e. at gamma = 0."""
     mats = [M.batch(P) for M in (system.A, system.B, system.C, system.D)]
     out_index = np.diag(np.r_[np.ones(system.n_outputs), np.zeros(system.n_inputs)])
-    psi = frequency_weight(rng).psi if layout.n_q else None
+    psi = frequency_weight(rng) if layout.n_q else None
     return _template(*mats, out_index, psi, layout, P, R, X)
 
 
@@ -370,16 +371,20 @@ def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11):
 
     Returns the points where the main block exceeds -margin/2, i.e. where the
     vertex relaxation fails to extend to the interior at the solved margin.
-    The template is built at every grid point at once, as at the vertices,
-    in the single direction of the certificate x, and checked with one
-    batched eigensolve.
+    The template is built as at the vertices, in the single direction of the
+    certificate x, over chunks of ``_GRID_CHUNK`` grid rows, each checked
+    with one batched eigensolve, so memory stays bounded as the grid grows.
     """
     P, R = _points(problem.system.box, problem.mode, grid_density)
     Ps, Qs = problem.layout.unpack(x)
-    const0, Fx = _main_blocks(problem.system, problem.range, problem.layout, P, R,
-                              np.stack(Ps + Qs)[:, None])
-    F = const0 + problem.gamma ** 2 * problem.gain + Fx[:, 0]
-    lam = np.linalg.eigvalsh(-F).max(axis=-1)
+    X = np.stack(Ps + Qs)[:, None]
+    lam = np.empty(len(P))
+    for k in range(0, len(P), _GRID_CHUNK):
+        rows = slice(k, k + _GRID_CHUNK)
+        const0, Fx = _main_blocks(problem.system, problem.range, problem.layout, P[rows],
+                                  R[rows], X)
+        F = const0 + problem.gamma ** 2 * problem.gain + Fx[:, 0]
+        lam[rows] = np.linalg.eigvalsh(-F).max(axis=-1)
     return [(P[i], R[i], float(lam[i])) for i in np.nonzero(lam > -problem.margin / 2)[0]]
 
 

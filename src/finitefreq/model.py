@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,23 +240,6 @@ def system_from_dict(obj) -> LpvSystem:
     return sys
 
 
-def system_to_dict(sys: LpvSystem) -> dict:
-    def rows(m):
-        return [[float(v) for v in row] for row in np.asarray(m)]
-
-    return {
-        "n": sys.n, "inputs": sys.n_inputs, "outputs": sys.n_outputs, "params": sys.nparams,
-        "A0": rows(sys.A.constant), "A": [rows(c) for c in sys.A.coeffs],
-        "B0": rows(sys.B.constant), "B": [rows(c) for c in sys.B.coeffs],
-        "C0": rows(sys.C.constant), "C": [rows(c) for c in sys.C.coeffs],
-        "D0": rows(sys.D.constant), "D": [rows(c) for c in sys.D.coeffs],
-        "p_lower": list(map(float, sys.box.p_lower)),
-        "p_upper": list(map(float, sys.box.p_upper)),
-        "rate_lower": list(map(float, sys.box.rate_lower)),
-        "rate_upper": list(map(float, sys.box.rate_upper)),
-    }
-
-
 def load_system(path) -> LpvSystem:
     with open(path) as fh:
         return system_from_dict(json.load(fh))
@@ -309,11 +292,6 @@ class FrequencyRange:
         w = abs(float(omega))
         return bool(self.lo <= w <= self.hi)
 
-    def f_value(self, omega):
-        """The band indicator form [jw, 1]^* Psi [jw, 1]; >= 0 inside the band."""
-        v = np.array([1j * omega, 1.0])
-        return float(np.real(v.conj() @ frequency_weight(self).psi @ v))
-
     def describe(self) -> str:
         if self.kind == "low":
             return f"low:{self.hi:g}"
@@ -327,24 +305,11 @@ class FrequencyRange:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class FrequencyWeight:
-    """2x2 Hermitian band weight; complex entries occur only for middle bands."""
+def frequency_weight(rng: FrequencyRange) -> np.ndarray:
+    """Read-only 2x2 band weight Psi: the quadratic curve whose nonnegativity set is the band.
 
-    psi: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.psi, dtype=complex)
-        if m.shape != (2, 2) or not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ValueError("psi must be a 2x2 Hermitian matrix")
-        if np.allclose(m.imag, 0.0):
-            m = m.real.astype(float)
-        m.setflags(write=False)
-        object.__setattr__(self, "psi", m)
-
-
-def frequency_weight(rng: FrequencyRange) -> FrequencyWeight:
-    """Band weight matrix: the quadratic curve whose nonnegativity set is the band."""
+    Hermitian; complex only for a middle band.
+    """
     if rng.kind == "low":
         m = np.array([[-1.0, 0.0], [0.0, rng.hi**2]])
     elif rng.kind == "middle":
@@ -354,7 +319,8 @@ def frequency_weight(rng: FrequencyRange) -> FrequencyWeight:
         m = np.array([[1.0, 0.0], [0.0, -rng.lo**2]])
     else:  # entire: zero weight recovers the unrestricted conditions
         m = np.zeros((2, 2))
-    return FrequencyWeight(m)
+    m.setflags(write=False)
+    return m
 
 
 def transfer_function(system: LpvSystem, omega, p=None) -> np.ndarray:

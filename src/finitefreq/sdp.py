@@ -23,7 +23,7 @@ so a negative dual bound does not end the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class AffineSymmetricForm:
 
     constant_blocks: list
     coeff_blocks: list  # one (nvar, k, k) array per block
-    block_sizes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.coeff_blocks = [np.array(K, dtype=float) for K in self.coeff_blocks]
@@ -57,7 +56,6 @@ class AffineSymmetricForm:
                 raise ValueError("block shapes inconsistent")
             if not np.allclose(C, C.T, atol=1e-10):
                 raise ValueError("blocks must be symmetric")
-        self.block_sizes = [C.shape[0] for C in self.constant_blocks]
 
     def with_constants(self, constants) -> "AffineSymmetricForm":
         """The same pencil with new constant blocks; only the constants are checked.

@@ -1,20 +1,23 @@
 """Time-domain validation: band-limited inputs, trajectories, realized gain, IQC.
 
-The scalar IQC functional integrates He([xdot* x*] Psi [xdot; x]) along a
-simulated trajectory; its sign is the time-domain witness for band-limited
-state behavior that the LMI certificates presuppose.
+Inputs are sums of cosines.  The scheduling parameter follows one sinusoid,
+p(t) = center + amplitude*sin(rate*t + phase), with its exact derivative; a
+constant schedule is the zero-amplitude, zero-rate case.  The scalar IQC
+functional integrates He([xdot* x*] Psi [xdot; x]) along a simulated
+trajectory; its sign is the time-domain witness for band-limited state
+behavior that the LMI certificates presuppose.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._rk4 import half_steps, product, propagate_vector, stages, step_matrices, step_offsets
-from .model import DimensionError, FrequencyRange, FrequencyWeight, LpvSystem, frequency_weight
+from .model import DimensionError, FrequencyRange, LpvSystem, frequency_weight
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,6 @@ class BandLimitedSignal:
     def max_frequency(self):
         return max((w for _, w, _ in self.components), default=0.0)
 
-    def __call__(self, t):
-        return sample_signal(self, t)
-
 
 def _check_finite(name, value):
     """Raise a ValueError naming the field when any entry of value is NaN or infinite."""
@@ -94,89 +94,49 @@ def sample_signal(signal: BandLimitedSignal, t):
 
 @dataclass(frozen=True)
 class ScheduleTrajectory:
-    """Scheduling-parameter curve p(t) with an exact derivative.
+    """Scheduling-parameter curve p(t) = center + amplitude*sin(rate*t + phase).
 
-    kinds: 'constant', 'sinusoid' (p = center + amplitude*sin(rate*t + phase)),
-    'pwl' (piecewise-linear interpolation of samples).
+    center and amplitude broadcast against each other to the l parameters,
+    and pdot(t) = amplitude*rate*cos(rate*t + phase) is exact with p's shape.
+    ``constant(p0)`` is the zero-amplitude, zero-rate case.
     """
 
-    kind: str
-    center: np.ndarray = None
-    amplitude: np.ndarray = None
+    center: np.ndarray
+    amplitude: np.ndarray = 0.0
     rate: float = 0.0
     phase: float = 0.0
-    times: np.ndarray = None
-    values: np.ndarray = None
     box: object = None
 
     def __post_init__(self):
-        for name in ("center", "amplitude", "rate", "phase", "times", "values"):
-            value = getattr(self, name)
-            if value is not None:
-                _check_finite(name, value)
-        if self.box is not None and (k := self.p(0.0).size) != self.box.nparams:
-            raise DimensionError(f"schedule has {k} parameters, the box has {self.box.nparams}")
+        for name in ("center", "amplitude", "rate", "phase"):
+            _check_finite(name, getattr(self, name))
+        center, amplitude = np.broadcast_arrays(np.atleast_1d(np.array(self.center, float)),
+                                                np.atleast_1d(np.array(self.amplitude, float)))
+        object.__setattr__(self, "center", center.copy())
+        object.__setattr__(self, "amplitude", amplitude.copy())
+        if self.box is not None and center.size != self.box.nparams:
+            raise DimensionError(f"schedule has {center.size} parameters, "
+                                 f"the box has {self.box.nparams}")
 
     @classmethod
     def constant(cls, p0, box=None):
-        return cls("constant", center=np.atleast_1d(np.asarray(p0, float)), box=box)
+        return cls(p0, box=box)
 
     @classmethod
     def sinusoid(cls, center, amplitude, rate, phase=0.0, box=None):
-        return cls("sinusoid", center=np.atleast_1d(np.asarray(center, float)),
-                   amplitude=np.atleast_1d(np.asarray(amplitude, float)),
-                   rate=float(rate), phase=float(phase), box=box)
+        return cls(center, amplitude, rate, phase, box)
 
-    @classmethod
-    def piecewise_linear(cls, times, values, box=None):
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != times.size:
-            values = values.T
-        return cls("pwl", times=times, values=values, box=box)
+    def _along(self, t, curve):
+        """curve(rate*t + phase) as (l,) for a scalar t, (l, N) for an array of N times."""
+        t = np.asarray(t, dtype=float)
+        out = curve((self.rate * np.atleast_1d(t) + self.phase)[None, :])
+        return out if t.ndim else out[:, 0]
 
     def p(self, t):
-        """p(t): shape (l,) for scalar t, (l, N) for an array of times."""
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        if self.kind == "constant":
-            out = np.repeat(self.center[:, None], ts.size, axis=1)
-        elif self.kind == "sinusoid":
-            out = self.center[:, None] + self.amplitude[:, None] \
-                * np.sin(self.rate * ts + self.phase)[None, :]
-        else:
-            out = np.stack([np.interp(ts, self.times, self.values[:, i])
-                            for i in range(self.values.shape[1])])
-        return out if t.ndim else out[:, 0]
+        return self._along(t, lambda s: self.center[:, None] + self.amplitude[:, None] * np.sin(s))
 
     def pdot(self, t):
-        """dp/dt with the same shape conventions as p."""
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        if self.kind == "constant":
-            out = np.zeros((self.center.size, ts.size))
-        elif self.kind == "sinusoid":
-            out = (self.amplitude * self.rate)[:, None] \
-                * np.cos(self.rate * ts + self.phase)[None, :]
-        else:
-            slope = np.gradient(self.values, self.times, axis=0)
-            out = np.stack([np.interp(ts, self.times, slope[:, i])
-                            for i in range(self.values.shape[1])])
-        return out if t.ndim else out[:, 0]
-
-    @property
-    def rate_cap(self):
-        if self.kind == "constant":
-            return np.zeros_like(self.center)
-        if self.kind == "sinusoid":
-            return np.abs(self.amplitude * self.rate)
-        return np.abs(np.gradient(self.values, self.times, axis=0)).max(axis=0)
-
-    @property
-    def nparams(self):
-        if self.kind == "pwl":
-            return self.values.shape[1]
-        return self.center.size
+        return self._along(t, lambda s: (self.amplitude * self.rate)[:, None] * np.cos(s))
 
 
 def param_rows(f, ts) -> np.ndarray:
@@ -284,14 +244,9 @@ class IqcReport:
     scale: float
 
 
-def iqc_value(result: SimulationResult, weight) -> IqcReport:
-    """Integrate He([xdot* x*] Psi [xdot; x]) along the trajectory."""
-    if isinstance(weight, FrequencyRange):
-        rng, psi = weight, frequency_weight(weight).psi
-    elif isinstance(weight, FrequencyWeight):
-        rng, psi = None, weight.psi
-    else:
-        raise TypeError("weight must be a FrequencyRange or FrequencyWeight")
+def iqc_value(result: SimulationResult, rng: FrequencyRange) -> IqcReport:
+    """Integrate He([xdot* x*] Psi [xdot; x]) along the trajectory, Psi the band's weight."""
+    psi = frequency_weight(rng)
     dd, xx, dx = result.quadratic_forms
     p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
     integrand = 2.0 * (np.real(p00) * dd + np.real(p11) * xx + 2.0 * np.real(p01) * dx)
@@ -305,26 +260,19 @@ def iqc_value(result: SimulationResult, weight) -> IqcReport:
     return IqcReport(s, final, verdict, rng, scale)
 
 
-def spectrum_fraction(data, rng: FrequencyRange, step: float = None,
-                      t_end: float = 60.0) -> float:
+def spectrum_fraction(data, rng: FrequencyRange, step: float = None) -> float:
     """Fraction of (Hann-windowed) spectral energy inside the band, in [0, 1].
 
     Accepts a SimulationResult (uses its input channel, whose spectrum is
-    kept for further bands), a BandLimitedSignal (sampled on a default
-    window), or a uniformly sampled array with ``step``.  A signal without
-    windowed energy is vacuously band limited (1.0).
+    kept for further bands) or a uniformly sampled array with ``step``.  A
+    signal without windowed energy is vacuously band limited (1.0).
     """
     if isinstance(data, SimulationResult):
         spectrum = data.spectrum
+    elif step is None:
+        raise ValueError("step required for raw sample arrays")
     else:
-        if isinstance(data, BandLimitedSignal):
-            step = step or 1e-3
-            u = sample_signal(data, step * np.arange(int(round(t_end / step)) + 1))
-        else:
-            u = np.asarray(data, dtype=float)
-            if step is None:
-                raise ValueError("step required for raw sample arrays")
-        spectrum = _spectrum(u, step)
+        spectrum = _spectrum(np.asarray(data, dtype=float), step)
     if spectrum is None:
         return 1.0  # vacuously band limited
     f, energy = spectrum

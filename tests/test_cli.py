@@ -84,6 +84,20 @@ def test_gramians_time_defaults_to_20_with_a_schedule(tmp_path):
     assert a == b and json.loads(a)["time"] == 20.0
 
 
+def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
+    obj = json.loads(EXAMPLE.read_text())  # the example, every coefficient and bound twice
+    obj.update({k: obj[k] * 2 for k in ("A", "B", "C", "D", "p_lower", "p_upper",
+                                        "rate_lower", "rate_upper")}, params=2)
+    system = tmp_path / "two.json"
+    system.write_text(json.dumps(obj))
+    argv = ["--out", str(tmp_path / "out"), "gramians", "--system", str(system),
+            "--range", "low:1", "--schedule", "sin:0.15,0.12:0.03:2"]
+    with pytest.warns(UserWarning, match="parameter box"):  # 0.12 - 0.03 < 0.1
+        assert cli.main(argv) == 0
+    traces = json.loads((tmp_path / "out" / "gramians.json").read_text())["traces"]
+    assert traces["W_dot_p_2"] > 0  # the input drift sees pdot in both parameters
+
+
 @pytest.mark.parametrize("argv", [
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--mode", "BIBS"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c1", "0.5"],

@@ -45,7 +45,7 @@ def test_gap_low_band_closed_form_on_random_draws():
 def test_gap_middle_band_via_embedding(benchmark_system):
     g2 = ff.gap(benchmark_system, ff.FrequencyRange.middle(1.0, 3.0))
     # cross check one grid point against the complex Hermitian eigensolve
-    psi = ff.frequency_weight(ff.FrequencyRange.middle(1.0, 3.0)).psi
+    psi = ff.frequency_weight(ff.FrequencyRange.middle(1.0, 3.0))
     A = benchmark_system.A([0.1])
     K = psi[0, 0] * A.T @ A + psi[0, 1] * A.T + psi[1, 0] * A + psi[1, 1] * np.eye(2)
     assert g2 >= max(0.0, np.linalg.eigvalsh(-K).max()) - 1e-9
@@ -198,6 +198,10 @@ def test_recommend_range_bibs_path(benchmark_system, benchmark_band):
     assert res.mode == "BIBS"
     assert res.trace_provenance == "quadrature"
     assert res.enlarged.hi >= benchmark_band.hi
+    # the drift traces are those of the shifted Gramians along the schedule
+    W1, W2 = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 5.0, benchmark_band,
+                                    quad_nodes=51, step=2e-3)
+    assert res.trace_W_dot_p == float(np.trace(W1)) + float(np.trace(W2)) > 0
 
 
 def _counting(monkeypatch, module, name):

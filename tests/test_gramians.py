@@ -13,22 +13,28 @@ from conftest import random_stable_lti
 LOW1 = ff.FrequencyRange.low(1.0)
 
 
+def lti_gramian(A, B, rng, quad_nodes=201, classical=False):
+    """Band Gramian of a fixed (A, B) pair: the frozen Gramian of the LTI system."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    sysm = ff.LpvSystem.lti(A, B, np.zeros((1, len(A))), np.zeros((1, B.shape[1])))
+    return ff.gramian_lpv_frozen(sysm, [], rng, quad_nodes, classical)
+
+
 def test_scalar_band_gramian_is_arctan_integral():
     # int_{-1}^{1} dw / (1 + w^2) = pi/2
-    W = ff.gramian_lti_ff([[-1.0]], [[1.0]], LOW1)
+    W = lti_gramian([[-1.0]], [[1.0]], LOW1)
     assert W[0, 0] == pytest.approx(np.pi / 2.0, abs=1e-6)
 
 
 def test_zero_input_matrix_gives_zero_gramian():
-    W = ff.gramian_lti_ff([[-1.0, 0.5], [0.0, -2.0]], np.zeros((2, 1)), LOW1)
+    W = lti_gramian([[-1.0, 0.5], [0.0, -2.0]], np.zeros((2, 1)), LOW1)
     assert np.allclose(W, 0.0)
 
 
 def test_wide_band_classical_limit_matches_lyapunov():
     A = np.array([[-1.0]])
     B = np.array([[1.0]])
-    W = ff.gramian_lti_ff(A, B, ff.FrequencyRange.low(100.0), quad_nodes=801,
-                          classical=True)
+    W = lti_gramian(A, B, ff.FrequencyRange.low(100.0), quad_nodes=801, classical=True)
     X = scipy.linalg.solve_lyapunov(A, -B @ B.T)
     assert W[0, 0] == pytest.approx(X[0, 0], rel=0.01)
 
@@ -49,7 +55,7 @@ def test_frozen_benchmark_trace_regression(benchmark_system):
 
 def test_frozen_zero_coefficients_equals_lti(benchmark_system):
     A, B, _, _ = benchmark_system.frozen([0.12])
-    lti = ff.gramian_lti_ff(A, B, LOW1)
+    lti = lti_gramian(A, B, LOW1)
     frozen = ff.gramian_lpv_frozen(benchmark_system, [0.12], LOW1)
     assert np.allclose(lti, frozen, atol=1e-12)
 
@@ -60,8 +66,8 @@ def test_gramian_psd_symmetric_monotone_on_random_draws():
     outer = ff.FrequencyRange.low(2.0)
     for _ in range(50):
         A, B, _, _ = random_stable_lti(rng)
-        Wi = ff.gramian_lti_ff(A, B, inner, quad_nodes=101)
-        Wo = ff.gramian_lti_ff(A, B, outer, quad_nodes=101)
+        Wi = lti_gramian(A, B, inner, quad_nodes=101)
+        Wo = lti_gramian(A, B, outer, quad_nodes=101)
         for W in (Wi, Wo):
             assert np.allclose(W, W.T, atol=1e-10)
             assert np.linalg.eigvalsh(W).min() >= -1e-8 * np.trace(W)
@@ -74,28 +80,29 @@ def test_high_and_entire_band_quadrature():
     A = np.array([[-1.0]])
     B = np.array([[1.0]])
     # int_{|w|>=1} dw/(1+w^2) = pi/2;  whole axis: pi
-    Wh = ff.gramian_lti_ff(A, B, ff.FrequencyRange.high(1.0), quad_nodes=401)
+    Wh = lti_gramian(A, B, ff.FrequencyRange.high(1.0), quad_nodes=401)
     assert Wh[0, 0] == pytest.approx(np.pi / 2.0, rel=1e-8)
-    We = ff.gramian_lti_ff(A, B, ff.FrequencyRange.entire(), quad_nodes=401)
+    We = lti_gramian(A, B, ff.FrequencyRange.entire(), quad_nodes=401)
     assert We[0, 0] == pytest.approx(np.pi, rel=1e-8)
-    Wm = ff.gramian_lti_ff(A, B, ff.FrequencyRange.middle(1.0, 3.0), quad_nodes=201)
+    Wm = lti_gramian(A, B, ff.FrequencyRange.middle(1.0, 3.0), quad_nodes=201)
     assert Wm[0, 0] == pytest.approx(2.0 * (np.arctan(3.0) - np.arctan(1.0)), rel=1e-10)
 
 
 def test_state_transition_scalar_exponential():
     sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     traj = ff.ScheduleTrajectory.constant(np.zeros(0))
-    st = ff.state_transition(sys, traj, 0.0, 1.0, 1e-3)
-    assert st.phi[-1][0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
-    st0 = ff.state_transition(sys, traj, 0.0, 0.0, 1e-3)
-    assert np.allclose(st0.phi[0], np.eye(1))
+    phi = ff.state_transition(sys, traj, 0.0, 1.0, 1e-3)
+    assert phi.shape == (1001, 1, 1)
+    assert phi[-1][0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+    phi0 = ff.state_transition(sys, traj, 0.0, 0.0, 1e-3)
+    assert phi0.shape == (1, 1, 1) and np.allclose(phi0[0], np.eye(1))
 
 
 def test_state_transition_frozen_matches_expm(benchmark_system):
     traj = ff.ScheduleTrajectory.constant([0.15], box=benchmark_system.box)
-    st = ff.state_transition(benchmark_system, traj, 0.0, 1.0, 1e-3)
+    phi = ff.state_transition(benchmark_system, traj, 0.0, 1.0, 1e-3)
     target = scipy.linalg.expm(benchmark_system.A([0.15]))
-    assert np.abs(st.phi[-1] - target).max() <= 1e-6
+    assert np.abs(phi[-1] - target).max() <= 1e-6
 
 
 def test_state_transition_warns_outside_box(benchmark_system):
@@ -126,7 +133,7 @@ def test_weighted_gramian_lti_specialization():
     t = 0.8
     W = ff.gramian_lpv_weighted(sys, traj, t, LOW1, quad_nodes=101, step=1e-4)
     E = scipy.linalg.expm(A * t)
-    target = E @ ff.gramian_lti_ff(A, B, LOW1, quad_nodes=101) @ E.T
+    target = E @ lti_gramian(A, B, LOW1, quad_nodes=101) @ E.T
     assert np.allclose(W, target, atol=1e-6 * np.trace(target))
 
 
@@ -160,12 +167,10 @@ def test_shifted_gramian_benchmark_regression(benchmark_system):
 def test_trace_bound_dominates_quadrature(benchmark_system, benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
     bound = ff.shifted_trace_bound(benchmark_system, benchmark_band, cert)
-    quad = ff.quadrature_trace_bound(benchmark_system, example_schedule(), 20.0,
-                                     benchmark_band, quad_nodes=101)
-    assert quad.method == "quadrature"
-    assert bound.method == "lyapunov_lmi"
-    assert quad.bound_1 <= 1.05 * bound.bound_1
-    assert quad.bound_2 <= 1.05 * bound.bound_2
+    W1, W2 = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 20.0,
+                                    benchmark_band, quad_nodes=101)
+    assert np.trace(W1) <= 1.05 * bound.bound_1
+    assert np.trace(W2) <= 1.05 * bound.bound_2
 
 
 def test_trace_bound_benchmark_values(benchmark_system, benchmark_band):
@@ -217,7 +222,7 @@ def test_time_average_state_covariance_approaches_gramian():
     T = 2.0 * np.pi / dw  # about 201 s
     res = ff.simulate(sys, traj, signal, T, 2e-3)
     avg = np.trapezoid(res.x[:, 0] ** 2, dx=res.step) / res.times[-1]
-    W = ff.gramian_lti_ff([[-1.0]], [[1.0]], LOW1)[0, 0]
+    W = lti_gramian([[-1.0]], [[1.0]], LOW1)[0, 0]
     assert 2.0 * avg == pytest.approx(W, rel=0.02)
 
 
@@ -226,7 +231,9 @@ def test_gramian_set_bundle(benchmark_system):
                         quad_nodes=51, step=2e-3)
     tr = gs.traces
     assert tr["W_p"] > 0 and tr["W_dot_p_1"] >= 0 and tr["W_dot_p_2"] >= 0
-    assert gs.time == 5.0
+    # W_p is the frozen Gramian at p(5), the time the set was asked for
+    frozen = ff.gramian_lpv_frozen(benchmark_system, example_schedule().p(5.0), LOW1, 51)
+    assert np.array_equal(gs.W_p, frozen)
 
 
 @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
@@ -368,7 +375,7 @@ def test_resolvent_gramian_names_the_singular_node():
     w = om[6]
     A = np.array([[0.0, w], [-w, 0.0]])  # poles at +-jw, w a quadrature node
     with pytest.raises(ValueError, match=re.escape(f"omega = {w}")):
-        ff.gramian_lti_ff(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
+        lti_gramian(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
 
 
 def test_gauss_legendre_rule_is_cached_read_only():

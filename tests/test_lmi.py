@@ -21,7 +21,7 @@ def _scalar_lti():
 def test_kyp_scalar_hand_expansion():
     # G(P) = [[-2P + 1, P], [P, -g^2]] for A=-1, B=C=1, D=0
     form = build_problem(_scalar_lti(), ff.FrequencyRange.entire(), "kyp", 1.5).form
-    assert form.block_sizes == [2]
+    assert [C.shape for C in form.constant_blocks] == [(2, 2)]
     assert np.allclose(form.constant_blocks[0], -np.array([[1.0, 0.0], [0.0, -2.25]]))
     assert np.allclose(form.coeff_blocks[0][0], -np.array([[-2.0, 1.0], [1.0, 0.0]]))
 
@@ -370,7 +370,8 @@ def test_middle_band_routes_through_real_embedding(benchmark_system):
     band = ff.FrequencyRange.middle(1.0, 3.0)
     prob = build_problem(benchmark_system, band, "lpv_ff", 8.0)
     # complex weight: main blocks are doubled by the real embedding
-    assert prob.form.block_sizes[0] == 2 * (benchmark_system.n + benchmark_system.n_inputs)
+    k = 2 * (benchmark_system.n + benchmark_system.n_inputs)
+    assert prob.form.constant_blocks[0].shape == (k, k)
     res = ff.min_gamma(benchmark_system, band, "lpv_ff", bisect_tol=1e-2)
     assert np.isfinite(res.gamma_star) and res.gamma_star > 0
 
@@ -421,7 +422,7 @@ def ref_build_form(system, rng, mode, gamma):
     """The stacked vertex form, assembled vertex by vertex at one gain."""
     n = system.n
     pi = ref_pi(gamma, system.n_outputs, system.n_inputs)
-    psi = ff.frequency_weight(rng).psi if mode in ("gkyp", "lpv_ff", "theorem2") else None
+    psi = ff.frequency_weight(rng) if mode in ("gkyp", "lpv_ff", "theorem2") else None
     n_p, n_q = ref_slabs(mode, system.nparams)
     box = system.box
     corners = [np.array(c, dtype=float) for c in itertools.product(
@@ -456,7 +457,7 @@ def ref_grid_eigs(problem, x, grid_density):
     """(p, pdot, lambda_max, max |entry|) of the main block at every grid point, one kron assembly each."""
     sysm, l = problem.system, problem.system.nparams
     pi = ref_pi(problem.gamma, sysm.n_outputs, sysm.n_inputs)
-    psi = ff.frequency_weight(problem.range).psi \
+    psi = ff.frequency_weight(problem.range) \
         if problem.mode in ("gkyp", "lpv_ff", "theorem2") else None
     if problem.mode in ("kyp", "gkyp") or l == 0:
         pgrid, rgrid = [sysm.box.midpoint()], [np.zeros(l)]
@@ -531,8 +532,26 @@ def test_verify_on_grid_planted_violation_matches_loop(benchmark_system):
     _assert_grid_matches(got, [row for row in ref if row[2] > -prob.margin / 2])
 
 
+def test_verify_on_grid_in_chunks_gives_the_same_violations_in_order(benchmark_system,
+                                                                       monkeypatch):
+    res = ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=1e-2)
+    prob = build_problem(benchmark_system, LOW1, "lpv_ff", res.bracket[1])
+    bad = res.x.copy()
+    bad[3] += 0.1  # violated at some of the 11 x 11 = 121 grid points only
+    want = ff.verify_on_grid(prob, bad)
+    rows = []
+    main_blocks = lmi._main_blocks
+    monkeypatch.setattr(lmi, "_main_blocks", lambda *a: rows.append(len(a[3])) or main_blocks(*a))
+    monkeypatch.setattr(lmi, "_GRID_CHUNK", 7)
+    got = ff.verify_on_grid(prob, bad)
+    assert rows == [7] * 17 + [2]
+    assert 0 < len(got) == len(want) < 121
+    for (p, r, lam), (p_want, r_want, lam_want) in zip(got, want):
+        assert np.array_equal(p, p_want) and np.array_equal(r, r_want) and lam == lam_want
+
+
 def _assert_forms_match(form, ref):
-    assert form.block_sizes == ref.block_sizes
+    assert [C.shape for C in form.constant_blocks] == [C.shape for C in ref.constant_blocks]
     for C, K, Cr, Kr in zip(form.constant_blocks, form.coeff_blocks,
                             ref.constant_blocks, ref.coeff_blocks):
         scale = max(np.abs(Cr).max(), np.abs(Kr).max(), 1.0)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finitefreq as ff
-from finitefreq.model import DimensionError, system_from_dict, system_to_dict
+from finitefreq.model import DimensionError, system_from_dict
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "data" / "example1.json"
+
+
+def example_dict():
+    """A fresh system-description dict of the shipped example, for editing."""
+    return json.loads(EXAMPLE.read_text())
 
 
 def test_eval_affine_zero_parameter_returns_constant(benchmark_system):
@@ -50,18 +58,20 @@ def test_call_is_a_batch_of_one(benchmark_system):
 
 
 def test_frequency_weight_low_unit():
-    w = ff.frequency_weight(ff.FrequencyRange.low(1.0))
-    assert np.allclose(w.psi, [[-1.0, 0.0], [0.0, 1.0]])
+    psi = ff.frequency_weight(ff.FrequencyRange.low(1.0))
+    assert np.allclose(psi, [[-1.0, 0.0], [0.0, 1.0]])
+    assert psi.dtype == float and not psi.flags.writeable
 
 
 def test_frequency_weight_entire_is_zero():
-    w = ff.frequency_weight(ff.FrequencyRange.entire())
-    assert np.allclose(w.psi, 0.0)
+    psi = ff.frequency_weight(ff.FrequencyRange.entire())
+    assert np.allclose(psi, 0.0)
 
 
 def test_frequency_weight_middle():
-    w = ff.frequency_weight(ff.FrequencyRange.middle(1.0, 3.0))
-    assert np.allclose(w.psi, [[-1.0, 2.0j], [-2.0j, -3.0]])
+    psi = ff.frequency_weight(ff.FrequencyRange.middle(1.0, 3.0))
+    assert np.allclose(psi, [[-1.0, 2.0j], [-2.0j, -3.0]])
+    assert psi.dtype == complex and not psi.flags.writeable
 
 
 @pytest.mark.parametrize("rng", [
@@ -71,7 +81,7 @@ def test_frequency_weight_middle():
     ff.FrequencyRange.entire(),
 ])
 def test_frequency_weight_is_hermitian(rng):
-    psi = ff.frequency_weight(rng).psi
+    psi = ff.frequency_weight(rng)
     assert np.allclose(psi, psi.conj().T, atol=1e-14)
 
 
@@ -81,11 +91,17 @@ def test_frequency_weight_is_hermitian(rng):
     (ff.FrequencyRange.high(4.0), [4.01, 10.0], [0.0, 3.99]),
 ])
 def test_band_indicator_sign_straddles_thresholds(rng, inside, outside):
+    psi = ff.frequency_weight(rng)
+
+    def indicator(w):  # [jw 1]^* Psi [jw 1]
+        v = np.array([1j * w, 1.0])
+        return float(np.real(v.conj() @ psi @ v))
+
     for w in inside:
-        assert rng.f_value(w) >= 0.0
+        assert indicator(w) >= 0.0
         assert rng.contains(w)
     for w in outside:
-        assert rng.f_value(w) < 0.0
+        assert indicator(w) < 0.0
         assert not rng.contains(w)
 
 
@@ -159,15 +175,22 @@ def test_transfer_function_matches_resolvent_grid(benchmark_system):
         assert np.linalg.norm(g - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
 
 
-def test_system_json_roundtrip(benchmark_system, tmp_path):
-    d = system_to_dict(benchmark_system)
-    s2 = system_from_dict(json.loads(json.dumps(d)))
+def test_system_json_roundtrip(benchmark_system):
+    # the shipped file, through JSON text, is the reference example entry for entry
+    s2 = system_from_dict(json.loads(json.dumps(example_dict())))
+    for name in "ABCD":
+        M, ref = getattr(s2, name), getattr(benchmark_system, name)
+        assert np.array_equal(M.constant, ref.constant)
+        assert len(M.coeffs) == len(ref.coeffs)
+        assert all(np.array_equal(c, r) for c, r in zip(M.coeffs, ref.coeffs))
+    for name in ("p_lower", "p_upper", "rate_lower", "rate_upper"):
+        assert np.array_equal(getattr(s2.box, name), getattr(benchmark_system.box, name))
     assert np.allclose(s2.A([0.13]), benchmark_system.A([0.13]))
     assert np.allclose(s2.box.rate_upper, [0.6])
 
 
-def test_system_json_rejects_unknown_keys(benchmark_system):
-    d = system_to_dict(benchmark_system)
+def test_system_json_rejects_unknown_keys():
+    d = example_dict()
     d["bogus"] = 1
     with pytest.raises(ValueError, match="unknown"):
         system_from_dict(d)
@@ -180,18 +203,17 @@ def test_system_json_rejects_a_top_level_that_is_not_an_object(top):
 
 
 @pytest.mark.parametrize("coeffs", [5, [], [[[1.0, 0.0], [0.0, 1.0]]] * 2])
-def test_system_json_rejects_coefficients_that_do_not_list_one_per_parameter(
-        benchmark_system, coeffs):
-    d = system_to_dict(benchmark_system)
+def test_system_json_rejects_coefficients_that_do_not_list_one_per_parameter(coeffs):
+    d = example_dict()
     d["A"] = coeffs
     with pytest.raises(DimensionError, match="A must list 1 coefficient matrices"):
         system_from_dict(d)
 
 
 @pytest.mark.parametrize("key,index", [("A0", (0, 0)), ("D", (0, 0, 0)), ("rate_upper", (0,))])
-def test_system_json_rejects_non_finite_entries(benchmark_system, key, index):
+def test_system_json_rejects_non_finite_entries(key, index):
     for bad in (float("nan"), float("inf"), None):
-        d = system_to_dict(benchmark_system)
+        d = example_dict()
         entry = d[key]
         for i in index[:-1]:
             entry = entry[i]
@@ -210,15 +232,15 @@ def test_system_json_rejects_non_finite_entries(benchmark_system, key, index):
     ("B", [[["x"], [1.0]]], "'B' must hold numbers"),
     ("p_lower", "low", "'p_lower' must hold numbers"),
 ])
-def test_system_json_rejects_entries_of_the_wrong_json_type(benchmark_system, key, value, match):
-    d = system_to_dict(benchmark_system)
+def test_system_json_rejects_entries_of_the_wrong_json_type(key, value, match):
+    d = example_dict()
     d[key] = value
     with pytest.raises(ValueError, match=match):
         system_from_dict(d)
 
 
-def test_system_json_accepts_integral_float_counts(benchmark_system):
-    d = system_to_dict(benchmark_system)
+def test_system_json_accepts_integral_float_counts():
+    d = example_dict()
     d["n"] = 2.0
     assert system_from_dict(d).n == 2
 

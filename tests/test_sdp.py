@@ -152,7 +152,7 @@ def test_with_constants_shares_coefficients_and_checks_constants():
     other = form.with_constants([form.constant_blocks[0] + np.eye(2)])
     assert other.coeff_blocks[0] is form.coeff_blocks[0]
     assert np.array_equal(other.constant_blocks[0], form.constant_blocks[0] + np.eye(2))
-    assert other.block_sizes == [2]
+    assert [C.shape for C in other.constant_blocks] == [(2, 2)]
     with pytest.raises(ValueError, match="symmetric"):
         form.with_constants([np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError):

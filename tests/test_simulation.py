@@ -49,19 +49,36 @@ def test_schedule_kinds():
     s = ff.ScheduleTrajectory.sinusoid([0.15], [0.05], 4.0, box=box)
     assert s.p(0.0)[0] == pytest.approx(0.15)
     assert s.pdot(0.0)[0] == pytest.approx(0.2)
-    assert s.rate_cap[0] == pytest.approx(0.2)
     c = ff.ScheduleTrajectory.constant([0.12])
     assert c.p(7.0)[0] == 0.12 and c.pdot(7.0)[0] == 0.0
-    pw = ff.ScheduleTrajectory.piecewise_linear([0.0, 1.0, 2.0], [0.1, 0.2, 0.1])
-    assert pw.p(0.5)[0] == pytest.approx(0.15)
-    assert pw.nparams == 1
+    # a constant is the zero-amplitude, zero-rate sinusoid, exact at every time
+    c2 = ff.ScheduleTrajectory.constant([0.12, -0.3])
+    ts = np.linspace(0.0, 50.0, 101)
+    assert np.array_equal(c2.p(ts), np.repeat([[0.12], [-0.3]], 101, axis=1))
+    assert not c2.pdot(ts).any() and not np.signbit(c2.pdot(ts)).any()
+
+
+@pytest.mark.parametrize("center, amplitude, l", [
+    ([0.15], [0.03], 1),
+    ([0.15, 0.12], [0.03], 2),
+    ([0.15], [0.03, 0.02], 2),
+    ([0.15, 0.12], [0.03, 0.02], 2),
+    ([0.15, 0.12], 0.03, 2),
+    (np.zeros(0), 0.0, 0),
+], ids=["1-1", "2-1", "1-2", "2-2", "2-scalar", "0-scalar"])
+def test_schedule_pdot_has_the_shape_of_p(center, amplitude, l):
+    s = ff.ScheduleTrajectory.sinusoid(center, amplitude, 2.0, 0.3)
+    ts = np.linspace(0.0, 3.0, 7)
+    for t, shape in ((0.4, (l,)), (ts, (l, 7))):
+        assert s.p(t).shape == s.pdot(t).shape == shape
+    a = np.broadcast_to(amplitude, (l,))[:, None]
+    assert np.array_equal(s.pdot(ts), (a * 2.0) * np.cos(2.0 * ts + 0.3)[None, :])
 
 
 @pytest.mark.parametrize("make", [
     lambda box: ff.ScheduleTrajectory.constant([0.15, 0.1], box=box),
     lambda box: ff.ScheduleTrajectory.sinusoid([0.15], [0.01, 0.01], 1.0, box=box),
-    lambda box: ff.ScheduleTrajectory.piecewise_linear([0.0, 1.0], [[0.1, 0.2]] * 2, box=box),
-], ids=["constant", "sinusoid-broadcast", "pwl"])
+], ids=["constant", "sinusoid-broadcast"])
 def test_schedule_with_the_wrong_parameter_count_names_both_counts(benchmark_system, make):
     with pytest.raises(ff.DimensionError, match="schedule has 2 parameters, the box has 1"):
         make(benchmark_system.box)
@@ -181,12 +198,15 @@ def test_iqc_nonnegative_for_lti_in_band_inputs():
 
 
 def test_spectrum_fraction_cases():
-    inband = ff.BandLimitedSignal(((1.0, 0.6, 0.1),))
-    assert ff.spectrum_fraction(inband, LOW1) >= 0.99
-    outband = ff.BandLimitedSignal(((1.0, 6.0, 0.1),))
-    assert ff.spectrum_fraction(outband, LOW1) <= 0.05
-    zero = ff.BandLimitedSignal(((0.0, 1.0, 0.0),))
-    assert ff.spectrum_fraction(zero, LOW1) == 1.0
+    def fraction(components):  # sampled at step 1e-3 over [0, 60]: 60,001 samples
+        u = ff.sample_signal(ff.BandLimitedSignal(components), 1e-3 * np.arange(60001))
+        return ff.spectrum_fraction(u, LOW1, 1e-3)
+
+    assert fraction(((1.0, 0.6, 0.1),)) >= 0.99
+    assert fraction(((1.0, 6.0, 0.1),)) <= 0.05
+    assert fraction(((0.0, 1.0, 0.0),)) == 1.0
+    with pytest.raises(ValueError, match="step required"):
+        ff.spectrum_fraction(np.ones(8), LOW1)
 
 
 def test_spectrum_fraction_on_simulation(benchmark_run):
@@ -340,7 +360,7 @@ def test_iqc_quadratic_forms_are_computed_once_per_result(benchmark_system, monk
                          ids=["low", "mid", "high", "low-enlarged"])
 def test_iqc_value_equals_its_direct_form_bit_for_bit(benchmark_run, band):
     x, xd, h = benchmark_run.x, benchmark_run.x_dot, benchmark_run.step
-    psi = ff.frequency_weight(band).psi
+    psi = ff.frequency_weight(band)
     dd, xx, dx = (np.einsum("ti,ti->t", a, b) for a, b in ((xd, xd), (x, x), (xd, x)))
     p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
     integrand = 2.0 * (np.real(p00) * dd + np.real(p11) * xx + 2.0 * np.real(p01) * dx)
