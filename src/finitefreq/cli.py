@@ -107,9 +107,10 @@ def _jsonable(obj):
 
 
 def write_json(path, obj):
+    # strict JSON: a NaN or infinity raises ValueError before the file is opened
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write(args, name, report):
@@ -152,21 +153,22 @@ def cmd_enlarge(args):
     res = recommend_range(system, rng, uas=uas, c3_target=args.c3)
     print(f"gap^2 = {res.gap_squared:.6g}")
     print(f"rho_unif = {res.rho_unif:.6g}")
-    print(f"traces: W_p_min={res.trace_W_p_min:.6g} W_hat_p={res.trace_W_hat_p:.6g} "
-          f"W_dot_p={res.trace_W_dot_p:.6g} ({res.trace_provenance})")
+    print("traces: none (gap is zero)" if res.trace_W_p_min is None else
+          f"traces: W_p_min={res.trace_W_p_min:.6g} W_dot_p={res.trace_W_dot_p:.6g}")
     print(f"delta^2 = {res.delta_squared:.6g}")
     print(f"range: {res.original} -> {res.enlarged}")
     _write(args, "enlarge.json", {
         "gap_squared": res.gap_squared, "delta_squared": res.delta_squared,
-        "mode": res.mode, "rho_unif": res.rho_unif,
-        "trace_W_p_min": res.trace_W_p_min, "trace_W_hat_p": res.trace_W_hat_p,
-        "trace_W_dot_p": res.trace_W_dot_p, "trace_provenance": res.trace_provenance,
+        "rho_unif": res.rho_unif,
+        "trace_W_p_min": res.trace_W_p_min, "trace_W_dot_p": res.trace_W_dot_p,
         "original_range": res.original, "enlarged_range": res.enlarged,
     })
     return 0
 
 
 def cmd_simulate(args):
+    if not args.csv_stride > 0:
+        raise UsageError("--csv-stride must be a positive integer")
     system = _load(args)
     signal = parse_signal(args.signal)
     schedule = parse_schedule(args.schedule, box=system.box) if args.schedule \
@@ -184,7 +186,7 @@ def cmd_simulate(args):
                 [f"xdot{i+1}" for i in range(n)] + ["y", "gamma_R"] +
                 [f"S[{r.describe()}]" for r in ranges])
         wr.writerow(head)
-        stride = max(1, args.csv_stride)
+        stride = args.csv_stride
         table = np.column_stack(
             [result.times[::stride], result.u[::stride, 0], result.x[::stride],
              result.x_dot[::stride], result.y[::stride, 0], gamma_r[::stride]] +
@@ -299,12 +301,10 @@ def cmd_reproduce(args):
         _band_row(rows, "trace_bound_1", bound.bound_1)
         _band_row(rows, "trace_bound_2", bound.bound_2)
         # widening arithmetic on the reference ingredient values
-        ref_d2 = delta_squared(
-            reference.REFERENCE["gap_squared"][0],
-            {"tr_w_p_min": reference.REFERENCE["trace_w_p"][0],
-             "tr_w_dot_p": reference.REFERENCE["trace_bound_1"][0]
-                           + reference.REFERENCE["trace_bound_2"][0]},
-            "UAS")
+        ref_d2 = delta_squared(reference.REFERENCE["gap_squared"][0],
+                               reference.REFERENCE["trace_w_p"][0],
+                               reference.REFERENCE["trace_bound_1"][0]
+                               + reference.REFERENCE["trace_bound_2"][0])
         _band_row(rows, "delta_squared", ref_d2)
         _band_row(rows, "enlarged_edge", enlarge_range(rng, ref_d2).hi)
         enlarged = FrequencyRange.low(reference.REFERENCE["enlarged_edge"][0])

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gramians import (gramian_lpv_frozen, gramian_lpv_shifted, gramian_lpv_weighted,
-                       shifted_trace_bound)
+from .gramians import gramian_lpv_frozen, shifted_trace_bound
 from .lmi import UasCertificate, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
@@ -56,30 +55,25 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def delta_squared(gap_sq: float, traces: dict, mode: str = "UAS") -> float:
-    """Minimal admissible band widening (squared), clamped at zero.
+def delta_squared(gap_sq: float, tr_w_p_min: float, tr_w_dot_p: float) -> float:
+    """Minimal admissible band widening, squared: gap^2 * tr(W_dot) / tr(W_min).
 
-    traces carries 'tr_w_p_min' (denominator), 'tr_w_dot_p', and for BIBS mode
-    also 'tr_w_hat_p' which enters with a negative sign.  A non-finite gap or
-    trace raises ValueError rather than reading as no widening.
+    tr_w_p_min is the smallest frozen band Gramian trace over the box and
+    tr_w_dot_p the decay-certificate bound on the drift traces.  The result is
+    clamped at zero.  A non-finite gap or trace raises ValueError rather than
+    reading as no widening.
     """
     gap_sq = _finite("gap_sq", gap_sq)
     if gap_sq < 0:
         raise ValueError("gap_sq must be nonnegative")
-    tr_w_p = _finite("tr_w_p_min", traces["tr_w_p_min"])
+    tr_w_p = _finite("tr_w_p_min", tr_w_p_min)
     if tr_w_p <= 0:
         raise ValueError("system not finite-frequency controllable on this band "
                          "(nonpositive Gramian trace)")
-    tr_dot = _finite("tr_w_dot_p", traces["tr_w_dot_p"])
+    tr_dot = _finite("tr_w_dot_p", tr_w_dot_p)
     if gap_sq == 0.0:
         return 0.0
-    if mode.upper() == "UAS":
-        raw = gap_sq * tr_dot / tr_w_p
-    elif mode.upper() == "BIBS":
-        raw = gap_sq * (-_finite("tr_w_hat_p", traces["tr_w_hat_p"]) + tr_dot) / tr_w_p
-    else:
-        raise ValueError("mode must be 'UAS' or 'BIBS'")
-    return max(0.0, raw)
+    return max(0.0, gap_sq * tr_dot / tr_w_p)
 
 
 def enlarge_range(rng: FrequencyRange, delta_sq: float) -> FrequencyRange:
@@ -121,52 +115,32 @@ def uniform_spectral_radius(system: LpvSystem) -> float:
 class EnlargementResult:
     gap_squared: float
     delta_squared: float
-    mode: str
-    trace_W_p_min: float
-    trace_W_hat_p: float
-    trace_W_dot_p: float
+    trace_W_p_min: float | None  # None when the gap is zero: no trace is computed
+    trace_W_dot_p: float | None
     enlarged: FrequencyRange
     original: FrequencyRange
     rho_unif: float
-    trace_provenance: str  # 'lyapunov_lmi' | 'quadrature' | 'none (gap is zero)'
 
 
-def recommend_range(system: LpvSystem, rng: FrequencyRange, mode: str = "UAS",
-                    uas: UasCertificate = None, c3_target: float = 1.0, trajectory=None,
-                    t: float = 20.0, quad_nodes: int = 201, step: float = 1e-3) -> EnlargementResult:
+def recommend_range(system: LpvSystem, rng: FrequencyRange, uas: UasCertificate = None,
+                    c3_target: float = 1.0) -> EnlargementResult:
     """End-to-end band recommendation: gap, traces, widening, enlarged band.
 
-    A zero gap short-circuits everything (no widening needed; the
-    uniform-radius comparison is reported alongside as a quick diagnostic).
-    In UAS mode the drift traces come from the decay-certificate bound; BIBS
-    mode computes them, and the weighted Gramian, by quadrature along the
-    supplied schedule.
+    One rule: ``delta_squared`` of the gap, the smallest frozen Gramian trace
+    on the parameter grid and the decay-certificate drift bound
+    (``shifted_trace_bound``; without ``uas`` the certificate for c3_target is
+    computed only when a drift integrand is nonzero).  A zero gap needs no
+    widening and no traces (None); rho_unif is reported alongside.
     """
     rho = uniform_spectral_radius(system)
     g2 = gap(system, rng)
     if g2 == 0.0:
-        return EnlargementResult(0.0, 0.0, mode.upper(), np.nan, np.nan, 0.0,
-                                 rng, rng, rho, "none (gap is zero)")
+        return EnlargementResult(0.0, 0.0, None, None, rng, rng, rho)
 
-    tr_w_p_min = min(float(np.trace(gramian_lpv_frozen(system, p, rng, quad_nodes)))
+    tr_w_p_min = min(float(np.trace(gramian_lpv_frozen(system, p, rng)))
                      for p in system.box.p_grid(_P_GRID))
-    tr_hat = 0.0
-    if mode.upper() == "UAS":
-        cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
-        bound = shifted_trace_bound(system, rng, cert)
-        tr_dot = bound.bound_1 + bound.bound_2
-        prov = "lyapunov_lmi"
-    else:
-        if trajectory is None:
-            raise ValueError("BIBS mode needs a schedule for the weighted Gramian")
-        tr_hat = float(np.trace(gramian_lpv_weighted(system, trajectory, t, rng,
-                                                     quad_nodes, step)))
-        W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
-        tr_dot = float(np.trace(W1)) + float(np.trace(W2))
-        prov = "quadrature"
-
-    d2 = delta_squared(g2, {"tr_w_p_min": tr_w_p_min, "tr_w_hat_p": tr_hat,
-                            "tr_w_dot_p": tr_dot}, mode)
-    return EnlargementResult(g2, d2, mode.upper(), tr_w_p_min, tr_hat, tr_dot,
-                             enlarge_range(rng, d2), rng, rho, prov)
-
+    cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
+    bound = shifted_trace_bound(system, rng, cert)
+    tr_dot = bound.bound_1 + bound.bound_2
+    d2 = delta_squared(g2, tr_w_p_min, tr_dot)
+    return EnlargementResult(g2, d2, tr_w_p_min, tr_dot, enlarge_range(rng, d2), rng, rho)

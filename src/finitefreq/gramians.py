@@ -250,8 +250,6 @@ class ShiftedTraceBound:
 
     bound_1: float
     bound_2: float
-    m_1: float = 0.0
-    m_2: float = 0.0
 
 
 def _drift(M: AffineMatrixFunction) -> AffineMatrixFunction:
@@ -317,5 +315,5 @@ def shifted_trace_bound(system: LpvSystem, rng: FrequencyRange,
     if callable(uas):
         uas = uas()
     c = (uas.alpha / uas.beta) ** 2 * system.n_inputs
-    return ShiftedTraceBound(c * m1, c * m2, m1, m2)
+    return ShiftedTraceBound(c * m1, c * m2)
 

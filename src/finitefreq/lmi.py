@@ -59,6 +59,7 @@ _MODE_TABLE = {
 }
 MODES = tuple(_MODE_TABLE)
 _GRID_CHUNK = 4096  # grid rows per template evaluation in verify_on_grid
+_GAMMA_CAP = 1e6  # min_gamma gives up once phase 1 doubles gamma past this
 
 
 def _sym_basis(n):
@@ -280,8 +281,8 @@ class GammaResult:
     range: FrequencyRange
 
 
-def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: float = 1e-3,
-              gamma_cap: float = 1e6) -> GammaResult:
+def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
+              bisect_tol: float = 1e-3) -> GammaResult:
     """Smallest certified L2-gain level: gamma^2 minimized in one barrier run.
 
     Feasibility of the stacked vertex form is monotone in gamma^2, and its
@@ -324,7 +325,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str, bisect_tol: flo
     while not res.feasible:
         lo, lo_certified = g, bool(res.dual_bound < 0)
         g *= 2.0
-        if g > gamma_cap:
+        if g > _GAMMA_CAP:
             raise RuntimeError(
                 "system appears not to admit a finite bound under this relaxation")
         res, top, m = probe(g, family.margin)

@@ -24,14 +24,13 @@ from .model import DimensionError, FrequencyRange, LpvSystem, frequency_weight
 class BandLimitedSignal:
     """Sum of cosines a_i cos(w_i t + phi_i), optionally discounted by e^{-lam t}.
 
-    Zero for t < 0.  When a band is declared, all component frequencies must
-    lie inside it, and a nonzero discount must stay well below the slowest
-    component.
+    Zero for t < 0.  A nonzero discount must stay well below the slowest
+    component.  The signal carries no band: each analysis names its own, and
+    ``spectrum_fraction`` measures the share of energy inside it.
     """
 
     components: tuple  # of (amplitude, frequency [rad/s], phase [rad])
     discount_lambda: float = 0.0
-    band: FrequencyRange = None
 
     def __post_init__(self):
         comps = tuple((float(a), float(w), float(ph)) for a, w, ph in self.components)
@@ -42,32 +41,10 @@ class BandLimitedSignal:
         _check_finite("discount", self.discount_lambda)
         if self.discount_lambda < 0:
             raise ValueError("discount must be nonnegative")
-        if self.band is not None:
-            for _, w, _ in comps:
-                if not self.band.contains(w):
-                    raise ValueError(f"component frequency {w} lies outside {self.band}")
         if self.discount_lambda > 0 and comps:
             wmin = min(w for _, w, _ in comps if w > 0) if any(w > 0 for _, w, _ in comps) else np.inf
             if self.discount_lambda >= wmin / 10.0:
                 raise ValueError("discount must stay below the slowest component / 10")
-
-    @classmethod
-    def in_band(cls, rng: FrequencyRange, n_components: int, seed=0, amplitude=1.0,
-                interior=0.2, discount=0.0):
-        """Random multi-cosine with frequencies strictly inside the band."""
-        g = np.random.default_rng(seed)
-        if rng.kind == "high":
-            lo, hi = rng.lo * (1.0 + interior), rng.lo * 3.0
-        elif rng.kind == "entire":
-            lo, hi = 0.1, 3.0
-        else:
-            width = rng.hi - rng.lo
-            lo, hi = rng.lo + interior * width, rng.hi - interior * width
-            lo = max(lo, 0.05 * rng.hi if rng.kind == "low" else lo)
-        freqs = g.uniform(lo, hi, n_components)
-        phases = g.uniform(0.0, 2.0 * np.pi, n_components)
-        comps = tuple((amplitude, f, ph) for f, ph in zip(freqs, phases))
-        return cls(comps, discount, rng)
 
     @property
     def max_frequency(self):

@@ -124,6 +124,8 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
     ["certify-uas", "--system", "A0_IS_AN_OBJECT", "--c3", "1"],
     ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--range", "low:x"],
     ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "inf"],
+    ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "0"],
+    ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "-3"],
     ["reproduce", "example3"],
 ], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2",
         "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero",
@@ -131,7 +133,8 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
         "certify-uas-system-is-a-directory", "gramians-t-negative", "gramians-t-nan", "gramians-schedule-two-params", "gramians-p-two-params",
         "gramians-t-nan-without-schedule", "gramians-t-without-schedule",
         "certify-uas-n-is-a-list", "certify-uas-A0-is-an-object",
-        "simulate-range", "simulate-csv-stride", "reproduce-target"])
+        "simulate-range", "simulate-csv-stride", "simulate-csv-stride-zero",
+        "simulate-csv-stride-negative", "reproduce-target"])
 def test_usage_errors_exit_1_without_output(tmp_path, tmp_path_factory, capsys, monkeypatch,
                                            argv):
     systems = tmp_path_factory.mktemp("systems")
@@ -145,6 +148,50 @@ def test_usage_errors_exit_1_without_output(tmp_path, tmp_path_factory, capsys, 
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
+
+
+def test_csv_stride_message(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0",
+            "--csv-stride", "0"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: --csv-stride must be a positive integer\n"
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_zero_gap_enlarge_writes_strict_json(tmp_path, capsys):
+    # sigma_max(A(p)) is at most 12.83 on the box, so a low:20 band has no gap
+    argv = ["--out", str(tmp_path), "enlarge", "--system", str(EXAMPLE), "--range", "low:20"]
+    assert cli.main(argv) == 0
+    assert "traces: none (gap is zero)" in capsys.readouterr().out.splitlines()
+    res = _strict_json(tmp_path / "enlarge.json")
+    assert res["gap_squared"] == 0.0 and res["delta_squared"] == 0.0
+    assert res["trace_W_p_min"] is None and res["trace_W_dot_p"] is None
+    assert res["enlarged_range"] == res["original_range"] == "low:20"
+
+
+def test_enlarge_json_keys(tmp_path):
+    argv = ["--out", str(tmp_path), "enlarge", "--system", str(EXAMPLE), "--range", "low:1",
+            "--c1", "0.5", "--c2", "0.6", "--c3", "7.4"]
+    assert cli.main(argv) == 0
+    res = _strict_json(tmp_path / "enlarge.json")
+    assert sorted(res) == ["delta_squared", "enlarged_range", "gap_squared", "original_range",
+                           "rho_unif", "trace_W_dot_p", "trace_W_p_min"]
+    assert res["gap_squared"] == pytest.approx(163.6236, rel=1e-4)
+    assert res["delta_squared"] == pytest.approx(
+        res["gap_squared"] * res["trace_W_dot_p"] / res["trace_W_p_min"], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_json_rejects_non_finite_before_opening(tmp_path, bad):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli.write_json(path, {"ok": 1.0, "nested": [np.float64(bad)]})
+    assert not path.exists()
 
 
 @pytest.fixture

@@ -52,45 +52,38 @@ def test_gap_middle_band_via_embedding(benchmark_system):
 
 
 def test_delta_squared_reference_arithmetic():
-    d2 = ff.delta_squared(164.62, {"tr_w_p_min": 0.4858, "tr_w_dot_p": 0.1017}, "UAS")
+    d2 = ff.delta_squared(164.62, 0.4858, 0.1017)
     assert d2 == pytest.approx(34.4624, rel=0.005)
 
 
 def test_delta_squared_zero_gap():
-    assert ff.delta_squared(0.0, {"tr_w_p_min": 0.5, "tr_w_dot_p": 10.0}, "UAS") == 0.0
-
-
-def test_delta_squared_bibs_clamps_negative():
-    d2 = ff.delta_squared(10.0, {"tr_w_p_min": 1.0, "tr_w_hat_p": 5.0,
-                                 "tr_w_dot_p": 1.0}, "BIBS")
-    assert d2 == 0.0
+    assert ff.delta_squared(0.0, 0.5, 10.0) == 0.0
 
 
 def test_delta_squared_rejects_uncontrollable():
     with pytest.raises(ValueError, match="controllable"):
-        ff.delta_squared(1.0, {"tr_w_p_min": 0.0, "tr_w_dot_p": 1.0}, "UAS")
+        ff.delta_squared(1.0, 0.0, 1.0)
+
+
+_NON_FINITE_CASES = [(None, "gap_sq"), (10.0, "tr_w_p_min"), (10.0, "tr_w_dot_p"),
+                     (0.0, "tr_w_dot_p")]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("mode, gap_sq, key", [
-    ("UAS", None, "gap_sq"), ("UAS", 10.0, "tr_w_p_min"), ("UAS", 10.0, "tr_w_dot_p"),
-    ("UAS", 0.0, "tr_w_dot_p"), ("BIBS", 10.0, "tr_w_hat_p")])
-def test_delta_squared_rejects_non_finite(mode, gap_sq, key, bad):
+@pytest.mark.parametrize("gap_sq, key", _NON_FINITE_CASES,  # UAS names the one widening rule
+                         ids=[f"UAS-{g}-{k}" for g, k in _NON_FINITE_CASES])
+def test_delta_squared_rejects_non_finite(gap_sq, key, bad):
     # max(0.0, nan) is 0.0: a NaN must not read as "no widening needed"
-    traces = {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5, "tr_w_hat_p": 0.1}
-    if key == "gap_sq":
-        gap_sq = bad
-    else:
-        traces[key] = bad
+    args = {"gap_sq": gap_sq, "tr_w_p_min": 1.0, "tr_w_dot_p": 0.5, key: bad}
     with pytest.raises(ValueError, match=key):
-        ff.delta_squared(gap_sq, traces, mode)
+        ff.delta_squared(**args)
 
 
 def test_delta_squared_monotonicity():
-    base = ff.delta_squared(100.0, {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5}, "UAS")
-    assert ff.delta_squared(110.0, {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.5}, "UAS") > base
-    assert ff.delta_squared(100.0, {"tr_w_p_min": 1.0, "tr_w_dot_p": 0.6}, "UAS") > base
-    assert ff.delta_squared(100.0, {"tr_w_p_min": 1.2, "tr_w_dot_p": 0.5}, "UAS") < base
+    base = ff.delta_squared(100.0, 1.0, 0.5)
+    assert ff.delta_squared(110.0, 1.0, 0.5) > base
+    assert ff.delta_squared(100.0, 1.0, 0.6) > base
+    assert ff.delta_squared(100.0, 1.2, 0.5) < base
 
 
 def test_enlarge_low_band_reference():
@@ -156,9 +149,9 @@ def test_uniform_radius_diagonal_and_rotation():
 
 def test_recommend_range_benchmark(benchmark_system, benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
-    res = ff.recommend_range(benchmark_system, benchmark_band, "UAS", uas=cert)
+    res = ff.recommend_range(benchmark_system, benchmark_band, uas=cert)
     assert res.gap_squared == pytest.approx(163.6236, rel=1e-4)
-    assert res.trace_provenance == "lyapunov_lmi"
+    assert np.isfinite(res.trace_W_p_min) and np.isfinite(res.trace_W_dot_p)
     # consistency of the pipeline arithmetic
     want = res.gap_squared * res.trace_W_dot_p / res.trace_W_p_min
     assert res.delta_squared == pytest.approx(want, rel=1e-12)
@@ -168,11 +161,11 @@ def test_recommend_range_benchmark(benchmark_system, benchmark_band):
 
 def test_recommend_range_above_radius_is_noop(benchmark_system):
     wide = ff.FrequencyRange.low(13.0)
-    res = ff.recommend_range(benchmark_system, wide, "UAS")
+    res = ff.recommend_range(benchmark_system, wide)
     assert res.gap_squared == 0.0
     assert res.delta_squared == 0.0
     assert res.enlarged == wide
-    assert res.trace_provenance == "none (gap is zero)"
+    assert res.trace_W_p_min is None and res.trace_W_dot_p is None
     assert wide.hi >= res.rho_unif
 
 
@@ -185,23 +178,9 @@ def test_recommend_range_lti_is_noop():
         ff.AffineMatrixFunction(C, (z((1, 2)),)), ff.AffineMatrixFunction(D, (z((1, 1)),)),
         ff.ParameterBox([0.1], [0.2], [0.4], [0.6]))
     band = ff.FrequencyRange.low(0.5)
-    res = ff.recommend_range(sys, band, "UAS")
+    res = ff.recommend_range(sys, band)
     assert res.delta_squared == 0.0
     assert res.enlarged == band
-
-
-def test_recommend_range_bibs_path(benchmark_system, benchmark_band):
-    from finitefreq.reference import example_schedule
-    res = ff.recommend_range(benchmark_system, benchmark_band, "BIBS",
-                             trajectory=example_schedule(), t=5.0,
-                             quad_nodes=51, step=2e-3)
-    assert res.mode == "BIBS"
-    assert res.trace_provenance == "quadrature"
-    assert res.enlarged.hi >= benchmark_band.hi
-    # the drift traces are those of the shifted Gramians along the schedule
-    W1, W2 = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 5.0, benchmark_band,
-                                    quad_nodes=51, step=2e-3)
-    assert res.trace_W_dot_p == float(np.trace(W1)) + float(np.trace(W2)) > 0
 
 
 def _counting(monkeypatch, module, name):
@@ -220,10 +199,10 @@ def test_recommend_range_evaluates_drift_sups_once(benchmark_system, benchmark_b
                                                     monkeypatch):
     import finitefreq.enlargement as enl
     import finitefreq.gramians as gr
-    want = ff.recommend_range(benchmark_system, benchmark_band, "UAS")
+    want = ff.recommend_range(benchmark_system, benchmark_band)
     sups = _counting(monkeypatch, gr, "_drift_sups")
     certs = _counting(monkeypatch, enl, "uas_certificate")
-    res = ff.recommend_range(benchmark_system, benchmark_band, "UAS")
+    res = ff.recommend_range(benchmark_system, benchmark_band)
     assert len(sups) == 1 and len(certs) == 1
     assert res == want
 
@@ -237,6 +216,6 @@ def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
         ff.AffineMatrixFunction([[1.0, 0.0]], (z((1, 2)),)), ff.AffineMatrixFunction([[0.0]], (z((1, 1)),)),
         ff.ParameterBox([0.1], [0.2], [0.4], [0.6]))
     certs = _counting(monkeypatch, enl, "uas_certificate")
-    res = ff.recommend_range(sys, LOW1, "UAS")
+    res = ff.recommend_range(sys, LOW1)
     assert res.gap_squared > 0 and res.delta_squared == 0.0 and res.trace_W_dot_p == 0.0
     assert certs == []

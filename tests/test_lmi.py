@@ -150,7 +150,7 @@ def test_lpv_ef_benchmark(benchmark_system):
 def test_lpv_ef_unstable_has_no_bound():
     sys = ff.LpvSystem.lti([[1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(RuntimeError, match="finite bound"):
-        ff.min_gamma(sys, LOW1, "lpv_ef", bisect_tol=1e-2, gamma_cap=100.0)
+        ff.min_gamma(sys, LOW1, "lpv_ef", bisect_tol=1e-2)
 
 
 def test_theorem2_benchmark_enlarged(benchmark_system):
