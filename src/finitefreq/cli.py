@@ -19,9 +19,10 @@ import sys
 import numpy as np
 
 from . import reference
-from .enlargement import recommend_range
-from .gramians import gramian_lpv_frozen, gramian_set
-from .lmi import MODES, check_decay_scalars, min_gamma, uas_certificate
+from .enlargement import (delta_squared, enlarge_range, gap, recommend_range,
+                          uniform_spectral_radius)
+from .gramians import gramian_lpv_frozen, gramian_set, shifted_trace_bound
+from .lmi import MODES, min_gamma, uas_certificate
 from .model import FrequencyRange, load_system
 from .simulation import (BandLimitedSignal, ScheduleTrajectory, iqc_value,
                          performance_ratio, simulate, spectrum_fraction)
@@ -92,6 +93,17 @@ def parse_schedule(spec: str, box=None) -> ScheduleTrajectory:
     raise UsageError(f"bad schedule spec {spec!r}")
 
 
+def parse_p(spec: str) -> list:
+    """Parameter mini-grammar: comma-separated finite numbers <p1>[,<p2>..]."""
+    try:
+        p = [float(v) for v in spec.split(",")]
+        if not np.isfinite(p).all():
+            raise ValueError("values must be finite")
+    except ValueError as exc:
+        raise UsageError(f"bad --p spec {spec!r}: {exc}") from exc
+    return p
+
+
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -148,9 +160,7 @@ def cmd_analyze(args):
 def cmd_enlarge(args):
     system = _load(args)
     rng = parse_range(args.range)
-    check_decay_scalars(args.c1, args.c2, args.c3)  # before any solve
-    uas = uas_certificate(system, args.c3, args.c1, args.c2) if args.c1 is not None else None
-    res = recommend_range(system, rng, uas=uas, c3_target=args.c3)
+    res = recommend_range(system, rng, args.c3, args.c1, args.c2)
     print(f"gap^2 = {res.gap_squared:.6g}")
     print(f"rho_unif = {res.rho_unif:.6g}")
     print("traces: none (gap is zero)" if res.trace_W_p_min is None else
@@ -212,33 +222,24 @@ def cmd_simulate(args):
 
 
 def cmd_gramians(args):
+    if not args.quad_nodes > 0:
+        raise UsageError("--quad-nodes must be a positive integer")
     system = _load(args)
     rng = parse_range(args.range)
     if args.schedule:
         schedule = parse_schedule(args.schedule, box=system.box)
         t = _GRAMIAN_T if args.t is None else args.t
-        gs = gramian_set(system, schedule, t, rng, args.quad_nodes, classical=args.classical)
-        report = {
-            "traces": gs.traces,
-            "eigenvalues": {
-                "W_p": np.linalg.eigvalsh(gs.W_p),
-                "W_hat_p": np.linalg.eigvalsh(gs.W_hat_p),
-                "W_dot_p_1": np.linalg.eigvalsh(gs.W_dot_p_1),
-                "W_dot_p_2": np.linalg.eigvalsh(gs.W_dot_p_2),
-            },
-            "time": t,
-        }
+        gramians = gramian_set(system, schedule, t, rng, args.quad_nodes, classical=args.classical)
+        report = {"time": t}
     elif args.t is not None:
         raise UsageError("--t needs --schedule: a frozen Gramian has no time")
     else:
-        p = [float(v) for v in args.p.split(",")] if args.p else system.box.midpoint()
-        W = gramian_lpv_frozen(system, p, rng, args.quad_nodes, args.classical)
-        report = {
-            "traces": {"W_p": float(np.trace(W))},
-            "eigenvalues": {"W_p": np.linalg.eigvalsh(W)},
-            "p": list(np.atleast_1d(p)),
-        }
-    report.update({"range": rng, "quad_nodes": args.quad_nodes,
+        p = parse_p(args.p) if args.p else system.box.midpoint()
+        gramians = {"W_p": gramian_lpv_frozen(system, p, rng, args.quad_nodes, args.classical)}
+        report = {"p": list(np.atleast_1d(p))}
+    report.update({"traces": {k: float(np.trace(W)) for k, W in gramians.items()},
+                   "eigenvalues": {k: np.linalg.eigvalsh(W) for k, W in gramians.items()},
+                   "range": rng, "quad_nodes": args.quad_nodes,
                    "classical_normalization": bool(args.classical)})
     print(json.dumps(_jsonable(report["traces"]), sort_keys=True))
     _write(args, "gramians.json", report)
@@ -279,22 +280,13 @@ def cmd_reproduce(args):
         rows.append({"name": "iqc_sign_on_band", "computed": rep.sign_verdict,
                      "reference": "negative", "band": None,
                      "pass": rep.sign_verdict == "negative"})
-        rows.append({"name": "gamma_R_below_certificates",
-                     "computed": gamma_r,
-                     "reference": f"<= {min(g_ff.gamma_star, g_ef.gamma_star):.4f}",
-                     "band": None,
-                     "pass": gamma_r <= min(g_ff.gamma_star, g_ef.gamma_star)})
+        g_min = min(g_ff.gamma_star, g_ef.gamma_star)
+        rows.append({"name": "gamma_R_below_certificates", "computed": gamma_r,
+                     "reference": f"<= {g_min:.4f}", "band": None, "pass": gamma_r <= g_min})
     else:  # example2
-        from .enlargement import (delta_squared, enlarge_range, gap,
-                                  uniform_spectral_radius)
-        from .gramians import shifted_trace_bound
-
         _band_row(rows, "gap_squared", gap(system, rng))
         _band_row(rows, "rho_unif", uniform_spectral_radius(system))
-        tr_w_p = float(np.trace(gramian_lpv_frozen(system, [0.15], rng)))
-        rows.append({"name": "trace_w_p", "computed": tr_w_p,
-                     "reference": reference.REFERENCE["trace_w_p"][0],
-                     "band": None, "pass": None})
+        _band_row(rows, "trace_w_p", float(np.trace(gramian_lpv_frozen(system, [0.15], rng))))
         (c1, c2, c3), _ = reference.REFERENCE["uas_c"]
         cert = uas_certificate(system, c3, c1, c2)
         bound = shifted_trace_bound(system, rng, cert)

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gramians import gramian_lpv_frozen, shifted_trace_bound
-from .lmi import UasCertificate, uas_certificate
+from .lmi import check_decay_scalars, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
-
-_P_GRID = 11  # grid points per parameter axis, vertices included
 
 
 def gap(system: LpvSystem, rng: FrequencyRange) -> float:
@@ -27,25 +25,21 @@ def gap(system: LpvSystem, rng: FrequencyRange) -> float:
     For each grid parameter p the block [A* I](Psi (x) I)[A; I] is formed; the
     gap squared at p is lambda_max of its negation when that is positive, else
     zero, and the reported value is the supremum over the grid (vertices
-    always included).  For a low band this reduces to
-    max(0, sigma_max(A(p))^2 - edge^2).  A non-finite system matrix raises
-    ValueError rather than reading as a zero gap.
+    always included), from one stacked eigensolve.  For a low band this
+    reduces to max(0, sigma_max(A(p))^2 - edge^2).  A non-finite system matrix
+    raises ValueError, naming the first such p, rather than reading as a zero gap.
     """
     psi = frequency_weight(rng)
-    n = system.n
-    I = np.eye(n)
-    worst = 0.0
-    for p in system.box.p_grid(_P_GRID):
-        A = system.A(p)
-        K = psi[0, 0] * (A.conj().T @ A) + psi[0, 1] * A.conj().T + psi[1, 0] * A + psi[1, 1] * I
-        if not np.isfinite(K).all():  # LAPACK may return finite eigenvalues for NaN input
-            raise ValueError(f"band block at p={np.round(p, 6)} is not finite; the gap is undefined")
-        if np.iscomplexobj(K):
-            lam = float(np.linalg.eigvalsh(real_embedding(-K)).max())
-        else:
-            lam = float(np.linalg.eigvalsh(-K).max())
-        worst = max(worst, max(0.0, lam))
-    return worst
+    P = system.box.p_grid()
+    A = system.A.batch(P)
+    AH = np.swapaxes(A.conj(), 1, 2)
+    K = psi[0, 0] * (AH @ A) + psi[0, 1] * AH + psi[1, 0] * A + psi[1, 1] * np.eye(system.n)
+    finite = np.isfinite(K).all(axis=(1, 2))  # LAPACK may return finite eigenvalues for NaN input
+    if not finite.all():
+        raise ValueError(f"band block at p={np.round(P[np.argmin(finite)], 6)} is not finite; "
+                         "the gap is undefined")
+    lam = np.linalg.eigvalsh(real_embedding(-K) if np.iscomplexobj(K) else -K)
+    return max(0.0, float(lam.max()))
 
 
 def _finite(name: str, value) -> float:
@@ -107,8 +101,7 @@ def uniform_spectral_radius(system: LpvSystem) -> float:
     eigenvalue radius, coincides with it for normal matrices, and for low
     bands a band edge at or above this value makes the gap vanish exactly.
     """
-    return max(float(np.linalg.norm(system.A(p), 2))
-               for p in system.box.p_grid(_P_GRID))
+    return float(np.linalg.norm(system.A.batch(system.box.p_grid()), 2, axis=(1, 2)).max())
 
 
 @dataclass
@@ -122,25 +115,26 @@ class EnlargementResult:
     rho_unif: float
 
 
-def recommend_range(system: LpvSystem, rng: FrequencyRange, uas: UasCertificate = None,
-                    c3_target: float = 1.0) -> EnlargementResult:
+def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
+                    c1: float | None = None, c2: float | None = None) -> EnlargementResult:
     """End-to-end band recommendation: gap, traces, widening, enlarged band.
 
     One rule: ``delta_squared`` of the gap, the smallest frozen Gramian trace
     on the parameter grid and the decay-certificate drift bound
-    (``shifted_trace_bound``; without ``uas`` the certificate for c3_target is
-    computed only when a drift integrand is nonzero).  A zero gap needs no
-    widening and no traces (None); rho_unif is reported alongside.
+    (``shifted_trace_bound``).  The decay scalars are checked before any
+    solve; ``uas_certificate(system, c3, c1, c2)`` runs only when the gap and
+    a drift integrand are nonzero.  A zero gap needs no widening and no
+    traces (None); rho_unif is reported alongside.
     """
+    check_decay_scalars(c1, c2, c3)
     rho = uniform_spectral_radius(system)
     g2 = gap(system, rng)
     if g2 == 0.0:
         return EnlargementResult(0.0, 0.0, None, None, rng, rng, rho)
 
     tr_w_p_min = min(float(np.trace(gramian_lpv_frozen(system, p, rng)))
-                     for p in system.box.p_grid(_P_GRID))
-    cert = uas if uas is not None else (lambda: uas_certificate(system, c3_target))
-    bound = shifted_trace_bound(system, rng, cert)
+                     for p in system.box.p_grid())
+    bound = shifted_trace_bound(system, rng, lambda: uas_certificate(system, c3, c1, c2))
     tr_dot = bound.bound_1 + bound.bound_2
     d2 = delta_squared(g2, tr_w_p_min, tr_dot)
     return EnlargementResult(g2, d2, tr_w_p_min, tr_dot, enlarge_range(rng, d2), rng, rho)

@@ -204,37 +204,19 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     return 0.5 * (W1 + W1.T), 0.5 * (W2 + W2.T)
 
 
-@dataclass
-class GramianSet:
-    """All band-restricted Gramians of one system along one schedule at one time."""
-
-    W_p: np.ndarray
-    W_hat_p: np.ndarray
-    W_dot_p_1: np.ndarray
-    W_dot_p_2: np.ndarray
-
-    @property
-    def traces(self):
-        return {
-            "W_p": float(np.trace(self.W_p)),
-            "W_hat_p": float(np.trace(self.W_hat_p)),
-            "W_dot_p_1": float(np.trace(self.W_dot_p_1)),
-            "W_dot_p_2": float(np.trace(self.W_dot_p_2)),
-        }
-
-
 def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
                 quad_nodes: int = 201, step: float = 1e-3,
-                classical: bool = False) -> GramianSet:
+                classical: bool = False) -> dict[str, np.ndarray]:
+    """All band-restricted Gramians along one schedule at time t, keyed "W_p" (frozen at
+    p(t)), "W_hat_p" (transition-weighted) and "W_dot_p_1", "W_dot_p_2" (drift pair)."""
     if not 0.0 <= t < np.inf:  # NaN included
         raise ValueError(f"time t must be finite and nonnegative, got {t}")
-    p_t = np.atleast_1d(trajectory.p(t))
-    W_p = gramian_lpv_frozen(system, p_t, rng, quad_nodes, classical)
+    W_p = gramian_lpv_frozen(system, np.atleast_1d(trajectory.p(t)), rng, quad_nodes, classical)
     W_hat = gramian_lpv_weighted(system, trajectory, t, rng, quad_nodes, step)
     W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
     if classical:
         W_hat, W1, W2 = (W / (2.0 * np.pi) for W in (W_hat, W1, W2))
-    return GramianSet(W_p, W_hat, W1, W2)
+    return {"W_p": W_p, "W_hat_p": W_hat, "W_dot_p_1": W1, "W_dot_p_2": W2}
 
 
 @dataclass

@@ -250,20 +250,18 @@ def build_problem(system: LpvSystem, rng: FrequencyRange, mode: str, gamma: floa
 
 
 def _check_controllability(system: LpvSystem):
-    """Warn (not fail) when the frozen pair (A, B) is close to uncontrollable."""
-    box = system.box
-    for p in np.vstack([grid(box.p_lower, box.p_upper), box.midpoint()]):
-        A, B, _, _ = system.frozen(p)
-        n = A.shape[0]
-        blocks = [B]
-        for _ in range(n - 1):
-            blocks.append(A @ blocks[-1])
-        sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0]:
-            warnings.warn(
-                f"frozen pair (A, B) at p={np.round(p, 6)} is near-uncontrollable; "
-                "certificates may be unreliable", stacklevel=3)
-            return
+    """Warn (not fail) when a frozen pair (A, B) at a box corner or the midpoint is close to
+    uncontrollable; one batched SVD of the Krylov matrices, the first such p named."""
+    P = np.vstack([grid(system.box.p_lower, system.box.p_upper), system.box.midpoint()])
+    A, blocks = system.A.batch(P), [system.B.batch(P)]
+    for _ in range(system.n - 1):
+        blocks.append(A @ blocks[-1])
+    sv = np.linalg.svd(np.concatenate(blocks, axis=2), compute_uv=False)
+    weak = sv[:, -1] <= 1e-8 * sv[:, 0]
+    if weak.any():
+        warnings.warn(
+            f"frozen pair (A, B) at p={np.round(P[np.argmax(weak)], 6)} is near-uncontrollable; "
+            "certificates may be unreliable", stacklevel=3)
 
 
 @dataclass

@@ -191,18 +191,18 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     return SimulationResult(ts[::2], U, xs, x_dot, y, step)
 
 
+def _cumtrapz(v, h):
+    """Running trapezoid integral of samples v at spacing h, zero at the first sample."""
+    out = np.zeros_like(v)
+    out[1:] = np.cumsum(0.5 * h * (v[1:] + v[:-1]))
+    return out
+
+
 def performance_ratio(result: SimulationResult) -> np.ndarray:
     """Running realized gain sqrt(int |y|^2 / int |u|^2); zero until input energy accrues."""
-    h = result.step
     eu = np.einsum("ti,ti->t", result.u, result.u)
     ey = np.einsum("ti,ti->t", result.y, result.y)
-
-    def cumtrapz(v):
-        out = np.zeros_like(v)
-        out[1:] = np.cumsum(0.5 * h * (v[1:] + v[:-1]))
-        return out
-
-    Eu, Ey = cumtrapz(eu), cumtrapz(ey)
+    Eu, Ey = _cumtrapz(eu, result.step), _cumtrapz(ey, result.step)
     if Eu[-1] <= 0:
         raise ValueError("input energy is zero; realized gain undefined")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -227,11 +227,9 @@ def iqc_value(result: SimulationResult, rng: FrequencyRange) -> IqcReport:
     dd, xx, dx = result.quadratic_forms
     p00, p01, p11 = psi[0, 0], psi[0, 1], psi[1, 1]
     integrand = 2.0 * (np.real(p00) * dd + np.real(p11) * xx + 2.0 * np.real(p01) * dx)
-    h = result.step
-    s = np.zeros_like(integrand)
-    s[1:] = np.cumsum(0.5 * h * (integrand[1:] + integrand[:-1]))
+    s = _cumtrapz(integrand, result.step)
     absint = 2.0 * (abs(p00) * dd + abs(p11) * xx + 2.0 * abs(p01) * np.abs(dx))
-    scale = float(np.trapezoid(absint, dx=h))
+    scale = float(np.trapezoid(absint, dx=result.step))
     final = float(s[-1])
     verdict = "nonnegative" if final >= -1e-9 * max(scale, 1.0) else "negative"
     return IqcReport(s, final, verdict, rng, scale)

@@ -60,3 +60,19 @@ def inband_sup(A, B, C, D, band, ngrid=2001):
         G = C @ np.linalg.solve(1j * w * np.eye(n) - A, B) + D
         s = max(s, np.linalg.svd(G, compute_uv=False)[0])
     return s
+
+
+def three_state_two_input_system():
+    """n = 3 states, 2 inputs, 2 scheduling parameters; Hurwitz over the box."""
+    rng = np.random.default_rng(17)
+    A0 = -2.0 * np.eye(3) + 0.4 * rng.normal(size=(3, 3))
+    sysm = ff.LpvSystem(
+        A=ff.AffineMatrixFunction(A0, tuple(0.5 * rng.normal(size=(3, 3)) for _ in range(2))),
+        B=ff.AffineMatrixFunction(rng.normal(size=(3, 2)),
+                                  tuple(rng.normal(size=(3, 2)) for _ in range(2))),
+        C=ff.AffineMatrixFunction(rng.normal(size=(1, 3)), (np.zeros((1, 3)),) * 2),
+        D=ff.AffineMatrixFunction(np.zeros((1, 2)), (np.zeros((1, 2)),) * 2),
+        box=ff.ParameterBox([-0.5, -0.5], [0.5, 0.5], [-2.0, -2.0], [2.0, 2.0]),
+    )
+    traj = ff.ScheduleTrajectory.sinusoid([0.1, -0.2], [0.3, 0.2], 2.0, 0.4, box=sysm.box)
+    return sysm, traj

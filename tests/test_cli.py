@@ -69,6 +69,16 @@ def test_json_flag_is_gone(tmp_path):
 @pytest.mark.parametrize("args,message", [
     (["--p", "0.15,0.1"], "p has 2 values, the system has 1 parameter"),
     (["--t", "nan"], "--t needs --schedule"),
+    (["--p", "nan"], "error: bad --p spec 'nan': values must be finite"),
+    (["--p", "inf"], "error: bad --p spec 'inf': values must be finite"),
+    (["--p", "0.15,inf"], "error: bad --p spec '0.15,inf': values must be finite"),
+    (["--p", "abc"], "error: bad --p spec 'abc': could not convert string to float: 'abc'"),
+    (["--quad-nodes", "0"], "error: --quad-nodes must be a positive integer"),
+    (["--quad-nodes", "-3"], "error: --quad-nodes must be a positive integer"),
+    (["--quad-nodes", "0", "--schedule", "const:0.15"],
+     "error: --quad-nodes must be a positive integer"),
+    (["--quad-nodes", "-3", "--schedule", "const:0.15"],
+     "error: --quad-nodes must be a positive integer"),
 ])
 def test_gramians_usage_errors_name_the_problem(tmp_path, capsys, args, message):
     argv = ["--out", str(tmp_path), "gramians", "--system", str(EXAMPLE), "--range", "low:1"]
@@ -108,6 +118,7 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "-1"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c3", "0"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.6", "--c2", "0.5"],
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:20", "--c1", "0.6", "--c2", "0.5"],
     ["analyze", "--system", str(EXAMPLE), "--range", "low:1", "--bisect-tol", "nan"],
     ["analyze", "--system", "NOT_AN_OBJECT", "--range", "low:1"],
     ["certify-uas", "--system", str(EXAMPLE.parent), "--c3", "1.0"],
@@ -118,6 +129,8 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule",
      "sin:0.15,0.1:0.01,0.01:1"],
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--p", "0.15,0.1"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--p", "nan"],
+    ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--quad-nodes", "0"],
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--t", "nan"],
     ["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--t", "20"],
     ["certify-uas", "--system", "N_IS_A_LIST", "--c3", "1"],
@@ -129,8 +142,10 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
     ["reproduce", "example3"],
 ], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2",
         "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero",
-        "certify-uas-c1-above-c2", "analyze-bisect-tol-nan", "analyze-system-not-an-object",
+        "certify-uas-c1-above-c2", "enlarge-c1-above-c2-zero-gap",
+        "analyze-bisect-tol-nan", "analyze-system-not-an-object",
         "certify-uas-system-is-a-directory", "gramians-t-negative", "gramians-t-nan", "gramians-schedule-two-params", "gramians-p-two-params",
+        "gramians-p-nan", "gramians-quad-nodes-zero",
         "gramians-t-nan-without-schedule", "gramians-t-without-schedule",
         "certify-uas-n-is-a-list", "certify-uas-A0-is-an-object",
         "simulate-range", "simulate-csv-stride", "simulate-csv-stride-zero",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import finitefreq as ff
 from finitefreq.reference import REFERENCE
-from conftest import random_stable_lti
+from conftest import random_stable_lti, three_state_two_input_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
 
@@ -147,9 +149,61 @@ def test_uniform_radius_diagonal_and_rotation():
     assert ff.uniform_spectral_radius(r) == pytest.approx(w0)
 
 
+def gap_reference(system, rng):
+    """Reference: the per-point loop, one band block and one eigensolve per grid p."""
+    psi = ff.frequency_weight(rng)
+    I = np.eye(system.n)
+    worst = 0.0
+    for p in system.box.p_grid(11):
+        A = system.A(p)
+        K = psi[0, 0] * (A.conj().T @ A) + psi[0, 1] * A.conj().T + psi[1, 0] * A + psi[1, 1] * I
+        if not np.isfinite(K).all():
+            raise ValueError(f"band block at p={np.round(p, 6)} is not finite; the gap is undefined")
+        H = ff.real_embedding(-K) if np.iscomplexobj(K) else -K
+        worst = max(worst, max(0.0, float(np.linalg.eigvalsh(H).max())))
+    return worst
+
+
+def radius_reference(system):
+    return max(float(np.linalg.norm(system.A(p), 2)) for p in system.box.p_grid(11))
+
+
+GAP_BANDS = [LOW1, ff.FrequencyRange.middle(0.5, 1.5), ff.FrequencyRange.high(12.0)]
+
+
+@pytest.mark.parametrize("band", GAP_BANDS, ids=str)
+@pytest.mark.parametrize("which", ["example", "two-parameter"])
+def test_batched_gap_and_radius_equal_the_per_point_loop(benchmark_system, which, band):
+    system = benchmark_system if which == "example" else three_state_two_input_system()[0]
+    assert ff.gap(system, band) == gap_reference(system, band)
+    assert ff.gap(system, band) > 0
+    assert ff.uniform_spectral_radius(system) == radius_reference(system)
+
+
+def _overflowing_system(nparams):
+    """A(p) = -1e154 (1 + sum p) on [0, 1]^l: the band block overflows once (1 + sum p)^2 > 1.8."""
+    def const(v):
+        return ff.AffineMatrixFunction([[v]], ([[0.0]],) * nparams)
+
+    A = ff.AffineMatrixFunction([[-1e154]], ([[-1e154]],) * nparams)
+    box = ff.ParameterBox([0.0] * nparams, [1.0] * nparams, [-1.0] * nparams, [1.0] * nparams)
+    return ff.LpvSystem(A, const(1.0), const(1.0), const(0.0), box)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("band", GAP_BANDS, ids=str)
+@pytest.mark.parametrize("nparams, where", [(1, "[0.4]"), (2, "[0.  0.4]")])
+def test_gap_names_the_first_non_finite_grid_point(nparams, where, band):
+    system = _overflowing_system(nparams)
+    message = f"band block at p={where} is not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gap_reference(system, band)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ff.gap(system, band)
+
+
 def test_recommend_range_benchmark(benchmark_system, benchmark_band):
-    cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
-    res = ff.recommend_range(benchmark_system, benchmark_band, uas=cert)
+    res = ff.recommend_range(benchmark_system, benchmark_band, 7.4, 0.5, 0.6)
     assert res.gap_squared == pytest.approx(163.6236, rel=1e-4)
     assert np.isfinite(res.trace_W_p_min) and np.isfinite(res.trace_W_dot_p)
     # consistency of the pipeline arithmetic
@@ -218,4 +272,25 @@ def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
     certs = _counting(monkeypatch, enl, "uas_certificate")
     res = ff.recommend_range(sys, LOW1)
     assert res.gap_squared > 0 and res.delta_squared == 0.0 and res.trace_W_dot_p == 0.0
+    assert certs == []
+
+
+@pytest.mark.parametrize("c1, c2", [(0.5, 0.6), (None, None)])
+def test_recommend_range_on_a_zero_gap_band_solves_no_certificate(benchmark_system, monkeypatch,
+                                                                  c1, c2):
+    import finitefreq.enlargement as enl
+    certs = _counting(monkeypatch, enl, "uas_certificate")
+    res = ff.recommend_range(benchmark_system, ff.FrequencyRange.low(20.0), 7.4, c1, c2)
+    assert res.gap_squared == 0.0 and res.trace_W_dot_p is None
+    assert certs == []
+
+
+@pytest.mark.parametrize("band", [ff.FrequencyRange.low(20.0), LOW1], ids=str)
+def test_recommend_range_rejects_bad_scalars_before_any_solve(benchmark_system, monkeypatch, band):
+    import finitefreq.enlargement as enl
+    certs = _counting(monkeypatch, enl, "uas_certificate")
+    with pytest.raises(ValueError, match="need 0 < c1 <= c2"):
+        ff.recommend_range(benchmark_system, band, 7.4, 0.6, 0.5)
+    with pytest.raises(ValueError, match="both c1 and c2"):
+        ff.recommend_range(benchmark_system, band, 7.4, 0.6)
     assert certs == []

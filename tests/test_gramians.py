@@ -8,7 +8,7 @@ import scipy.linalg
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
 from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre, _transition_from_t
-from conftest import random_stable_lti
+from conftest import random_stable_lti, three_state_two_input_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
 
@@ -230,11 +230,12 @@ def test_time_average_state_covariance_approaches_gramian():
 def test_gramian_set_bundle(benchmark_system):
     gs = ff.gramian_set(benchmark_system, example_schedule(), 5.0, LOW1,
                         quad_nodes=51, step=2e-3)
-    tr = gs.traces
+    assert sorted(gs) == ["W_dot_p_1", "W_dot_p_2", "W_hat_p", "W_p"]
+    tr = {k: np.trace(W) for k, W in gs.items()}
     assert tr["W_p"] > 0 and tr["W_dot_p_1"] >= 0 and tr["W_dot_p_2"] >= 0
     # W_p is the frozen Gramian at p(5), the time the set was asked for
     frozen = ff.gramian_lpv_frozen(benchmark_system, example_schedule().p(5.0), LOW1, 51)
-    assert np.array_equal(gs.W_p, frozen)
+    assert np.array_equal(gs["W_p"], frozen)
 
 
 @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
@@ -280,22 +281,6 @@ BANDS = [ff.FrequencyRange.low(1.2), ff.FrequencyRange.middle(0.5, 1.5),
          ff.FrequencyRange.high(2.0), ff.FrequencyRange.entire()]
 
 
-def _three_state_two_input_system():
-    """n = 3 states, 2 inputs, 2 scheduling parameters; Hurwitz over the box."""
-    rng = np.random.default_rng(17)
-    A0 = -2.0 * np.eye(3) + 0.4 * rng.normal(size=(3, 3))
-    sysm = ff.LpvSystem(
-        A=ff.AffineMatrixFunction(A0, tuple(0.5 * rng.normal(size=(3, 3)) for _ in range(2))),
-        B=ff.AffineMatrixFunction(rng.normal(size=(3, 2)),
-                                  tuple(rng.normal(size=(3, 2)) for _ in range(2))),
-        C=ff.AffineMatrixFunction(rng.normal(size=(1, 3)), (np.zeros((1, 3)),) * 2),
-        D=ff.AffineMatrixFunction(np.zeros((1, 2)), (np.zeros((1, 2)),) * 2),
-        box=ff.ParameterBox([-0.5, -0.5], [0.5, 0.5], [-2.0, -2.0], [2.0, 2.0]),
-    )
-    traj = ff.ScheduleTrajectory.sinusoid([0.1, -0.2], [0.3, 0.2], 2.0, 0.4, box=sysm.box)
-    return sysm, traj
-
-
 @pytest.mark.parametrize("band", BANDS, ids=str)
 def test_shifted_gramian_matches_per_node_quadrature(benchmark_system, band):
     got = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 5.0, band,
@@ -307,7 +292,7 @@ def test_shifted_gramian_matches_per_node_quadrature(benchmark_system, band):
 
 @pytest.mark.parametrize("band", BANDS, ids=str)
 def test_shifted_gramian_matches_per_node_quadrature_two_parameters(band):
-    sysm, traj = _three_state_two_input_system()
+    sysm, traj = three_state_two_input_system()
     assert all(np.linalg.eigvals(sysm.A(p)).real.max() < 0 for p in sysm.box.p_grid(3))
     got = ff.gramian_lpv_shifted(sysm, traj, 2.0, band, quad_nodes=41, step=2e-3)
     ref = shifted_reference(sysm, traj, 2.0, band, 41, 2e-3)
@@ -364,7 +349,7 @@ def test_drift_sups_match_scalar_loop(benchmark_system, band):
 
 @pytest.mark.parametrize("band", BANDS, ids=str)
 def test_drift_sups_match_scalar_loop_two_parameters(band):
-    sysm, _ = _three_state_two_input_system()
+    sysm, _ = three_state_two_input_system()
     got = _drift_sups(sysm, band, 4, 7)
     ref = drift_sups_reference(sysm, band, 4, 7)
     assert got == pytest.approx(ref, rel=1e-12)

@@ -700,3 +700,29 @@ def test_decay_blocks_match_hand_written_derivative(benchmark_system, system):
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-13 * scale
     assert scalars == [(0, -1.0), (1, 1.0)] * len(pcs) + [(2, -1.0)] * (len(pcs) * len(rcs))
+
+
+def _input_drift_system(nparams):
+    """A = diag(-1, -2), B(p) = [1; sum p] on [-1, 1]^l: uncontrollable where sum p = 0."""
+    z = np.zeros
+    return ff.LpvSystem(
+        ff.AffineMatrixFunction([[-1.0, 0.0], [0.0, -2.0]], (z((2, 2)),) * nparams),
+        ff.AffineMatrixFunction([[1.0], [0.0]], ([[0.0], [1.0]],) * nparams),
+        ff.AffineMatrixFunction([[1.0, 1.0]], (z((1, 2)),) * nparams),
+        ff.AffineMatrixFunction([[0.0]], (z((1, 1)),) * nparams),
+        ff.ParameterBox([-1.0] * nparams, [1.0] * nparams, [-1.0] * nparams, [1.0] * nparams))
+
+
+@pytest.mark.parametrize("nparams, where", [(1, "[0.]"), (2, "[-1.  1.]")],
+                         ids=["midpoint", "second-corner"])
+def test_controllability_warning_names_the_first_weak_point(nparams, where):
+    # corners in product order, then the midpoint; one warning, for the first weak pair
+    with pytest.warns(UserWarning, match="near-uncontrollable") as rec:
+        lmi._check_controllability(_input_drift_system(nparams))
+    assert [str(w.message) for w in rec] == [
+        f"frozen pair (A, B) at p={where} is near-uncontrollable; certificates may be unreliable"]
+
+
+def test_controllability_check_is_silent_for_a_controllable_box(benchmark_system, recwarn):
+    lmi._check_controllability(benchmark_system)
+    assert len(recwarn) == 0
