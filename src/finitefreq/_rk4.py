@@ -173,13 +173,16 @@ def _sweep(M, g, out):
     _sweep(M[head:], None if g is None else g[head:], out[head:])
 
 
-def propagate_vector(M, g, x0):
+def propagate_vector(M, g, x0, out=None):
     """x_{k+1} = M_k x_k + g_k from x_0; returns (N+1, n), time-major, including x_0.
 
-    Overflow is left to the caller's finiteness check.
+    ``out``, if given, is the (N+1, n) array written and returned, such as
+    rows of a longer time-major trajectory.  Overflow is left to the
+    caller's finiteness check.
     """
     N = M.shape[0]
-    out = np.empty((N + 1, x0.size), order="F")
+    if out is None:
+        out = np.empty((N + 1, x0.size), order="F")
     out[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         _sweep(M, np.asarray(g, dtype=float)[..., None], out[..., None])

@@ -181,7 +181,7 @@ def cmd_simulate(args):
         raise UsageError("--csv-stride must be a positive integer")
     system = _load(args)
     signal = parse_signal(args.signal)
-    schedule = parse_schedule(args.schedule, box=system.box) if args.schedule \
+    schedule = parse_schedule(args.schedule, box=system.box) if args.schedule is not None \
         else reference.example_schedule()
     ranges = [parse_range(s) for s in (args.range or ["low:1"])]
     result = simulate(system, schedule, signal, args.t_end, args.step)
@@ -226,7 +226,7 @@ def cmd_gramians(args):
         raise UsageError("--quad-nodes must be a positive integer")
     system = _load(args)
     rng = parse_range(args.range)
-    if args.schedule:
+    if args.schedule is not None:
         schedule = parse_schedule(args.schedule, box=system.box)
         t = _GRAMIAN_T if args.t is None else args.t
         gramians = gramian_set(system, schedule, t, rng, args.quad_nodes, classical=args.classical)
@@ -234,7 +234,7 @@ def cmd_gramians(args):
     elif args.t is not None:
         raise UsageError("--t needs --schedule: a frozen Gramian has no time")
     else:
-        p = parse_p(args.p) if args.p else system.box.midpoint()
+        p = parse_p(args.p) if args.p is not None else system.box.midpoint()
         gramians = {"W_p": gramian_lpv_frozen(system, p, rng, args.quad_nodes, args.classical)}
         report = {"p": list(np.atleast_1d(p))}
     report.update({"traces": {k: float(np.trace(W)) for k, W in gramians.items()},

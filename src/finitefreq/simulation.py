@@ -6,18 +6,26 @@ constant schedule is the zero-amplitude, zero-rate case.  The scalar IQC
 functional integrates He([xdot* x*] Psi [xdot; x]) along a simulated
 trajectory; its sign is the time-domain witness for band-limited state
 behavior that the LMI certificates presuppose.
+
+``simulate`` keeps O(N) data for the whole run of N steps (times, parameter
+rows, input, state, x_dot and y) and forms the O(n^2)-per-step data (A and
+B on the half-step grid, the RK4 step matrices and offsets, C and D) one
+chunk of ``_STEP_CHUNK`` steps at a time, so its working memory grows as
+O(chunk*n^2 + N*(n + m + p + l)), not O(N*n^2).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ._rk4 import half_steps, product, propagate_vector, stages, step_matrices, step_offsets
 from .model import DimensionError, FrequencyRange, LpvSystem, frequency_weight
+
+_STEP_CHUNK = 4096  # RK4 steps whose stage and step matrices are held at once
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,17 @@ class SimulationResult:
 
 def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimitedSignal,
              t_end: float, step: float = 1e-3) -> SimulationResult:
-    """RK4 integration from zero initial state with exact stage evaluations."""
+    """RK4 integration from zero initial state with exact stage evaluations.
+
+    The times, parameter rows and input are sampled once on the half-step
+    grid of all N steps.  The matrix data is formed one chunk of
+    ``_STEP_CHUNK`` steps at a time: a first pass propagates the state from
+    each chunk's end state through the next chunk and raises at the first
+    chunk that holds a non-finite state, so no x_dot or y is formed from an
+    overflowing state; a second pass forms x_dot and y.  Working memory is
+    O(chunk*n^2 + N*(n + m + p + l)) for n states, m inputs, p outputs and
+    l parameters.
+    """
     if not (np.isfinite(step) and np.isfinite(t_end) and step > 0 and t_end > 0):
         raise ValueError(f"step and t_end must be positive and finite, got {step} and {t_end}")
     wmax = signal.max_frequency
@@ -171,24 +189,38 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     ts = half_steps(step, N)
     P = param_rows(trajectory.p, ts) if system.nparams else np.zeros((len(ts), 0))
     warn_if_outside_box(trajectory, P)
-
-    # every time-dependent quantity once on the half-step grid, time-major;
-    # the RK4 stages are strided views of it and the outputs use its even rows
-    A, B = system.A.batch(P), system.B.batch(P)
     u = np.atleast_1d(sample_signal(signal, ts))
-    U = np.tile(u, (system.n_inputs, 1)).T  # every input channel carries u
-    A_stages = stages(A)
-    M = step_matrices(A_stages, step)
-    g = step_offsets(A_stages, stages(product(B, U)), step)
-    xs = propagate_vector(M, g, np.zeros(system.n))
-    if not np.all(np.isfinite(xs)):
-        raise RuntimeError("integration diverged")
+    m = system.n_inputs
 
-    P, A, B, U = P[::2], A[::2], B[::2], U[::2]
-    C, D = system.C.batch(P), system.D.batch(P)
-    x_dot = product(A, xs) + product(B, U)
-    y = product(C, xs) + product(D, U)
-    return SimulationResult(ts[::2], U, xs, x_dot, y, step)
+    # pass 1: each chunk's K steps from its 2K+1 half-step rows, time-major;
+    # the RK4 stages are strided views of them
+    xs = np.empty((N + 1, system.n), order="F")
+    xs[0] = 0.0
+    for k0 in range(0, N, _STEP_CHUNK):
+        k1 = min(k0 + _STEP_CHUNK, N)
+        rows = slice(2 * k0, 2 * k1 + 1)
+        A_stages = stages(system.A.batch(P[rows]))
+        Bu = product(system.B.batch(P[rows]), np.tile(u[rows], (m, 1)).T)  # every input carries u
+        M = step_matrices(A_stages, step)
+        g = step_offsets(A_stages, stages(Bu), step)
+        propagate_vector(M, g, xs[k0], out=xs[k0:k1 + 1])
+        if not np.all(np.isfinite(xs[k0 + 1:k1 + 1])):
+            raise RuntimeError("integration diverged")
+
+    # pass 2: x_dot and y at the step times, the even half-step rows
+    P = P[::2]
+    U = np.empty((N + 1, m), order="F")
+    U[...] = u[::2, None]
+    x_dot = np.empty_like(xs)
+    y = np.empty((N + 1, system.n_outputs), order="F")
+    for k0 in range(0, N + 1, _STEP_CHUNK):
+        k = slice(k0, k0 + _STEP_CHUNK)
+        A, B, C, D = (f.batch(P[k]) for f in (system.A, system.B, system.C, system.D))
+        product(A, xs[k], out=x_dot[k])
+        x_dot[k] += product(B, U[k])
+        product(C, xs[k], out=y[k])
+        y[k] += product(D, U[k])
+    return SimulationResult(ts[::2].copy(), U, xs, x_dot, y, step)
 
 
 def _cumtrapz(v, h):
@@ -258,10 +290,23 @@ def spectrum_fraction(data, rng: FrequencyRange, step: float = None) -> float:
 def _spectrum(u, step):
     """(|angular frequency|, Hann-windowed energy) per rfft bin of u.
 
-    None when the windowed signal has no energy: u is zero, or nonzero only
-    at the ends, where the window vanishes (every run of one step).
+    The symmetric Hann window's last weight is 0, so the transform takes the
+    first M-1 windowed samples: a periodic Hann window over the run, with
+    bins at 2 pi k / ((M-1) step).  None when the windowed signal has no
+    energy: u is zero, or has fewer than three samples (a run of one step),
+    where the window vanishes.
     """
-    energy = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
+    if u.size < 2:
+        return None
+    energy = np.abs(np.fft.rfft(u[:-1] * _hann_head(u.size))) ** 2
     if not np.any(energy):
         return None
-    return np.abs(2.0 * np.pi * np.fft.rfftfreq(u.size, d=step)), energy
+    return np.abs(2.0 * np.pi * np.fft.rfftfreq(u.size - 1, d=step)), energy
+
+
+@lru_cache(maxsize=1)
+def _hann_head(size):
+    """``np.hanning(size)`` without its last weight, read-only; kept for runs of one length."""
+    w = np.hanning(size)[:-1]
+    w.flags.writeable = False
+    return w

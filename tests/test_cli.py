@@ -46,12 +46,14 @@ def test_simulate_csv_matches_csv_writer_rendering(tmp_path, stride):
 def test_spectrum_fraction_mask_matches_contains_with_edges_on_bins(kind):
     step = 0.01
     u = np.random.default_rng(5).normal(size=3001)
-    freqs = 2.0 * np.pi * np.fft.rfftfreq(u.size, d=step)
+    # the symmetric window's last weight is 0: a periodic window over the first 3000 samples
+    freqs = 2.0 * np.pi * np.fft.rfftfreq(u.size - 1, d=step)
     rng = {"low": lambda: ff.FrequencyRange.low(freqs[40]),
            "middle": lambda: ff.FrequencyRange.middle(freqs[25], freqs[300]),
            "high": lambda: ff.FrequencyRange.high(freqs[700]),
            "entire": ff.FrequencyRange.entire}[kind]()
-    energy = np.abs(np.fft.rfft(u * np.hanning(u.size))) ** 2
+    assert np.hanning(u.size)[-1] == 0.0
+    energy = np.abs(np.fft.rfft(u[:-1] * np.hanning(u.size)[:-1])) ** 2
     mask = np.array([rng.contains(f) for f in freqs])
     assert ff.spectrum_fraction(u, rng, step) == float(energy[mask].sum() / energy.sum())
     if kind != "entire":  # the edge bins are inside the band
@@ -163,6 +165,20 @@ def test_usage_errors_exit_1_without_output(tmp_path, tmp_path_factory, capsys, 
     assert list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--p="], "bad --p spec ''"),
+    (["gramians", "--system", str(EXAMPLE), "--range", "low:1", "--schedule="],
+     "bad schedule spec ''"),
+    (["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--t-end", "1",
+      "--schedule="], "bad schedule spec ''"),
+], ids=["gramians-p", "gramians-schedule", "simulate-schedule"])
+def test_an_empty_spec_is_an_error_not_the_default(tmp_path, capsys, argv, message):
+    assert cli.main(["--out", str(tmp_path), *argv]) == 1
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 def test_csv_stride_message(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import finitefreq as ff
+from finitefreq import simulation
 from finitefreq.reference import (example_band, example_schedule, example_signal,
                                   example_system)
 from conftest import random_stable_lti
@@ -132,6 +134,18 @@ def test_simulate_divergence_error():
         ff.simulate(sys, traj, sig, 200.0, 1e-2)
 
 
+def test_divergence_is_raised_before_x_dot_or_y_overflows(benchmark_system):
+    # 20,000 steps span five chunks; the state overflows in a later chunk than the first
+    A = ff.AffineMatrixFunction(5.0 * np.eye(2), benchmark_system.A.coeffs)
+    unstable = ff.LpvSystem(A, benchmark_system.B, benchmark_system.C, benchmark_system.D,
+                            benchmark_system.box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="integration diverged"):
+            ff.simulate(unstable, example_schedule(), ff.BandLimitedSignal(((1.0, 1.0, 0.0),)),
+                        200.0, 1e-2)
+
+
 def test_performance_ratio_identity_and_double():
     traj = ff.ScheduleTrajectory.constant(np.zeros(0))
     sig = ff.BandLimitedSignal(((1.0, 1.0, 0.2),))
@@ -202,6 +216,13 @@ def test_spectrum_fraction_cases():
     assert fraction(((0.0, 1.0, 0.0),)) == 1.0
     with pytest.raises(ValueError, match="step required"):
         ff.spectrum_fraction(np.ones(8), LOW1)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_spectrum_fraction_of_fewer_than_three_samples_is_vacuous(size):
+    # the window keeps no sample with nonzero weight: vacuously in any band
+    for band in (LOW1, ff.FrequencyRange.high(1.0)):
+        assert ff.spectrum_fraction(np.full(size, 2.0), band, 1e-3) == 1.0
 
 
 def test_spectrum_fraction_on_simulation(benchmark_run):
@@ -371,3 +392,98 @@ def test_a_system_without_inputs_stays_at_rest():
     res = ff.simulate(sysm, ff.ScheduleTrajectory.constant(np.zeros(0)),
                       ff.BandLimitedSignal(((1.0, 1.0, 0.0),)), 1.0, 1e-2)
     assert res.u.shape == (101, 0) and not res.x.any() and not res.y.any()
+
+
+def _chunk_case(case):
+    if case == "example":
+        return example_system(), example_schedule(), example_signal(), 1e-3
+    system, schedule = two_parameter_system()
+    return system, schedule, ff.BandLimitedSignal(((1.0, 0.7, 0.2), (0.5, 2.3, 1.1))), 2e-3
+
+
+def _recorded_simulate(monkeypatch, chunk, system, schedule, signal, t_end, h):
+    """simulate with _STEP_CHUNK = chunk: its result, the parameter rows of every
+    A.batch call, and the step counts seen by each _rk4 function."""
+    monkeypatch.setattr(simulation, "_STEP_CHUNK", chunk)
+    rows, steps = [], {}
+    batch = ff.AffineMatrixFunction.batch
+
+    def spy_batch(self, P):
+        if self is system.A:
+            rows.append(np.array(P))
+        return batch(self, P)
+
+    monkeypatch.setattr(ff.AffineMatrixFunction, "batch", spy_batch)
+    for name in ("step_matrices", "step_offsets", "propagate_vector"):
+        def counted(*args, _f=getattr(simulation, name), _name=name, **kwargs):
+            first = args[0][0] if isinstance(args[0], tuple) else args[0]
+            steps.setdefault(_name, []).append(first.shape[0])
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(simulation, name, counted)
+    res = ff.simulate(system, schedule, signal, t_end, h)
+    monkeypatch.undo()
+    return res, rows, steps
+
+
+@pytest.mark.parametrize("N", [1, 6, 7, 8, 50])
+@pytest.mark.parametrize("case", ["example", "two-parameter"])
+def test_chunked_simulate_matches_one_chunk(monkeypatch, case, N):
+    system, schedule, signal, h = _chunk_case(case)
+    one, one_rows, _ = _recorded_simulate(monkeypatch, N + 1, system, schedule, signal, N * h, h)
+    res, rows, steps = _recorded_simulate(monkeypatch, 7, system, schedule, signal, N * h, h)
+    chunks = -(-N // 7)
+    assert [len(r) for r in rows[:chunks]] == [2 * min(7, N - k) + 1 for k in range(0, N, 7)]
+    # the chunks tile the half-step rows, sharing each boundary row, then the step rows
+    tiled = np.concatenate([rows[0]] + [r[1:] for r in rows[1:chunks]])
+    assert np.array_equal(tiled, one_rows[0])
+    assert np.array_equal(np.concatenate(rows[chunks:]), one_rows[1])
+    assert all(sum(counts) == N and len(counts) == chunks for counts in steps.values())
+    assert len(steps) == 3
+    assert np.array_equal(res.times, one.times) and np.array_equal(res.u, one.u)
+    for got, ref in ((res.x, one.x), (res.x_dot, one.x_dot), (res.y, one.y)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_chunked_simulate_warns_once_when_the_schedule_leaves_the_box(monkeypatch,
+                                                                      benchmark_system):
+    monkeypatch.setattr(simulation, "_STEP_CHUNK", 7)
+    # p(t) = 0.15 + 0.06 sin(10 t) leaves [0.1, 0.2] at t ~ 0.0985 s and again later
+    leaving = ff.ScheduleTrajectory.sinusoid([0.15], [0.06], 10.0, box=benchmark_system.box)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ff.simulate(benchmark_system, leaving, ff.BandLimitedSignal(((1.0, 1.0, 0.0),)), 1.0, 1e-2)
+    assert [str(w.message) for w in caught] == ["schedule leaves the parameter box"]
+
+
+def seeded_system(n, seed=3):
+    """Seeded LPV system: n states, 2 inputs, 2 outputs, 2 parameters in [-0.5, 0.5],
+    with a schedule and a two-tone input."""
+    g = np.random.default_rng(seed)
+
+    def draw(scale, shape, k=2):
+        return scale[0] * g.normal(size=shape), tuple(scale[1] * g.normal(size=shape)
+                                                      for _ in range(k))
+
+    mk = ff.AffineMatrixFunction
+    a0, a = draw((0.3, 0.2), (n, n))
+    A = mk(-1.5 * np.eye(n) + a0, a)
+    B, C, D = (mk(*draw(scale, shape)) for scale, shape in
+               (((1.0, 0.3), (n, 2)), ((1.0, 0.3), (2, n)), ((0.2, 0.06), (2, 2))))
+    box = ff.ParameterBox([-0.5, -0.5], [0.5, 0.5], [-0.5, -0.5], [0.5, 0.5])
+    schedule = ff.ScheduleTrajectory.sinusoid([0.0, 0.1], [0.3, 0.2], 1.0, box=box)
+    signal = ff.BandLimitedSignal(((1.0, 0.7, 0.0), (0.5, 1.3, 1.0)))
+    return ff.LpvSystem(A, B, C, D, box), schedule, signal
+
+
+def test_simulate_working_memory_does_not_grow_with_n_squared_per_step():
+    system, schedule, signal = seeded_system(6)
+    tracemalloc.start()
+    try:
+        res = ff.simulate(system, schedule, signal, 60.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result alone is 60,001 x (1 + 2 + 6 + 6 + 2) doubles, about 8.2 MB
+    assert peak < 40e6
+    assert all(a.base is None for a in (res.times, res.u, res.x, res.x_dot, res.y))
