@@ -32,12 +32,18 @@ import numpy as np
 _LOOP_STEPS = 8  # below this many steps the scan is a plain loop
 
 
-def half_steps(h, N, t0=0.0):
-    """The half-step grid t0 + (h/2) j, j = 0..2N: every stage time of N RK4 steps.
+def half_steps(duration, step):
+    """(h, grid): N = max(1, round(duration/step)) RK4 steps of h = duration/N over
+    [0, duration], and every stage time of them, the grid (h/2) j for j = 0..2N.
 
-    Its even rows are the step times t0 + h k, bit for bit.
+    The grid's even rows are the step times h k, bit for bit.  A duration or
+    step that is not finite and positive raises ValueError.
     """
-    return t0 + 0.5 * h * np.arange(2 * N + 1)
+    if not (np.isfinite(duration) and np.isfinite(step) and duration > 0 and step > 0):
+        raise ValueError(f"step and duration must be positive and finite, got {step} and {duration}")
+    N = max(1, round(duration / step))
+    h = duration / N
+    return h, 0.5 * h * np.arange(2 * N + 1)
 
 
 def stages(rows):

@@ -208,7 +208,7 @@ def cmd_simulate(args):
             fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
     summary = {
         "final_gamma_R": float(gamma_r[-1]),
-        "t_end": args.t_end, "step": args.step,
+        "t_end": args.t_end, "step": result.step,  # t_end / N, the step taken
         "iqc": {r.describe(): {"final": rep.final_value, "verdict": rep.sign_verdict}
                 for r, rep in zip(ranges, reports)},
         "band_energy_fraction": {r.describe(): spectrum_fraction(result, r) for r in ranges},

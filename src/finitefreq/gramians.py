@@ -8,7 +8,9 @@ computed by Gauss-Legendre quadrature over the positive half of the band and
 symmetrized over +-w.  Following the shipped reference example, no 1/(2pi)
 factor is applied by default; ``classical=True`` restores the conventional
 normalization.  The time-varying variants weight the integrand with the state
-transition matrix or with the parameter-drift correction terms.
+transition matrix or with the parameter-drift correction terms, from RK4
+runs on ``_rk4.half_steps``: N = max(1, round(t/step)) steps of h = t/N,
+which end at t, along (N, l) rows of schedule samples.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from ._rk4 import half_steps, propagate_matrix, stages, step_matrices
 from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, grid
 from .lmi import UasCertificate
-from .simulation import param_rows, warn_if_outside_box
+from .simulation import warn_if_outside_box
 
 _TAU_CHUNK = 512  # tau samples per block of the quadrature's exponential table
 
@@ -99,37 +101,32 @@ def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: in
     return W / (2.0 * np.pi) if classical else W
 
 
-def state_transition(system: LpvSystem, trajectory, t0: float, t_end: float,
-                     step: float) -> np.ndarray:
-    """Transition matrices Phi(t_k, t0) on the grid t_k = t0 + k*step, as (N+1, n, n).
+def state_transition(system: LpvSystem, trajectory, t_end: float, step: float) -> np.ndarray:
+    """Transition matrices Phi(t_k, 0) at the step times t_k = k*h of
+    ``half_steps(t_end, step)``, as (N+1, n, n); the identity alone for t_end = 0.
 
-    Integrates the matrix equation Phidot = A(p(t)) Phi from Phi(t0, t0) = I.
+    Integrates the matrix equation Phidot = A(p(t)) Phi from Phi(0, 0) = I.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    N = max(1, int(round((t_end - t0) / step)))
-    P = param_rows(trajectory.p, half_steps(step, N, t0))
-    warn_if_outside_box(trajectory, P)
-    if t_end == t0:
+    if t_end == 0:
         return np.eye(system.n)[None, :, :]
-    return propagate_matrix(step_matrices(stages(system.A.batch(P)), step), np.eye(system.n))
+    h, ts = half_steps(t_end, step)
+    P = trajectory.p(ts)
+    warn_if_outside_box(trajectory, P)
+    return propagate_matrix(step_matrices(stages(system.A.batch(P)), h), np.eye(system.n))
 
 
 def _transition_from_t(system: LpvSystem, trajectory, t: float, step: float):
-    """Phi(t, tau_k) on the grid tau_k = k*step via the reversed-time system.
+    """(h, taus, Phi(t, taus)) at the step times tau_k = k*h of ``half_steps(t, step)``.
 
     Direct inversion of Phi(tau, 0) underflows for strongly decaying dynamics,
     so Phi(t, tau) is integrated backward instead: with Y(s) = Phi(t, t-s)^T,
     dY/ds = A(p(t-s))^T Y, which is itself a stable forward propagation.
     """
-    N = max(1, int(round(t / step)))
-    A = system.A.batch(param_rows(trajectory.p, t - half_steps(step, N)))
-    M = step_matrices(stages(np.swapaxes(A, 1, 2)), step)
+    h, s = half_steps(t, step)
+    M = step_matrices(stages(np.swapaxes(system.A.batch(trajectory.p(t - s)), 1, 2)), h)
     Y = propagate_matrix(M, np.eye(system.n))
-    # Y[j] = Phi(t, t - s_j)^T; reorder to tau ascending
-    phi_t_tau = np.swapaxes(Y[::-1], 1, 2)
-    taus = step * np.arange(N + 1)
-    return taus, phi_t_tau
+    # Y[k] = Phi(t, t - k*h)^T; reorder to tau ascending
+    return h, s[::2], np.swapaxes(Y[::-1], 1, 2)
 
 
 def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
@@ -138,9 +135,9 @@ def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: Frequency
 
     The resolvent is frozen at p(t) while the input matrix is taken at p(0).
     """
-    Phi = state_transition(system, trajectory, 0.0, t, step)[-1]
-    A_t = system.A(np.atleast_1d(trajectory.p(t)))
-    B_0 = system.B(np.atleast_1d(trajectory.p(0.0)))
+    Phi = state_transition(system, trajectory, t, step)[-1]
+    A_t = system.A(trajectory.p(t))
+    B_0 = system.B(trajectory.p(0.0))
     Win = _resolvent_gramian(A_t, B_0, rng, quad_nodes)
     W = Phi @ Win @ Phi.T
     return 0.5 * (W + W.T)
@@ -163,17 +160,16 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     S_c(w) = sum_tau tw_tau e^{jw tau} G_c(tau)[:, j] (x) X_c(tau)[k, :], so
     the tau-sums of both terms at all nodes are one matrix product
     E(w, tau) @ H(tau, (c, i, j, k, l)).  E is formed in tau-chunks: on the
-    uniform tau grid every chunk is one base block e^{jw s step} times a
+    tau grid k h every chunk is one base block e^{jw s h} times a
     per-chunk phase e^{jw tau_0}.  The resolvents are one batched inverse.
     """
     n = system.n
     if t <= 0:
         return np.zeros((n, n)), np.zeros((n, n))
-    taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
+    h, taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
     N = len(taus) - 1
-    p_t = np.atleast_1d(trajectory.p(t))
-    A_t = system.A(p_t)
-    P, Pd = param_rows(trajectory.p, taus), param_rows(trajectory.pdot, taus)
+    A_t = system.A(trajectory.p(t))
+    P, Pd = trajectory.p(taus), trajectory.pdot(taus)
 
     A_tau, B_tau = system.A.batch(P), system.B.batch(P)
     Bdot_tau = _drift(system.B).batch(Pd)
@@ -181,13 +177,13 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     G = np.stack([np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau), phi_t_tau],
                  axis=1)
     X = np.stack([B_tau, Bdot_tau], axis=1)
-    tw = np.full(N + 1, step)
-    tw[0] = tw[-1] = 0.5 * step
+    tw = np.full(N + 1, h)
+    tw[0] = tw[-1] = 0.5 * h
 
     om, wts = _band_nodes(rng, quad_nodes)
     m = system.n_inputs
     C = min(N + 1, _TAU_CHUNK)
-    base = np.exp(1j * np.outer(om, step * np.arange(C)))
+    base = np.exp(1j * np.outer(om, h * np.arange(C)))
     base = np.concatenate([base.real, base.imag])  # real rows, then imaginary: real GEMMs
     S = np.zeros((len(om), 2 * n ** 3 * m), dtype=complex)
     for k0 in range(0, N + 1, C):
@@ -211,7 +207,7 @@ def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
     p(t)), "W_hat_p" (transition-weighted) and "W_dot_p_1", "W_dot_p_2" (drift pair)."""
     if not 0.0 <= t < np.inf:  # NaN included
         raise ValueError(f"time t must be finite and nonnegative, got {t}")
-    W_p = gramian_lpv_frozen(system, np.atleast_1d(trajectory.p(t)), rng, quad_nodes, classical)
+    W_p = gramian_lpv_frozen(system, trajectory.p(t), rng, quad_nodes, classical)
     W_hat = gramian_lpv_weighted(system, trajectory, t, rng, quad_nodes, step)
     W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
     if classical:

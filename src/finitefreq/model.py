@@ -47,9 +47,6 @@ class AffineMatrixFunction:
                     f"coefficient shape {c.shape} != constant shape {self.constant.shape}"
                 )
         object.__setattr__(self, "coeffs", cs)
-        flat = np.array(cs).reshape(len(cs), self.constant.size)  # row i: M_i, flattened
-        flat.setflags(write=False)
-        object.__setattr__(self, "_flat", flat)
 
     @property
     def shape(self):
@@ -66,14 +63,21 @@ class AffineMatrixFunction:
     def batch(self, P) -> np.ndarray:
         """M(p) at every row of P (N, nparams), as one (N, r, c) array.
 
-        The array is time-major: its row axis is the fastest in memory, as
-        the batched RK4 products in ``_rk4`` want it.
+        Each entry is summed elementwise in one order, M0 + p_1 M_1 + ... +
+        p_l M_l, so a row's value does not depend on the other rows and
+        equals ``self(P[i])`` bit for bit.  The array is time-major: its row
+        axis is the fastest in memory, as the batched RK4 products in
+        ``_rk4`` want it.
         """
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.nparams:
             raise DimensionError(f"parameter rows have shape {P.shape}, expected (N, {self.nparams})")
-        out = (self._flat.T @ P.T).reshape(self.shape + (len(P),))
-        out += self.constant[..., None]
+        # the first term is the output buffer: one (r, c, N) array for l <= 1
+        out = (self.coeffs[0][..., None] * P[:, 0] if self.coeffs
+               else np.zeros(self.shape + (len(P),)))
+        out += self.constant[..., None]  # p_1 M_1 + M0 is M0 + p_1 M_1, bit for bit
+        for M_i, p_i in zip(self.coeffs[1:], P.T[1:]):
+            out += M_i[..., None] * p_i
         return out.transpose(2, 0, 1)
 
 

@@ -49,14 +49,13 @@ class BandLimitedSignal:
         _check_finite("discount", self.discount_lambda)
         if self.discount_lambda < 0:
             raise ValueError("discount must be nonnegative")
-        if self.discount_lambda > 0 and comps:
-            wmin = min(w for _, w, _ in comps if w > 0) if any(w > 0 for _, w, _ in comps) else np.inf
-            if self.discount_lambda >= wmin / 10.0:
-                raise ValueError("discount must stay below the slowest component / 10")
+        if self.discount_lambda >= min((abs(w) for _, w, _ in comps if w), default=np.inf) / 10.0:
+            raise ValueError("discount must stay below the slowest component / 10")
 
     @property
     def max_frequency(self):
-        return max((w for _, w, _ in self.components), default=0.0)
+        """The largest |w|: cos(w t + phi) oscillates as fast for -w as for w."""
+        return max((abs(w) for _, w, _ in self.components), default=0.0)
 
 
 def _check_finite(name, value):
@@ -82,7 +81,9 @@ class ScheduleTrajectory:
     """Scheduling-parameter curve p(t) = center + amplitude*sin(rate*t + phase).
 
     center and amplitude broadcast against each other to the l parameters,
-    and pdot(t) = amplitude*rate*cos(rate*t + phase) is exact with p's shape.
+    and pdot(t) = amplitude*rate*cos(rate*t + phase) is exact.  Both give
+    (l,) for a scalar t and (N, l) rows for an array of N times, the layout
+    ``AffineMatrixFunction.batch`` takes.
     ``constant(p0)`` is the zero-amplitude, zero-rate case.
     """
 
@@ -111,22 +112,15 @@ class ScheduleTrajectory:
     def sinusoid(cls, center, amplitude, rate, phase=0.0, box=None):
         return cls(center, amplitude, rate, phase, box)
 
-    def _along(self, t, curve):
-        """curve(rate*t + phase) as (l,) for a scalar t, (l, N) for an array of N times."""
-        t = np.asarray(t, dtype=float)
-        out = curve((self.rate * np.atleast_1d(t) + self.phase)[None, :])
-        return out if t.ndim else out[:, 0]
+    def _angle(self, t):
+        """rate*t + phase with a trailing axis that broadcasts against the l parameters."""
+        return self.rate * np.asarray(t, dtype=float)[..., None] + self.phase
 
     def p(self, t):
-        return self._along(t, lambda s: self.center[:, None] + self.amplitude[:, None] * np.sin(s))
+        return self.center + self.amplitude * np.sin(self._angle(t))
 
     def pdot(self, t):
-        return self._along(t, lambda s: (self.amplitude * self.rate)[:, None] * np.cos(s))
-
-
-def param_rows(f, ts) -> np.ndarray:
-    """A schedule's p or pdot sampled at the times ts, as (len(ts), l) rows."""
-    return np.atleast_2d(np.asarray(f(ts), dtype=float).T).reshape(len(ts), -1)
+        return (self.amplitude * self.rate) * np.cos(self._angle(t))
 
 
 def warn_if_outside_box(trajectory, P):
@@ -149,7 +143,7 @@ class SimulationResult:
     x: np.ndarray       # (N+1, n)
     x_dot: np.ndarray   # (N+1, n)
     y: np.ndarray       # (N+1, n_outputs)
-    step: float
+    step: float         # the step h actually taken, t_end / N
 
     @cached_property
     def spectrum(self):
@@ -168,26 +162,25 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
              t_end: float, step: float = 1e-3) -> SimulationResult:
     """RK4 integration from zero initial state with exact stage evaluations.
 
-    The times, parameter rows and input are sampled once on the half-step
-    grid of all N steps.  The matrix data is formed one chunk of
-    ``_STEP_CHUNK`` steps at a time: a first pass propagates the state from
-    each chunk's end state through the next chunk and raises at the first
-    chunk that holds a non-finite state, so no x_dot or y is formed from an
-    overflowing state; a second pass forms x_dot and y.  Working memory is
-    O(chunk*n^2 + N*(n + m + p + l)) for n states, m inputs, p outputs and
-    l parameters.
+    The run takes the N = max(1, round(t_end/step)) steps of h = t_end/N that
+    ``half_steps`` gives, so it ends at t_end; a t_end that rounds to no step
+    at all raises ValueError.  The times, parameter rows and input are
+    sampled once on the half-step grid of all N steps.  The matrix data is
+    formed one chunk of ``_STEP_CHUNK`` steps at a time: a first pass
+    propagates the state from each chunk's end state through the next chunk
+    and raises at the first chunk that holds a non-finite state, so no x_dot
+    or y is formed from an overflowing state; a second pass forms x_dot and
+    y.  Working memory is O(chunk*n^2 + N*(n + m + p + l)) for n states, m
+    inputs, p outputs and l parameters.
     """
-    if not (np.isfinite(step) and np.isfinite(t_end) and step > 0 and t_end > 0):
-        raise ValueError(f"step and t_end must be positive and finite, got {step} and {t_end}")
-    wmax = signal.max_frequency
-    if wmax > 0 and step > 1.0 / (10.0 * wmax):
+    h, ts = half_steps(t_end, step)
+    if 2.0 * h <= step:  # round(t_end/step) is 0, so h = t_end is at most half a step
+        raise ValueError(f"t_end {t_end} is shorter than one step {step}")
+    if 10.0 * h * signal.max_frequency > 1.0:
         warnings.warn("step is coarse for the fastest input component", stacklevel=2)
 
-    N = int(round(t_end / step))
-    if N < 1:
-        raise ValueError(f"t_end {t_end} is shorter than one step {step}")
-    ts = half_steps(step, N)
-    P = param_rows(trajectory.p, ts) if system.nparams else np.zeros((len(ts), 0))
+    N = len(ts) // 2
+    P = trajectory.p(ts) if system.nparams else np.zeros((len(ts), 0))
     warn_if_outside_box(trajectory, P)
     u = np.atleast_1d(sample_signal(signal, ts))
     m = system.n_inputs
@@ -201,8 +194,8 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
         rows = slice(2 * k0, 2 * k1 + 1)
         A_stages = stages(system.A.batch(P[rows]))
         Bu = product(system.B.batch(P[rows]), np.tile(u[rows], (m, 1)).T)  # every input carries u
-        M = step_matrices(A_stages, step)
-        g = step_offsets(A_stages, stages(Bu), step)
+        M = step_matrices(A_stages, h)
+        g = step_offsets(A_stages, stages(Bu), h)
         propagate_vector(M, g, xs[k0], out=xs[k0:k1 + 1])
         if not np.all(np.isfinite(xs[k0 + 1:k1 + 1])):
             raise RuntimeError("integration diverged")
@@ -220,7 +213,7 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
         x_dot[k] += product(B, U[k])
         product(C, xs[k], out=y[k])
         y[k] += product(D, U[k])
-    return SimulationResult(ts[::2].copy(), U, xs, x_dot, y, step)
+    return SimulationResult(ts[::2].copy(), U, xs, x_dot, y, h)
 
 
 def _cumtrapz(v, h):

@@ -317,3 +317,13 @@ def test_simulate_runs_of_one_step_succeed(tmp_path):
     # the Hann window vanishes on both samples: no energy, vacuously in band
     summary = json.loads((tmp_path / "simulate.json").read_text())
     assert summary["band_energy_fraction"] == {"low:1": 1.0}
+
+
+def test_simulate_ends_at_t_end_and_reports_the_step_taken(tmp_path):
+    argv = ["--out", str(tmp_path), "simulate", "--system", str(EXAMPLE),
+            "--signal", "cos:1:0", "--t-end", "0.0015", "--step", "0.001", "--csv-stride", "1"]
+    assert cli.main(argv) == 0
+    rows = (tmp_path / "simulate.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "0.00075", "0.0015"]
+    summary = json.loads((tmp_path / "simulate.json").read_text())
+    assert summary["t_end"] == 0.0015 and summary["step"] == 0.00075

@@ -91,16 +91,23 @@ def test_high_and_entire_band_quadrature():
 def test_state_transition_scalar_exponential():
     sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     traj = ff.ScheduleTrajectory.constant(np.zeros(0))
-    phi = ff.state_transition(sys, traj, 0.0, 1.0, 1e-3)
+    phi = ff.state_transition(sys, traj, 1.0, 1e-3)
     assert phi.shape == (1001, 1, 1)
     assert phi[-1][0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
-    phi0 = ff.state_transition(sys, traj, 0.0, 0.0, 1e-3)
+    phi0 = ff.state_transition(sys, traj, 0.0, 1e-3)
     assert phi0.shape == (1, 1, 1) and np.allclose(phi0[0], np.eye(1))
+
+
+@pytest.mark.parametrize("t_end", [-1.0, np.nan, np.inf])
+def test_state_transition_rejects_a_duration_that_is_negative_or_not_finite(benchmark_system,
+                                                                            t_end):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ff.state_transition(benchmark_system, example_schedule(), t_end, 1e-3)
 
 
 def test_state_transition_frozen_matches_expm(benchmark_system):
     traj = ff.ScheduleTrajectory.constant([0.15], box=benchmark_system.box)
-    phi = ff.state_transition(benchmark_system, traj, 0.0, 1.0, 1e-3)
+    phi = ff.state_transition(benchmark_system, traj, 1.0, 1e-3)
     target = scipy.linalg.expm(benchmark_system.A([0.15]))
     assert np.abs(phi[-1] - target).max() <= 1e-6
 
@@ -108,7 +115,7 @@ def test_state_transition_frozen_matches_expm(benchmark_system):
 def test_state_transition_warns_outside_box(benchmark_system):
     traj = ff.ScheduleTrajectory.constant([0.5], box=benchmark_system.box)
     with pytest.warns(UserWarning, match="parameter box"):
-        ff.state_transition(benchmark_system, traj, 0.0, 0.1, 1e-3)
+        ff.state_transition(benchmark_system, traj, 0.1, 1e-3)
 
 
 def test_weighted_gramian_t0_is_inner_integral(benchmark_system):
@@ -238,6 +245,19 @@ def test_gramian_set_bundle(benchmark_system):
     assert np.array_equal(gs["W_p"], frozen)
 
 
+@pytest.mark.parametrize("t, tol", [(0.5004, {"W_p": 0.0, "W_hat_p": 1e-4, "W_dot_p_1": 1e-4,
+                                              "W_dot_p_2": 1e-4}),
+                                    (0.0004, {"W_p": 0.0, "W_hat_p": 1e-9, "W_dot_p_1": 1e-2,
+                                              "W_dot_p_2": 1e-2})])
+def test_gramian_set_off_the_step_grid_is_taken_at_t(benchmark_system, t, tol):
+    # t is no multiple of the default step 1e-3; t/400 divides it
+    got = ff.gramian_set(benchmark_system, example_schedule(), t, LOW1, quad_nodes=51)
+    ref = ff.gramian_set(benchmark_system, example_schedule(), t, LOW1, quad_nodes=51,
+                         step=t / 400)
+    for k, R in ref.items():
+        assert np.abs(got[k] - R).max() <= tol[k] * np.abs(R).max(), k
+
+
 @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
 def test_gramian_set_rejects_a_time_that_is_negative_or_not_finite(benchmark_system, t):
     with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -246,11 +266,10 @@ def test_gramian_set_rejects_a_time_that_is_negative_or_not_finite(benchmark_sys
 
 def shifted_reference(system, trajectory, t, rng, quad_nodes, step):
     """Reference: the per-node quadrature, one resolvent and four tau-sums per node."""
-    taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
+    h, taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
     N = len(taus) - 1
-    A_t = system.A(np.atleast_1d(trajectory.p(t)))
-    P = np.atleast_2d(np.asarray(trajectory.p(taus), dtype=float).T).reshape(N + 1, -1)
-    Pd = np.atleast_2d(np.asarray(trajectory.pdot(taus), dtype=float).T).reshape(N + 1, -1)
+    A_t = system.A(trajectory.p(t))
+    P, Pd = trajectory.p(taus), trajectory.pdot(taus)
     A_tau = np.broadcast_to(system.A.constant, (N + 1,) + system.A.shape).copy()
     B_tau = np.broadcast_to(system.B.constant, (N + 1,) + system.B.shape).copy()
     Bdot_tau = np.zeros((N + 1,) + system.B.shape)
@@ -260,8 +279,8 @@ def shifted_reference(system, trajectory, t, rng, quad_nodes, step):
         Bdot_tau += Pd[:, i][:, None, None] * system.B.coeffs[i]
     G1 = np.einsum("tij,tjk->tik", phi_t_tau, A_t[None, :, :] - A_tau)
     G2 = phi_t_tau
-    tw = np.full(N + 1, step)
-    tw[0] = tw[-1] = 0.5 * step
+    tw = np.full(N + 1, h)
+    tw[0] = tw[-1] = 0.5 * h
     n = system.n
     W1 = np.zeros((n, n))
     W2 = np.zeros((n, n))

@@ -129,7 +129,7 @@ def test_batch_matches_pointwise_evaluation():
         M.batch(P[:, :1])
 
 
-def test_batch_is_time_major_and_equals_the_row_major_product():
+def test_batch_is_time_major_and_equals_the_per_row_sum():
     rng = np.random.default_rng(13)
     for l in (0, 1, 2, 3):
         M = ff.AffineMatrixFunction(rng.normal(size=(2, 3)),
@@ -137,8 +137,24 @@ def test_batch_is_time_major_and_equals_the_row_major_product():
         P = rng.normal(size=(50, l))
         got = M.batch(P)
         assert got.shape == (50, 2, 3) and got.strides[0] == got.itemsize
-        row_major = (P @ M._flat).reshape(50, 2, 3) + M.constant
-        assert np.array_equal(got, row_major)
+        for p, G in zip(P, got):
+            want = M.constant.copy()
+            for p_i, M_i in zip(p, M.coeffs):
+                want = want + p_i * M_i
+            assert np.array_equal(G, want)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_batch_rows_do_not_depend_on_the_other_rows(l):
+    rng = np.random.default_rng(40 + l)
+    for _ in range(50):
+        M = ff.AffineMatrixFunction(rng.normal(size=(3, 3)),
+                                    tuple(rng.normal(size=(3, 3)) for _ in range(l)))
+        P = rng.normal(size=(64, l))
+        got = M.batch(P)
+        for i in range(len(P)):
+            assert np.array_equal(got[i], M(P[i]))
+            assert np.array_equal(got[i], M.batch(P[i:i + 1])[0])
 
 
 def test_transfer_function_scalar_dc():

@@ -5,7 +5,6 @@ import finitefreq as ff
 from finitefreq._rk4 import (half_steps, product, propagate_matrix, propagate_vector, stages,
                              step_matrices, step_offsets)
 from finitefreq.reference import example_schedule, example_system
-from finitefreq.simulation import param_rows
 
 H = 1e-3
 
@@ -56,8 +55,8 @@ def reference_step_offsets(A_stages, b_stages, h):
 def example_stages(N):
     """Time-major stage matrices and offsets of the benchmark system along its schedule."""
     sysm = example_system()
-    ts = half_steps(H, N)
-    A = stages(sysm.A.batch(param_rows(example_schedule().p, ts)))
+    _, ts = half_steps(N * H, H)
+    A = stages(sysm.A.batch(example_schedule().p(ts)))
     b = stages(np.asfortranarray(np.cos(ts)[:, None] * sysm.B.constant[:, 0]))
     return A, b
 
@@ -66,6 +65,18 @@ def example_steps(N):
     """RK4 step matrices and offsets of the benchmark system along its schedule."""
     A, b = example_stages(N)
     return step_matrices(A, H), step_offsets(A, b, H)
+
+
+def test_half_steps_end_at_the_duration():
+    for duration, step, N in ((20.0, 1e-3, 20000), (60.0, 1e-3, 60000), (0.0015, 1e-3, 2),
+                              (6e-4, 1e-3, 1), (4e-4, 1e-3, 1)):
+        h, ts = half_steps(duration, step)
+        assert h == duration / N and len(ts) == 2 * N + 1
+        assert ts[0] == 0.0 and ts[-1] == pytest.approx(duration, rel=1e-15)
+    assert half_steps(20.0, 1e-3)[0] == 1e-3 and half_steps(60.0, 1e-3)[0] == 1e-3
+    for bad in ((0.0, 1e-3), (-1.0, 1e-3), (np.nan, 1e-3), (1.0, 0.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            half_steps(*bad)
 
 
 def assert_rel_close(got, ref, rel=1e-13):

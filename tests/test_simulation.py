@@ -32,8 +32,9 @@ def test_sample_signal_zero_components_and_truncation():
 
 
 def test_signal_band_and_discount_validation():
-    with pytest.raises(ValueError, match="discount"):
-        ff.BandLimitedSignal(((1.0, 1.0, 0.0),), discount_lambda=0.5)
+    for w in (1.0, -1.0):  # the slowest component is the smallest |w|
+        with pytest.raises(ValueError, match="discount"):
+            ff.BandLimitedSignal(((1.0, w, 0.0),), discount_lambda=0.5)
     sig = ff.BandLimitedSignal(((1.0, 1.0, 0.0),), discount_lambda=0.05)
     assert ff.sample_signal(sig, 2.0) == pytest.approx(np.cos(2.0) * np.exp(-0.1))
 
@@ -48,7 +49,7 @@ def test_schedule_kinds():
     # a constant is the zero-amplitude, zero-rate sinusoid, exact at every time
     c2 = ff.ScheduleTrajectory.constant([0.12, -0.3])
     ts = np.linspace(0.0, 50.0, 101)
-    assert np.array_equal(c2.p(ts), np.repeat([[0.12], [-0.3]], 101, axis=1))
+    assert np.array_equal(c2.p(ts), np.repeat([[0.12, -0.3]], 101, axis=0))
     assert not c2.pdot(ts).any() and not np.signbit(c2.pdot(ts)).any()
 
 
@@ -63,10 +64,10 @@ def test_schedule_kinds():
 def test_schedule_pdot_has_the_shape_of_p(center, amplitude, l):
     s = ff.ScheduleTrajectory.sinusoid(center, amplitude, 2.0, 0.3)
     ts = np.linspace(0.0, 3.0, 7)
-    for t, shape in ((0.4, (l,)), (ts, (l, 7))):
+    for t, shape in ((0.4, (l,)), (ts, (7, l))):
         assert s.p(t).shape == s.pdot(t).shape == shape
-    a = np.broadcast_to(amplitude, (l,))[:, None]
-    assert np.array_equal(s.pdot(ts), (a * 2.0) * np.cos(2.0 * ts + 0.3)[None, :])
+    a = np.broadcast_to(amplitude, (l,))
+    assert np.array_equal(s.pdot(ts), (a * 2.0) * np.cos(2.0 * ts + 0.3)[:, None])
 
 
 @pytest.mark.parametrize("make", [
@@ -262,6 +263,21 @@ def test_simulate_warns_on_coarse_step():
         ff.simulate(sys, traj, sig, 1.0, 0.05)
 
 
+def test_simulate_warns_on_coarse_step_for_a_negative_frequency():
+    # cos(-w t + phi) oscillates as fast as cos(w t - phi)
+    sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    traj = ff.ScheduleTrajectory.constant(np.zeros(0))
+    sig = ff.BandLimitedSignal(((1.0, -10.0, 0.0),))
+    assert sig.max_frequency == 10.0
+    with pytest.warns(UserWarning, match="coarse"):
+        ff.simulate(sys, traj, sig, 1.0, 0.05)
+
+
+def test_simulate_ends_at_t_end_off_the_step_grid(benchmark_system):
+    res = ff.simulate(benchmark_system, example_schedule(), example_signal(), 0.0015, 1e-3)
+    assert res.times[-1] == 0.0015 and res.step == 0.00075 and len(res.times) == 3
+
+
 def sequential_rk4(system, trajectory, signal, t_end, h):
     """Reference: one RK4 step at a time, stages evaluated at t_k, t_k + h/2 and t_k + h."""
     N = int(round(t_end / h))
@@ -326,7 +342,7 @@ def test_simulate_rejects_runs_shorter_than_one_step(benchmark_system):
     with pytest.raises(ValueError, match="shorter than one step"):
         ff.simulate(benchmark_system, example_schedule(), example_signal(), 4e-4, 1e-3)
     res = ff.simulate(benchmark_system, example_schedule(), example_signal(), 6e-4, 1e-3)
-    assert res.times.tolist() == [0.0, 1e-3]
+    assert res.times.tolist() == [0.0, 6e-4] and res.step == 6e-4
 
 
 @pytest.mark.parametrize("make, field", [
