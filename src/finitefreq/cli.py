@@ -10,7 +10,6 @@ All JSON output is deterministic (sorted keys, no timestamps).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -187,32 +186,37 @@ def cmd_simulate(args):
     result = simulate(system, schedule, signal, args.t_end, args.step)
     gamma_r = performance_ratio(result)
     reports = [iqc_value(result, r) for r in ranges]
-
-    csv_path = os.path.join(args.out, "simulate.csv")
-    n = system.n
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        head = (["t", "u"] + [f"x{i+1}" for i in range(n)] +
-                [f"xdot{i+1}" for i in range(n)] + ["y", "gamma_R"] +
-                [f"S[{r.describe()}]" for r in ranges])
-        wr.writerow(head)
-        stride = args.csv_stride
-        table = np.column_stack(
-            [result.times[::stride], result.u[::stride, 0], result.x[::stride],
-             result.x_dot[::stride], result.y[::stride, 0], gamma_r[::stride]] +
-            [rep.s_curve[::stride] for rep in reports])
-        # the rows csv.writer would give for f"{v:.9g}" cells, a chunk of rows per write
-        row_fmt = ",".join(["%.9g"] * len(head)) + wr.dialect.lineterminator
-        for k in range(0, len(table), _CSV_CHUNK):
-            chunk = table[k:k + _CSV_CHUNK]
-            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    fractions = [spectrum_fraction(result, r) for r in ranges]
+    # x, x_dot and y are finite, but their integrals can overflow: fail before any output
+    bad = [name for name, v in [("final gamma_R", gamma_r[-1])] +
+           [(f"IQC on {r}", rep.final_value) for r, rep in zip(ranges, reports)] +
+           [(f"band energy fraction on {r}", f) for r, f in zip(ranges, fractions)]
+           if not np.isfinite(v)]
+    if bad:
+        raise RuntimeError(f"not finite: {', '.join(bad)}")
     summary = {
         "final_gamma_R": float(gamma_r[-1]),
         "t_end": args.t_end, "step": result.step,  # t_end / N, the step taken
         "iqc": {r.describe(): {"final": rep.final_value, "verdict": rep.sign_verdict}
                 for r, rep in zip(ranges, reports)},
-        "band_energy_fraction": {r.describe(): spectrum_fraction(result, r) for r in ranges},
+        "band_energy_fraction": {r.describe(): f for r, f in zip(ranges, fractions)},
     }
+
+    csv_path = os.path.join(args.out, "simulate.csv")
+    states = [f"{v}{i+1}" for v in ("x", "xdot") for i in range(system.n)]
+    head = ["t", "u"] + states + ["y", "gamma_R"] + [f"S[{r.describe()}]" for r in ranges]
+    stride = args.csv_stride
+    table = np.column_stack(
+        [result.times[::stride], result.u[::stride, 0], result.x[::stride],
+         result.x_dot[::stride], result.y[::stride, 0], gamma_r[::stride]] +
+        [rep.s_curve[::stride] for rep in reports])
+    # CSV rows of f"{v:.9g}" cells, \r\n-terminated; no header cell needs quoting
+    row_fmt = ",".join(["%.9g"] * len(head)) + "\r\n"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(",".join(head) + "\r\n")
+        for k in range(0, len(table), _CSV_CHUNK):  # a chunk of rows per write
+            chunk = table[k:k + _CSV_CHUNK]
+            fh.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
     print(f"final gamma_R = {gamma_r[-1]:.6g}")
     for r, rep in zip(ranges, reports):
         print(f"IQC on {r}: final={rep.final_value:.6g} verdict={rep.sign_verdict}")

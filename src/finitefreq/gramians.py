@@ -8,9 +8,9 @@ computed by Gauss-Legendre quadrature over the positive half of the band and
 symmetrized over +-w.  Following the shipped reference example, no 1/(2pi)
 factor is applied by default; ``classical=True`` restores the conventional
 normalization.  The time-varying variants weight the integrand with the state
-transition matrix or with the parameter-drift correction terms, from RK4
-runs on ``_rk4.half_steps``: N = max(1, round(t/step)) steps of h = t/N,
-which end at t, along (N, l) rows of schedule samples.
+transition matrix Phi(t, tau_k) (at tau = 0, or at every step time for the
+parameter-drift correction terms) that ``state_transition`` integrates backward
+from t with RK4 on ``_rk4.half_steps``: N = max(1, round(t/step)) steps of h = t/N.
 """
 
 from __future__ import annotations
@@ -101,32 +101,23 @@ def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: in
     return W / (2.0 * np.pi) if classical else W
 
 
-def state_transition(system: LpvSystem, trajectory, t_end: float, step: float) -> np.ndarray:
-    """Transition matrices Phi(t_k, 0) at the step times t_k = k*h of
-    ``half_steps(t_end, step)``, as (N+1, n, n); the identity alone for t_end = 0.
+def state_transition(system: LpvSystem, trajectory, t: float, step: float) -> np.ndarray:
+    """Phi(t, tau_k) at the step times tau_k = k*h of ``half_steps(t, step)``, tau
+    ascending, as (N+1, n, n): Phi(t, 0) first and I last; I alone for t = 0.
 
-    Integrates the matrix equation Phidot = A(p(t)) Phi from Phi(0, 0) = I.
+    The run goes backward from t, as the forward run Y(s) = Phi(t, t-s)^T,
+    dY/ds = A(p(t-s))^T Y, Y(0) = I: Phi(t, tau) = Phi(t, 0) Phi(tau, 0)^{-1}
+    would invert matrices that underflow for strongly decaying dynamics.
     """
-    if t_end == 0:
+    if t == 0:
         return np.eye(system.n)[None, :, :]
-    h, ts = half_steps(t_end, step)
-    P = trajectory.p(ts)
-    warn_if_outside_box(trajectory, P)
-    return propagate_matrix(step_matrices(stages(system.A.batch(P)), h), np.eye(system.n))
-
-
-def _transition_from_t(system: LpvSystem, trajectory, t: float, step: float):
-    """(h, taus, Phi(t, taus)) at the step times tau_k = k*h of ``half_steps(t, step)``.
-
-    Direct inversion of Phi(tau, 0) underflows for strongly decaying dynamics,
-    so Phi(t, tau) is integrated backward instead: with Y(s) = Phi(t, t-s)^T,
-    dY/ds = A(p(t-s))^T Y, which is itself a stable forward propagation.
-    """
     h, s = half_steps(t, step)
-    M = step_matrices(stages(np.swapaxes(system.A.batch(trajectory.p(t - s)), 1, 2)), h)
-    Y = propagate_matrix(M, np.eye(system.n))
-    # Y[k] = Phi(t, t - k*h)^T; reorder to tau ascending
-    return h, s[::2], np.swapaxes(Y[::-1], 1, 2)
+    P = trajectory.p(t - s)
+    warn_if_outside_box(trajectory, P)
+    # Y[k] = Phi(t, t - k*h)^T; reversed and transposed, tau ascends
+    Y = propagate_matrix(step_matrices(stages(np.swapaxes(system.A.batch(P), 1, 2)), h),
+                         np.eye(system.n))
+    return np.swapaxes(Y[::-1], 1, 2)
 
 
 def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
@@ -135,7 +126,7 @@ def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: Frequency
 
     The resolvent is frozen at p(t) while the input matrix is taken at p(0).
     """
-    Phi = state_transition(system, trajectory, t, step)[-1]
+    Phi = state_transition(system, trajectory, t, step)[0]
     A_t = system.A(trajectory.p(t))
     B_0 = system.B(trajectory.p(0.0))
     Win = _resolvent_gramian(A_t, B_0, rng, quad_nodes)
@@ -166,8 +157,10 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     n = system.n
     if t <= 0:
         return np.zeros((n, n)), np.zeros((n, n))
-    h, taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
+    h, ts = half_steps(t, step)
+    taus = ts[::2]
     N = len(taus) - 1
+    phi_t_tau = state_transition(system, trajectory, t, step)
     A_t = system.A(trajectory.p(t))
     P, Pd = trajectory.p(taus), trajectory.pdot(taus)
 

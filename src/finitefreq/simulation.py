@@ -9,8 +9,8 @@ behavior that the LMI certificates presuppose.
 
 ``simulate`` keeps O(N) data for the whole run of N steps (times, parameter
 rows, input, state, x_dot and y) and forms the O(n^2)-per-step data (A and
-B on the half-step grid, the RK4 step matrices and offsets, C and D) one
-chunk of ``_STEP_CHUNK`` steps at a time, so its working memory grows as
+B on the half-step grid, the RK4 step matrices and offsets, C and D) in one
+loop over chunks of ``_STEP_CHUNK`` steps, so its working memory grows as
 O(chunk*n^2 + N*(n + m + p + l)), not O(N*n^2).
 """
 
@@ -30,15 +30,13 @@ _STEP_CHUNK = 4096  # RK4 steps whose stage and step matrices are held at once
 
 @dataclass(frozen=True)
 class BandLimitedSignal:
-    """Sum of cosines a_i cos(w_i t + phi_i), optionally discounted by e^{-lam t}.
+    """Sum of cosines a_i cos(w_i t + phi_i).
 
-    Zero for t < 0.  A nonzero discount must stay well below the slowest
-    component.  The signal carries no band: each analysis names its own, and
+    The signal carries no band: each analysis names its own, and
     ``spectrum_fraction`` measures the share of energy inside it.
     """
 
     components: tuple  # of (amplitude, frequency [rad/s], phase [rad])
-    discount_lambda: float = 0.0
 
     def __post_init__(self):
         comps = tuple((float(a), float(w), float(ph)) for a, w, ph in self.components)
@@ -46,11 +44,6 @@ class BandLimitedSignal:
         for i, comp in enumerate(comps):
             for name, v in zip(("amplitude", "frequency", "phase"), comp):
                 _check_finite(f"component {i} {name}", v)
-        _check_finite("discount", self.discount_lambda)
-        if self.discount_lambda < 0:
-            raise ValueError("discount must be nonnegative")
-        if self.discount_lambda >= min((abs(w) for _, w, _ in comps if w), default=np.inf) / 10.0:
-            raise ValueError("discount must stay below the slowest component / 10")
 
     @property
     def max_frequency(self):
@@ -65,15 +58,11 @@ def _check_finite(name, value):
 
 
 def sample_signal(signal: BandLimitedSignal, t):
-    """Evaluate the signal; scalar in, scalar out; array in, array out."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    """The signal at an array of times t, as an array of t's shape."""
+    out = np.zeros(np.shape(t))
     for a, w, ph in signal.components:
-        out = out + a * np.cos(w * t + ph)
-    if signal.discount_lambda > 0:
-        out = out * np.exp(-signal.discount_lambda * t)
-    out = np.where(t < 0, 0.0, out)
-    return out if out.ndim else float(out)
+        out += a * np.cos(w * t + ph)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ class SimulationResult:
     @cached_property
     def spectrum(self):
         """The input channel's ``_spectrum``."""
-        return _spectrum(self.u[:, 0] if self.u.ndim > 1 else self.u, self.step)
+        return _spectrum(self.u[:, 0], self.step)
 
     @cached_property
     def quadratic_forms(self):
@@ -164,14 +153,13 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
 
     The run takes the N = max(1, round(t_end/step)) steps of h = t_end/N that
     ``half_steps`` gives, so it ends at t_end; a t_end that rounds to no step
-    at all raises ValueError.  The times, parameter rows and input are
-    sampled once on the half-step grid of all N steps.  The matrix data is
-    formed one chunk of ``_STEP_CHUNK`` steps at a time: a first pass
-    propagates the state from each chunk's end state through the next chunk
-    and raises at the first chunk that holds a non-finite state, so no x_dot
-    or y is formed from an overflowing state; a second pass forms x_dot and
-    y.  Working memory is O(chunk*n^2 + N*(n + m + p + l)) for n states, m
-    inputs, p outputs and l parameters.
+    at all raises ValueError.  Times, parameter rows and input are sampled
+    once on the half-step grid of all N steps.  One loop over chunks of
+    ``_STEP_CHUNK`` steps evaluates A and B u on a chunk's half-step rows,
+    propagates the state through the chunk, and forms x_dot = A x + B u and
+    y = C x + D u from the even rows of the same arrays; it raises at the
+    first chunk whose x, x_dot or y is not finite.  Working memory is
+    O(chunk*n^2 + N*(n + m + p + l)) for n states, m inputs, p outputs, l parameters.
     """
     h, ts = half_steps(t_end, step)
     if 2.0 * h <= step:  # round(t_end/step) is 0, so h = t_end is at most half a step
@@ -182,37 +170,32 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     N = len(ts) // 2
     P = trajectory.p(ts) if system.nparams else np.zeros((len(ts), 0))
     warn_if_outside_box(trajectory, P)
-    u = np.atleast_1d(sample_signal(signal, ts))
+    u = sample_signal(signal, ts)
     m = system.n_inputs
 
-    # pass 1: each chunk's K steps from its 2K+1 half-step rows, time-major;
-    # the RK4 stages are strided views of them
+    # time-major; a chunk's K steps come from its 2K+1 half-step rows, whose
+    # strided views are the RK4 stages and whose even rows the step times k0..k1
     xs = np.empty((N + 1, system.n), order="F")
     xs[0] = 0.0
-    for k0 in range(0, N, _STEP_CHUNK):
-        k1 = min(k0 + _STEP_CHUNK, N)
-        rows = slice(2 * k0, 2 * k1 + 1)
-        A_stages = stages(system.A.batch(P[rows]))
-        Bu = product(system.B.batch(P[rows]), np.tile(u[rows], (m, 1)).T)  # every input carries u
-        M = step_matrices(A_stages, h)
-        g = step_offsets(A_stages, stages(Bu), h)
-        propagate_vector(M, g, xs[k0], out=xs[k0:k1 + 1])
-        if not np.all(np.isfinite(xs[k0 + 1:k1 + 1])):
-            raise RuntimeError("integration diverged")
-
-    # pass 2: x_dot and y at the step times, the even half-step rows
-    P = P[::2]
-    U = np.empty((N + 1, m), order="F")
-    U[...] = u[::2, None]
     x_dot = np.empty_like(xs)
     y = np.empty((N + 1, system.n_outputs), order="F")
-    for k0 in range(0, N + 1, _STEP_CHUNK):
-        k = slice(k0, k0 + _STEP_CHUNK)
-        A, B, C, D = (f.batch(P[k]) for f in (system.A, system.B, system.C, system.D))
-        product(A, xs[k], out=x_dot[k])
-        x_dot[k] += product(B, U[k])
-        product(C, xs[k], out=y[k])
-        y[k] += product(D, U[k])
+    U = np.empty((N + 1, m), order="F")
+    U[...] = u[::2, None]  # every input carries u
+    for k0 in range(0, N, _STEP_CHUNK):
+        k1 = min(k0 + _STEP_CHUNK, N)
+        rows, k = slice(2 * k0, 2 * k1 + 1), slice(k0, k1 + 1)
+        A = system.A.batch(P[rows])
+        Bu = product(system.B.batch(P[rows]), np.tile(u[rows], (m, 1)).T)
+        A_stages = stages(A)
+        propagate_vector(step_matrices(A_stages, h), step_offsets(A_stages, stages(Bu), h),
+                         xs[k0], out=xs[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            product(A[::2], xs[k], out=x_dot[k])
+            x_dot[k] += Bu[::2]
+            product(system.C.batch(P[rows][::2]), xs[k], out=y[k])
+            y[k] += product(system.D.batch(P[rows][::2]), U[k])
+        if not all(np.isfinite(v[k]).all() for v in (xs, x_dot, y)):
+            raise RuntimeError("integration diverged")
     return SimulationResult(ts[::2].copy(), U, xs, x_dot, y, h)
 
 
@@ -260,22 +243,15 @@ def iqc_value(result: SimulationResult, rng: FrequencyRange) -> IqcReport:
     return IqcReport(s, final, verdict, rng, scale)
 
 
-def spectrum_fraction(data, rng: FrequencyRange, step: float = None) -> float:
-    """Fraction of (Hann-windowed) spectral energy inside the band, in [0, 1].
+def spectrum_fraction(result: SimulationResult, rng: FrequencyRange) -> float:
+    """Fraction of the input's (Hann-windowed) spectral energy inside the band, in [0, 1].
 
-    Accepts a SimulationResult (uses its input channel, whose spectrum is
-    kept for further bands) or a uniformly sampled array with ``step``.  A
-    signal without windowed energy is vacuously band limited (1.0).
+    The result keeps its spectrum for further bands.  A signal without
+    windowed energy is vacuously band limited (1.0).
     """
-    if isinstance(data, SimulationResult):
-        spectrum = data.spectrum
-    elif step is None:
-        raise ValueError("step required for raw sample arrays")
-    else:
-        spectrum = _spectrum(np.asarray(data, dtype=float), step)
-    if spectrum is None:
-        return 1.0  # vacuously band limited
-    f, energy = spectrum
+    if result.spectrum is None:
+        return 1.0
+    f, energy = result.spectrum
     mask = (rng.lo <= f) & (f <= rng.hi)  # FrequencyRange.contains, edges included
     return float(energy[mask].sum() / energy.sum())
 

@@ -30,6 +30,13 @@ def benchmark_run():
     return result
 
 
+def input_result(u, step):
+    """A SimulationResult of one input channel u sampled at spacing step, and no states."""
+    u = np.asarray(u, dtype=float)[:, None]
+    none = np.zeros((len(u), 0))
+    return ff.SimulationResult(step * np.arange(len(u)), u, none, none, none, step)
+
+
 def random_stable_lti(rng, n=2, m=1, q=1, d_scale=0.3, min_decay=0.3):
     """Random strictly stable LTI system with well-scaled data."""
     while True:

@@ -8,6 +8,7 @@ import pytest
 
 import finitefreq as ff
 from finitefreq import cli, lmi
+from conftest import input_result
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "data" / "example1.json"
 
@@ -55,7 +56,8 @@ def test_spectrum_fraction_mask_matches_contains_with_edges_on_bins(kind):
     assert np.hanning(u.size)[-1] == 0.0
     energy = np.abs(np.fft.rfft(u[:-1] * np.hanning(u.size)[:-1])) ** 2
     mask = np.array([rng.contains(f) for f in freqs])
-    assert ff.spectrum_fraction(u, rng, step) == float(energy[mask].sum() / energy.sum())
+    got = ff.spectrum_fraction(input_result(u, step), rng)
+    assert got == float(energy[mask].sum() / energy.sum())
     if kind != "entire":  # the edge bins are inside the band
         edges = [f for f in freqs if f in (rng.lo, rng.hi)]
         assert edges and all(rng.contains(f) for f in edges)
@@ -246,6 +248,20 @@ def test_infeasible_runs_exit_2_without_output(tmp_path, capsys, unstable_system
     assert list(tmp_path.iterdir()) == []
     out, err = capsys.readouterr()
     assert out.startswith("infeasible:") and "Traceback" not in out + err
+
+
+def test_simulate_whose_summary_overflows_exits_2_without_output(tmp_path, capsys):
+    obj = json.loads(EXAMPLE.read_text())
+    obj["C0"] = [[1e306, 1e306]]  # y stays finite, but its energy integral overflows
+    system = tmp_path / "big.json"
+    system.write_text(json.dumps(obj))
+    out_dir = tmp_path / "out"
+    argv = ["--out", str(out_dir), "simulate", "--system", str(system),
+            "--signal", "cos:1:0", "--t-end", "10"]
+    assert cli.main(argv) == 2
+    assert list(out_dir.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "infeasible: not finite: final gamma_R\n" and err == ""
 
 
 def test_parser_is_built_once():

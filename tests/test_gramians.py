@@ -7,7 +7,8 @@ import scipy.linalg
 
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
-from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre, _transition_from_t
+from finitefreq._rk4 import half_steps
+from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre
 from conftest import random_stable_lti, three_state_two_input_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
@@ -93,7 +94,8 @@ def test_state_transition_scalar_exponential():
     traj = ff.ScheduleTrajectory.constant(np.zeros(0))
     phi = ff.state_transition(sys, traj, 1.0, 1e-3)
     assert phi.shape == (1001, 1, 1)
-    assert phi[-1][0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)
+    assert phi[0][0, 0] == pytest.approx(np.exp(-1.0), abs=1e-6)  # Phi(1, 0)
+    assert phi[-1][0, 0] == 1.0  # Phi(1, 1)
     phi0 = ff.state_transition(sys, traj, 0.0, 1e-3)
     assert phi0.shape == (1, 1, 1) and np.allclose(phi0[0], np.eye(1))
 
@@ -108,8 +110,11 @@ def test_state_transition_rejects_a_duration_that_is_negative_or_not_finite(benc
 def test_state_transition_frozen_matches_expm(benchmark_system):
     traj = ff.ScheduleTrajectory.constant([0.15], box=benchmark_system.box)
     phi = ff.state_transition(benchmark_system, traj, 1.0, 1e-3)
-    target = scipy.linalg.expm(benchmark_system.A([0.15]))
-    assert np.abs(phi[-1] - target).max() <= 1e-6
+    A = benchmark_system.A([0.15])
+    # row k is Phi(1, k h) = expm(A (1 - k h)), and the last row the identity exactly
+    assert np.abs(phi[0] - scipy.linalg.expm(A)).max() <= 1e-6
+    assert np.abs(phi[600] - scipy.linalg.expm(0.4 * A)).max() <= 1e-6
+    assert np.array_equal(phi[-1], np.eye(2))
 
 
 def test_state_transition_warns_outside_box(benchmark_system):
@@ -266,8 +271,10 @@ def test_gramian_set_rejects_a_time_that_is_negative_or_not_finite(benchmark_sys
 
 def shifted_reference(system, trajectory, t, rng, quad_nodes, step):
     """Reference: the per-node quadrature, one resolvent and four tau-sums per node."""
-    h, taus, phi_t_tau = _transition_from_t(system, trajectory, t, step)
+    h, ts = half_steps(t, step)
+    taus = ts[::2]
     N = len(taus) - 1
+    phi_t_tau = ff.state_transition(system, trajectory, t, step)
     A_t = system.A(trajectory.p(t))
     P, Pd = trajectory.p(taus), trajectory.pdot(taus)
     A_tau = np.broadcast_to(system.A.constant, (N + 1,) + system.A.shape).copy()

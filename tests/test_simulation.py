@@ -8,7 +8,8 @@ import finitefreq as ff
 from finitefreq import simulation
 from finitefreq.reference import (example_band, example_schedule, example_signal,
                                   example_system)
-from conftest import random_stable_lti
+from finitefreq._rk4 import half_steps
+from conftest import input_result, random_stable_lti
 
 LOW1 = ff.FrequencyRange.low(1.0)
 
@@ -17,26 +18,16 @@ def test_sample_signal_benchmark_at_zero():
     sig = example_signal()
     # oracle: hand evaluation of cos(8) + cos(10) + cos(20)
     expected = np.cos(8.0) + np.cos(10.0) + np.cos(20.0)
-    assert ff.sample_signal(sig, 0.0) == pytest.approx(expected, abs=1e-12)
+    assert ff.sample_signal(sig, np.zeros(1))[0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-0.5764895, abs=1e-7)
 
 
-def test_sample_signal_zero_components_and_truncation():
-    sig = ff.BandLimitedSignal(())
-    assert ff.sample_signal(sig, 3.0) == 0.0
-    cos = ff.BandLimitedSignal(((2.0, 1.5, 0.3),))
+def test_sample_signal_zero_components_and_one_cosine():
     t = np.array([-1.0, 0.5])
-    out = ff.sample_signal(cos, t)
-    assert out[0] == 0.0
-    assert out[1] == pytest.approx(2.0 * np.cos(1.5 * 0.5 + 0.3), abs=1e-14)
-
-
-def test_signal_band_and_discount_validation():
-    for w in (1.0, -1.0):  # the slowest component is the smallest |w|
-        with pytest.raises(ValueError, match="discount"):
-            ff.BandLimitedSignal(((1.0, w, 0.0),), discount_lambda=0.5)
-    sig = ff.BandLimitedSignal(((1.0, 1.0, 0.0),), discount_lambda=0.05)
-    assert ff.sample_signal(sig, 2.0) == pytest.approx(np.cos(2.0) * np.exp(-0.1))
+    assert np.array_equal(ff.sample_signal(ff.BandLimitedSignal(()), t), np.zeros(2))
+    out = ff.sample_signal(ff.BandLimitedSignal(((2.0, 1.5, 0.3),)), t)
+    assert out.shape == (2,)
+    assert out == pytest.approx(2.0 * np.cos(1.5 * t + 0.3), abs=1e-14)
 
 
 def test_schedule_kinds():
@@ -147,6 +138,17 @@ def test_divergence_is_raised_before_x_dot_or_y_overflows(benchmark_system):
                         200.0, 1e-2)
 
 
+@pytest.mark.parametrize("C, D", [(1e308, 0.0), (0.0, 1e308)], ids=["Cx", "Du"])
+def test_divergence_is_raised_when_y_overflows_from_a_finite_state(C, D):
+    # x peaks near 4/sqrt(2) and u at 4, so C x or D u overflows while x stays finite
+    sys = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[C]], [[D]])
+    sig = ff.BandLimitedSignal(((4.0, 1.0, 0.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="integration diverged"):
+            ff.simulate(sys, ff.ScheduleTrajectory.constant(np.zeros(0)), sig, 10.0, 1e-3)
+
+
 def test_performance_ratio_identity_and_double():
     traj = ff.ScheduleTrajectory.constant(np.zeros(0))
     sig = ff.BandLimitedSignal(((1.0, 1.0, 0.2),))
@@ -210,20 +212,18 @@ def test_iqc_nonnegative_for_lti_in_band_inputs():
 def test_spectrum_fraction_cases():
     def fraction(components):  # sampled at step 1e-3 over [0, 60]: 60,001 samples
         u = ff.sample_signal(ff.BandLimitedSignal(components), 1e-3 * np.arange(60001))
-        return ff.spectrum_fraction(u, LOW1, 1e-3)
+        return ff.spectrum_fraction(input_result(u, 1e-3), LOW1)
 
     assert fraction(((1.0, 0.6, 0.1),)) >= 0.99
     assert fraction(((1.0, 6.0, 0.1),)) <= 0.05
     assert fraction(((0.0, 1.0, 0.0),)) == 1.0
-    with pytest.raises(ValueError, match="step required"):
-        ff.spectrum_fraction(np.ones(8), LOW1)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2])
 def test_spectrum_fraction_of_fewer_than_three_samples_is_vacuous(size):
     # the window keeps no sample with nonzero weight: vacuously in any band
     for band in (LOW1, ff.FrequencyRange.high(1.0)):
-        assert ff.spectrum_fraction(np.full(size, 2.0), band, 1e-3) == 1.0
+        assert ff.spectrum_fraction(input_result(np.full(size, 2.0), 1e-3), band) == 1.0
 
 
 def test_spectrum_fraction_on_simulation(benchmark_run):
@@ -231,15 +231,14 @@ def test_spectrum_fraction_on_simulation(benchmark_run):
 
 
 def test_parseval_energy_consistency():
-    # smooth decaying signal: time-domain energy matches DFT energy within 1%
-    sig = ff.BandLimitedSignal(((1.0, 0.8, 0.4), (0.5, 0.3, 1.0)), discount_lambda=0.02)
-    step = 1e-3
-    t = step * np.arange(int(200.0 / step) + 1)
-    u = ff.sample_signal(sig, t)
-    e_time = np.trapezoid(u * u, dx=step)
-    U = np.fft.fft(u)
-    e_freq = float(np.sum(np.abs(U) ** 2)) * step / u.size
-    assert e_freq == pytest.approx(e_time, rel=0.01)
+    # the one-sided spectrum of the M = 200,000 windowed samples holds their energy:
+    # DC and Nyquist bins once, every other bin twice, over M
+    sig = ff.BandLimitedSignal(((1.0, 0.8, 0.4), (0.5, 0.3, 1.0)))
+    u = ff.sample_signal(sig, 1e-3 * np.arange(200001))
+    _, energy = simulation._spectrum(u, 1e-3)
+    e_time = np.sum((u[:-1] * np.hanning(u.size)[:-1]) ** 2)
+    e_freq = (energy[0] + 2.0 * energy[1:-1].sum() + energy[-1]) / (u.size - 1)
+    assert e_freq == pytest.approx(e_time, rel=1e-9)
 
 
 def test_simulate_warns_when_the_schedule_leaves_the_box(benchmark_system):
@@ -283,7 +282,7 @@ def sequential_rk4(system, trajectory, signal, t_end, h):
     N = int(round(t_end / h))
 
     def inputs(t):
-        return np.full(system.n_inputs, ff.sample_signal(signal, t))
+        return np.full(system.n_inputs, ff.sample_signal(signal, np.array([t]))[0])
 
     def params(t):
         return trajectory.p(t) if system.nparams else np.zeros(0)
@@ -349,7 +348,6 @@ def test_simulate_rejects_runs_shorter_than_one_step(benchmark_system):
     (lambda: ff.BandLimitedSignal(((np.nan, 1.0, 0.0),)), "component 0 amplitude"),
     (lambda: ff.BandLimitedSignal(((1.0, 1.0, 0.0), (1.0, np.inf, 0.0))), "component 1 frequency"),
     (lambda: ff.BandLimitedSignal(((1.0, 1.0, -np.inf),)), "component 0 phase"),
-    (lambda: ff.BandLimitedSignal(((1.0, 1.0, 0.0),), discount_lambda=np.nan), "discount"),
     (lambda: ff.ScheduleTrajectory.constant([0.1, np.nan]), "center"),
     (lambda: ff.ScheduleTrajectory.sinusoid([0.1], [np.inf], 1.0), "amplitude"),
     (lambda: ff.ScheduleTrajectory.sinusoid([0.1], [0.01], np.nan), "rate"),
@@ -358,13 +356,6 @@ def test_simulate_rejects_runs_shorter_than_one_step(benchmark_system):
 def test_non_finite_specs_are_rejected_by_field(make, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make()
-
-
-@pytest.mark.parametrize("band", [ff.FrequencyRange.low(1.5), ff.FrequencyRange.middle(0.5, 2.0),
-                                  ff.FrequencyRange.high(1.0)], ids=["low", "mid", "high"])
-def test_spectrum_fraction_of_a_result_equals_the_raw_array_path(benchmark_run, band):
-    raw = ff.spectrum_fraction(benchmark_run.u[:, 0], band, benchmark_run.step)
-    assert ff.spectrum_fraction(benchmark_run, band) == raw
 
 
 def test_spectrum_is_computed_once_per_result(benchmark_system, monkeypatch):
@@ -448,17 +439,32 @@ def test_chunked_simulate_matches_one_chunk(monkeypatch, case, N):
     one, one_rows, _ = _recorded_simulate(monkeypatch, N + 1, system, schedule, signal, N * h, h)
     res, rows, steps = _recorded_simulate(monkeypatch, 7, system, schedule, signal, N * h, h)
     chunks = -(-N // 7)
-    assert [len(r) for r in rows[:chunks]] == [2 * min(7, N - k) + 1 for k in range(0, N, 7)]
-    # the chunks tile the half-step rows, sharing each boundary row, then the step rows
-    tiled = np.concatenate([rows[0]] + [r[1:] for r in rows[1:chunks]])
-    assert np.array_equal(tiled, one_rows[0])
-    assert np.array_equal(np.concatenate(rows[chunks:]), one_rows[1])
+    assert [len(r) for r in rows] == [2 * min(7, N - k) + 1 for k in range(0, N, 7)]
+    # the chunks tile the half-step rows, sharing each boundary row
+    tiled = np.concatenate([rows[0]] + [r[1:] for r in rows[1:]])
+    assert len(one_rows) == 1 and np.array_equal(tiled, one_rows[0])
     assert all(sum(counts) == N and len(counts) == chunks for counts in steps.values())
     assert len(steps) == 3
     assert np.array_equal(res.times, one.times) and np.array_equal(res.u, one.u)
     for got, ref in ((res.x, one.x), (res.x_dot, one.x_dot), (res.y, one.y)):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # x_dot and y are A x + B u and C x + D u at the step times, bit for bit
+    P = schedule.p(half_steps(N * h, h)[1])[::2]
+    for r in (res, one):
+        for k in range(N + 1):
+            A, B, C, D = (f(P[k]) for f in (system.A, system.B, system.C, system.D))
+            x, u = r.x[k], r.u[k]
+            assert np.array_equal(r.x_dot[k], summed(A, x) + summed(B, u))
+            assert np.array_equal(r.y[k], summed(C, x) + summed(D, u))
+
+
+def summed(M, v):
+    """M v as the sum of the columns M[:, j] v_j in column order, as ``_rk4.product`` adds."""
+    out = M[:, 0] * v[0]
+    for j in range(1, len(v)):
+        out = out + M[:, j] * v[j]
+    return out
 
 
 def test_chunked_simulate_warns_once_when_the_schedule_leaves_the_box(monkeypatch,
