@@ -113,7 +113,8 @@ def state_transition(system: LpvSystem, trajectory, t: float, step: float) -> np
         return np.eye(system.n)[None, :, :]
     h, s = half_steps(t, step)
     P = trajectory.p(t - s)
-    warn_if_outside_box(trajectory, P)
+    # both schedule Gramians come here: one location, so a run warns once
+    warn_if_outside_box(trajectory, P, stacklevel=2)
     # Y[k] = Phi(t, t - k*h)^T; reversed and transposed, tau ascends
     Y = propagate_matrix(step_matrices(stages(np.swapaxes(system.A.batch(P), 1, 2)), h),
                          np.eye(system.n))

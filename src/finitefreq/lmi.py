@@ -477,8 +477,8 @@ def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> Ua
                 # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
                 lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
                           for (i, sign), K in zip(scalars, base.coeff_blocks)]
-                groups = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
-                top = minimize(groups, np.append(res.x, 1e-6), target=np.inf)
+                pencil = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
+                top = minimize(pencil, np.append(res.x, 1e-6), target=np.inf)
                 c = (top.t, 1.0, c3)
                 v = max_eig_neg(form_at(c), top.x)
                 if v <= 0.0:

@@ -112,11 +112,14 @@ class ScheduleTrajectory:
         return (self.amplitude * self.rate) * np.cos(self._angle(t))
 
 
-def warn_if_outside_box(trajectory, P):
-    """Warn when a row of the sampled parameters P leaves the trajectory's box, if it has one."""
+def warn_if_outside_box(trajectory, P, stacklevel=3):
+    """Warn when a row of the sampled parameters P leaves the trajectory's box, if it has one.
+
+    The default stacklevel names the caller's caller.
+    """
     box = getattr(trajectory, "box", None)
     if box is not None and not box.contains(P):
-        warnings.warn("schedule leaves the parameter box", stacklevel=3)
+        warnings.warn("schedule leaves the parameter box", stacklevel=stacklevel)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,18 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
         assert cli.main(argv) == 0
     traces = json.loads((tmp_path / "out" / "gramians.json").read_text())["traces"]
     assert traces["W_dot_p_2"] > 0  # the input drift sees pdot in both parameters
+
+
+def test_gramians_schedule_leaving_the_box_warns_once(tmp_path):
+    # both schedule Gramians integrate the transition matrix; a fresh interpreter under
+    # the "default" filter prints a warning once per location
+    src = str(Path(ff.__file__).resolve().parents[1])
+    argv = ["--out", str(tmp_path), "gramians", "--system", str(EXAMPLE), "--range", "low:1",
+            "--schedule", "sin:0:5:1:0", "--t", "2"]
+    out = subprocess.run([sys.executable, "-m", "finitefreq.cli", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.count("schedule leaves the parameter box") == 1
 
 
 @pytest.mark.parametrize("argv", [

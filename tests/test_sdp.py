@@ -200,3 +200,146 @@ def test_minimize_to_the_gap_reaches_a_negative_optimum(seed):
     assert res.t == pytest.approx(t_star, abs=1e-9)
     assert res.t <= t_star <= res.bound
     assert np.linalg.eigvalsh(M - (c + res.t) * np.eye(4)).min() >= 0.0
+
+
+def _symmetric(rng, k, scale=1.0):
+    G = rng.normal(scale=scale, size=(k, k))
+    return G + G.T
+
+
+def test_max_eig_neg_stacks_match_the_blockwise_loop():
+    rng = np.random.default_rng(9)
+    sizes = (1, 3, 2, 3, 1)
+    K = [np.stack([_symmetric(rng, k) for _ in range(2)]) for k in sizes]
+    form = AffineSymmetricForm([_symmetric(rng, k) for k in sizes], K)
+    x = rng.normal(size=2)
+    for f in (form, form.with_constants([_symmetric(rng, k) for k in sizes])):
+        ref = max(np.linalg.eigvalsh(-Fb).max() for Fb in f.eval_blocks(x))
+        assert ff.max_eig_neg(f, x) == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+
+def test_a_form_without_variables_is_decided_by_its_constants():
+    form = AffineSymmetricForm([np.eye(2), [[2.0]]], [np.zeros((0, 2, 2)), np.zeros((0, 1, 1))])
+    assert ff.max_eig_neg(form, []) == -1.0
+    assert ff.solve_feasibility(form, 0.5).feasible
+    assert not ff.solve_feasibility(form, 1.5).feasible
+
+
+def _two_blocks(seed):
+    """A 4x4 and a 2x2 block over (x, t): M_b + x K_b - t I, each with a planted interior."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (4, 2):
+        G = rng.normal(size=(k, k))
+        out.append((G @ G.T + 0.5 * np.eye(k), np.stack([_symmetric(rng, k, 0.3), -np.eye(k)])))
+    return out
+
+
+def _box_rows():
+    # -1 <= x <= 1 as 1x1 blocks
+    return [(np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
+            (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
+
+
+def _run(blocks):
+    from finitefreq.sdp import minimize, stack_blocks
+    t0 = min(np.linalg.eigvalsh(C).min() for C, _ in blocks) - 1.0
+    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=np.inf)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_padded_batch_reaches_the_block_diagonal_optimum(seed):
+    from scipy.linalg import block_diag
+    blocks = _two_blocks(seed)
+    (C4, K4), (C2, K2) = blocks
+    dense = [(block_diag(C4, C2), np.stack([block_diag(a, b) for a, b in zip(K4, K2)]))]
+    packed, ref = _run(blocks + _box_rows()), _run(dense + _box_rows())
+    assert packed.t == pytest.approx(ref.t, abs=1e-9)
+    assert packed.t <= ref.bound + 1e-9 and ref.t <= packed.bound + 1e-9
+    x, t = packed.x[0], packed.t
+    assert -1.0 <= x <= 1.0
+    for C, K in blocks:
+        assert np.linalg.eigvalsh(C + x * K[0] - t * np.eye(len(C))).min() >= -1e-12
+
+
+def test_extra_pad_rows_leave_the_iterates_alone():
+    from finitefreq.sdp import Pencil, minimize, stack_blocks
+    pencil = stack_blocks(_two_blocks(3) + _box_rows(), False)
+    B, k = pencil.C.shape[:2]
+    C = np.tile(np.eye(k + 2), (B, 1, 1))
+    C[:, :k, :k] = pencil.C
+    A = np.zeros((2, B, k + 2, k + 2))
+    A[:, :, :k, :k] = pencil.A
+    wider = Pencil(C, A, pencil.c, pencil.a, pencil.rows)
+    y0 = np.array([0.0, min(np.linalg.eigvalsh(C).min() for C, _ in _two_blocks(3)) - 1.0])
+    a, b = minimize(pencil, y0, target=np.inf), minimize(wider, y0, target=np.inf)
+    assert (a.nit, a.nfev) == (b.nit, b.nfev)
+    assert b.t == pytest.approx(a.t, abs=1e-12)
+
+
+def test_packed_hessian_and_gradient_match_the_blockwise_traces():
+    from finitefreq.sdp import RADIUS, _barrier, stack_blocks
+    rng = np.random.default_rng(5)
+    nv = 3  # two free variables and t
+    blocks = []
+    for k in (4, 2, 3, 1, 2, 1):
+        G = rng.normal(size=(k, k))
+        blocks.append((G @ G.T + 2.0 * np.eye(k), np.stack([_symmetric(rng, k) for _ in range(nv)])))
+    y = np.array([0.05, -0.03, 0.02])
+    E = np.eye(nv - 1, nv)
+    box = [(np.array([[RADIUS]]), s * E[j][:, None, None]) for s in (1.0, -1.0) for j in range(nv - 1)]
+    H_ref, g_ref = np.zeros((nv, nv)), np.zeros(nv)
+    for C, K in blocks + box:
+        S_inv_A = np.linalg.solve(C + np.tensordot(y, K, axes=1), K)  # (nv, k, k)
+        H_ref += np.einsum("ikl,jlk->ij", S_inv_A, S_inv_A)
+        g_ref += np.einsum("jkk->j", S_inv_A)
+    pencil = stack_blocks(blocks, False)
+    assert pencil.C.shape == (4, 4, 4) and len(pencil.c) == 2 + 2 * (nv - 1)
+    assert pencil.rows == 4 + 2 + 3 + 2 + 2 + 2 * (nv - 1)
+    # sizes in order of first appearance (4, 2, 3), each normalized by its largest
+    # spectral norm; the 1x1 blocks lead the scalar rows
+    for slot, i in enumerate((0, 1, 4, 2)):
+        C, K = blocks[i]
+        sb = max(np.linalg.norm(C, 2), np.linalg.norm(K, 2, axis=(1, 2)).max())
+        q = len(C)
+        assert np.allclose(pencil.C[slot, :q, :q], C / sb, rtol=1e-13, atol=1e-15)
+        assert np.allclose(pencil.A[:, slot, :q, :q], K / sb, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(pencil.C[slot, q:, q:], np.eye(4 - q))
+        assert not pencil.C[slot, :q, q:].any() and not pencil.A[:, slot, q:].any()
+    for row, i in enumerate((3, 5)):
+        C, K = blocks[i]
+        sb = max(abs(C[0, 0]), np.abs(K).max())
+        assert pencil.c[row] == pytest.approx(C[0, 0] / sb, rel=1e-13)
+        assert np.allclose(pencil.a[row], K[:, 0, 0] / sb, rtol=1e-13, atol=1e-15)
+    _, _, H, g = _barrier(pencil, y)
+    assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
+    assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+
+
+def test_an_all_scalar_pencil_has_an_empty_batch():
+    from finitefreq.sdp import minimize, stack_blocks
+    # max t subject to x - 1 - t >= 0 and 2 - x - t >= 0: t* = 1/2 at x = 3/2
+    blocks = [(np.array([[-1.0]]), np.array([[[1.0]], [[-1.0]]])),
+              (np.array([[2.0]]), np.array([[[-1.0]], [[-1.0]]]))]
+    pencil = stack_blocks(blocks, False)
+    assert pencil.C.shape[0] == 0 and pencil.rows == 4
+    res = minimize(pencil, np.array([1.5, -1.0]), target=np.inf)
+    assert res.t == pytest.approx(0.5, abs=1e-9) and res.x[0] == pytest.approx(1.5, abs=1e-6)
+    assert res.t <= 0.5 <= res.bound
+
+
+def test_step_length_stops_at_the_cap_while_the_barrier_descends():
+    from finitefreq.sdp import _step_length
+    w = np.array([-128.0, 0.5, 2.0, 3.0])
+    cap = 0.99 / 128.0
+    assert -1.4e5 - (w / (1.0 + cap * w)).sum() < 0  # still descending at the cap
+    assert _step_length(w, 1.4e5) == cap
+
+
+def test_step_length_finds_an_interior_minimizer():
+    from finitefreq.sdp import _step_length
+    w = np.array([-2.0, 0.5, 1.0])  # descending at 0, ascending at the cap 0.495
+    a = _step_length(w, 1.0)
+    assert 0.0 < a < 0.99 / 2.0
+    assert abs(-1.0 - (w / (1.0 + a * w)).sum()) <= 2e-12
+    assert a == 0.08378263161399575  # the bracketed Newton iterate, as before the cap check
