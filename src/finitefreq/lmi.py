@@ -26,9 +26,11 @@ finer product grid.
 
 The index enters the constants only, as gamma^2 times a fixed matrix, so
 ``min_gamma`` treats gamma^2 as one more decision variable: after doubling
-gamma to a strictly feasible level g, one barrier run maximizes g^2 - gamma^2
-(an eigenvalue problem) and an exact eigen re-check accepts the level it
-reaches; the run's dual bound, or a probe just below, closes the bracket.
+gamma to a strictly feasible level g (passing without a solve the levels
+below the frozen in-band peak, which GKYP rules out), one barrier run
+maximizes g^2 - gamma^2 (an eigenvalue problem) and an exact eigen re-check
+accepts the level it reaches; the run's dual bound, or a probe just below,
+closes the bracket.
 The decay certificate (``uas_certificate``) is the template with B, C and D
 empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
 scalars free, its c1 is maximized in one barrier run the same way and
@@ -202,6 +204,49 @@ def _psd_blocks(layout: _Layout, mode: str, box: ParameterBox):
     return list(layout.slab_sum(first, np.hstack([np.ones((len(pc), 1)), pc])))
 
 
+def _frozen_peak(system: LpvSystem, rng: FrequencyRange, mode: str) -> float:
+    """A sampled lower bound on every gain the mode can certify on rng.
+
+    At a p corner the mean of the vertex blocks over the +-rate corners is the
+    template at pdot = 0, a GKYP inequality for the frozen system G_p, so by
+    the LMI => FDI direction of Iwasaki & Hara every level it meets lies above
+    sigma_max(G_p(jw)) on the band; the whole axis when Q is absent.  Returns
+    the largest sigma_max over the mode's enforcement points and 64 in-band
+    nodes (a geometric sweep and the w -> inf limit D(p) when the band is
+    unbounded), each from the real form [[-A, -wI], [wI, -A]] [Xr; Xi] = [B; 0]
+    of (jwI - A) X = B.  Nodes on a pole of G_p and non-finite samples drop out.
+    """
+    def sigma_max(G):  # the largest singular value over a stack of matrices
+        return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(G, -1, -2) @ G)[..., -1].max()))
+
+    p_kind, q_kind = _MODE_TABLE[mode]
+    box = system.box
+    P = box.midpoint()[None] if p_kind == "constant" else grid(box.p_lower, box.p_upper)
+    A, B, C, D = (M.batch(P) for M in (system.A, system.B, system.C, system.D))
+    peak = 0.0
+    if q_kind and rng.kind in ("low", "middle"):
+        w = np.linspace(rng.lo, rng.hi, 64)
+    else:
+        first = rng.lo if q_kind else 0.0  # the high band's edge, else 0
+        s = float(np.sqrt((A * A).sum(axis=(1, 2))).max()) or 1.0  # |A(p)|_F sets the scale
+        w = np.r_[first, np.geomspace(max(first, 1e-3 * s), 1e3 * max(first, s), 63)]
+        peak = sigma_max(D)
+    n, wI = system.n, w[:, None, None] * np.eye(system.n)
+    M = np.empty((len(P), len(w), 2 * n, 2 * n))
+    M[..., :n, :n] = M[..., n:, n:] = -A[:, None]
+    M[..., :n, n:], M[..., n:, :n] = -wI, wI
+    rhs = np.zeros(M.shape[:-1] + (system.n_inputs,))
+    rhs[..., :n, :] = B[:, None]
+    ok = np.linalg.slogdet(M)[0] != 0  # a node on a pole of G_p stays NaN
+    X = np.full(rhs.shape, np.nan)
+    X[ok] = np.linalg.solve(M[ok], rhs[ok])
+    Gr, Gi = C[:, None] @ X[..., :n, :] + D[:, None], C[:, None] @ X[..., n:, :]
+    E = np.concatenate([np.concatenate([Gr, -Gi], axis=-1), np.concatenate([Gi, Gr], axis=-1)],
+                       axis=-2)  # the real embedding: G's singular values, each twice
+    E = E[np.isfinite(E).all(axis=(-2, -1))]
+    return max(peak, sigma_max(E)) if len(E) else peak
+
+
 def _margin(main):
     return max(1e-6 * float(np.linalg.norm(main, 2, axis=(1, 2)).max()), 1e-9)
 
@@ -273,10 +318,12 @@ class GammaResult:
     relaxation_gap_flag: bool
     violations: list
     bracket: tuple
-    lo_certified: bool  # bracket[0] rests on a dual bound below zero, not on "not shown feasible"
+    # bracket[0] rests on a dual bound below zero or on the floor, not on "not shown feasible"
+    lo_certified: bool
     margin: float
     mode: str
     range: FrequencyRange
+    gain_lower_bound: float = 0.0  # the sampled frozen in-band peak; no certified gain lies below
 
 
 def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
@@ -287,21 +334,25 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     constants are C(gamma) = C0 + gamma^2 * gain.  Phase 1 doubles gamma from 1
     until a probe is feasible at g, at the margin m = max(margin(0), margin(g)):
     ||C(gamma)|| is convex in gamma^2, so m bounds margin(gamma) for every
-    gamma <= g.  Phase 2 adds t = g^2 - gamma^2 to the decision vector (its
-    coefficient is -gain in the main blocks, 0 in the PSD blocks, m folded into
-    every constant) and maximizes it with one ``minimize`` run from (x_g, 0),
-    an eigenvalue problem (Boyd, El Ghaoui, Feron & Balakrishnan, 1994, section 2.2).
+    gamma <= g.  It probes no level below the floor ``_frozen_peak`` (less 1e-9
+    relative), which no certificate meets.  Phase 2 adds t = g^2 - gamma^2 to
+    the decision vector (its coefficient is -gain in the main blocks, 0 in the
+    PSD blocks, m folded into every constant) and maximizes it with one
+    ``minimize`` run from (x_g, 0), an eigenvalue problem (Boyd, El Ghaoui,
+    Feron & Balakrishnan, 1994, section 2.2).
 
     hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
     passes at margin(hi); otherwise hi = g.  lo is the largest of the last
-    infeasible doubling probe and the barrier's dual bound mapped back to gamma,
-    at most hi.  While hi - lo > bisect_tol, probes warm-started from hi's point
-    move one end: the first at max(hi - bisect_tol, (lo + hi)/2), the others at
-    the midpoint, so a hi left at g costs a bisection, not a scan.
+    infeasible or skipped doubling level and the barrier's dual bound mapped
+    back to gamma, at most hi.  While hi - lo > bisect_tol, probes warm-started
+    from hi's point move one end: the first at max(hi - bisect_tol, (lo + hi)/2),
+    the others at the midpoint, so a hi left at g costs a bisection, not a scan.
     ``lo_certified`` says whether lo rests on a dual bound below zero (the
-    barrier's, at the folded margin m, or a probe's, at margin(lo)) rather than
-    on "not shown feasible".  gamma_star is hi.  The certificate is then re-checked on a parameter grid;
-    violations set relaxation_gap_flag instead of failing.
+    barrier's, at the folded margin m, or a probe's, at margin(lo)) or on the
+    floor rather than on "not shown feasible".  gamma_star is hi; a hi below
+    the floor raises RuntimeError, as GKYP rules it out.  The floor is
+    returned as ``gain_lower_bound``.  The certificate is then re-checked on
+    a parameter grid; violations set relaxation_gap_flag instead of failing.
     """
     if not bisect_tol > 0:  # NaN included
         raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
@@ -317,16 +368,23 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
         trace.append((float(g), bool(res.feasible)))
         return res, prob, margin
 
-    # Phase 1: a point strictly inside at margin m for some g.
+    # Phase 1: a point strictly inside at margin m for some g; levels below the
+    # frozen peak are infeasible by GKYP, so they are passed without a solve.
+    floor = _frozen_peak(system, rng, mode)
+    bar = floor * (1.0 - 1e-9)  # room for the rounding of the sampled peak
     g, lo, lo_certified = 1.0, 0.0, True  # 0 bounds every gain from below
-    res, top, m = probe(g, family.margin)
-    while not res.feasible:
-        lo, lo_certified = g, bool(res.dual_bound < 0)
+    while True:
+        certified = True
+        if g >= bar:
+            res, top, m = probe(g, family.margin)
+            if res.feasible:
+                break
+            certified = bool(res.dual_bound < 0)
+        lo, lo_certified = g, certified
         g *= 2.0
         if g > _GAMMA_CAP:
             raise RuntimeError(
                 "system appears not to admit a finite bound under this relaxation")
-        res, top, m = probe(g, family.margin)
 
     # Phase 2: maximize t = g^2 - gamma^2 over the lifted pencil.
     nmain = len(family.const0)
@@ -352,6 +410,8 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
             lo, lo_certified = gamma, bool(res.dual_bound < 0)
         gamma = 0.5 * (lo + hi)
 
+    if hi < bar:  # GKYP rules this out: the template or the sampler is wrong
+        raise RuntimeError(f"certified gain {hi!r} lies below the frozen in-band peak {floor!r}")
     prob = family.at(hi)
     P, Q = prob.layout.unpack(x)
     cert = {f"P{k}": M for k, M in enumerate(P)}
@@ -361,7 +421,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
         gamma_star=hi, certificate=cert, x=x,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
         violations=violations, bracket=(lo, hi), lo_certified=lo_certified, margin=prob.margin,
-        mode=mode, range=rng,
+        mode=mode, range=rng, gain_lower_bound=floor,
     )
 
 

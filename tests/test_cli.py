@@ -312,6 +312,7 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     assert ff.max_eig_neg(prob.form, x) <= -prob.margin / 2
     assert cert["bracket"][0] <= hi <= cert["bracket"][0] + 1e-2
     assert isinstance(cert["lo_certified"], bool)
+    assert 0.0 < cert["gain_lower_bound"] <= hi
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finitefreq as ff
 from finitefreq import lmi
@@ -653,13 +655,101 @@ def test_min_gamma_keeps_the_phase1_level_when_the_recheck_fails(benchmark_syste
     monkeypatch.setattr(lmi, "minimize", overshoot)
     res = ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=1e-3)
     lo, hi = res.bracket
-    # hi stays at g = 4 and the dual bound puts lo near 2.13: one probe at hi - tol,
-    # then halvings of a bracket narrower than 2 (fewer than 11), not a scan in steps of tol
-    assert [g for g, _ in res.bisection_trace[:3]] == [1.0, 2.0, 4.0]
-    assert len(res.bisection_trace) <= 3 + 1 + 11
+    # 1 and 2 lie below the frozen floor 2.04, so phase 1 probes 4 first; hi stays at g = 4
+    # and the dual bound puts lo near 2.13: one probe at hi - tol, then halvings of a
+    # bracket narrower than 2 (fewer than 11), not a scan in steps of tol
+    assert [g for g, _ in res.bisection_trace[:1]] == [4.0]
+    assert len(res.bisection_trace) <= 1 + 1 + 11
     assert 0.0 <= hi - lo <= 1e-3 and 2.1496 - 2e-3 <= lo <= hi <= 2.1504 + 1e-3
     prob = build_problem(benchmark_system, LOW1, "lpv_ff", hi)
     assert ff.max_eig_neg(prob.form, res.x) <= -prob.margin
+
+
+FLOOR_CASES = [(mode, LOW1) for mode in lmi.MODES] + [
+    (mode, band) for mode in ("gkyp", "lpv_ff") for band in (MID, ff.FrequencyRange.high(3.0))]
+
+
+@pytest.mark.parametrize("mode,band", FLOOR_CASES, ids=lambda v: str(v))
+def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, band,
+                                                       monkeypatch):
+    res = ff.min_gamma(benchmark_system, band, mode)
+    floor = res.gain_lower_bound
+    assert floor == lmi._frozen_peak(benchmark_system, band, mode) > 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(lmi, "_frozen_peak", lambda *args: 0.0)
+        ref = ff.min_gamma(benchmark_system, band, mode)
+    # without a floor phase 1 doubles from 1 to the first feasible level, as it always did
+    k = [v for _, v in ref.bisection_trace].index(True)
+    assert ref.bisection_trace[:k + 1] == [(2.0 ** i, i == k) for i in range(k + 1)]
+    skipped = [g for g, _ in ref.bisection_trace[:k] if g < floor * (1.0 - 1e-9)]
+    assert res.bisection_trace == ref.bisection_trace[len(skipped):]
+    assert (res.gamma_star, res.bracket, res.lo_certified) == \
+        (ref.gamma_star, ref.bracket, ref.lo_certified)
+    assert np.array_equal(res.x, ref.x) and floor <= res.gamma_star
+    # soundness: no skipped level is feasible at the margin phase 1 would have probed it at
+    family = build_problem(benchmark_system, band, mode, 0.0)
+    for g in skipped:
+        prob = family.at(g)
+        assert not solve_feasibility(prob.form, max(family.margin, prob.margin)).feasible
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       band=st.sampled_from(["entire", "low", "middle", "high"]),
+       edges=st.tuples(st.floats(0.1, 5.0), st.floats(1.2, 4.0)))
+@settings(max_examples=24)
+def test_frozen_floor_lies_below_the_certified_gain(seed, n, band, edges):
+    A, B, C, D = random_stable_lti(np.random.default_rng(seed), n=n)
+    system = ff.LpvSystem.lti(A, B, C, D)
+    w, ratio = edges
+    rng = {"entire": ff.FrequencyRange.entire(), "low": ff.FrequencyRange.low(w),
+           "middle": ff.FrequencyRange.middle(w, ratio * w),
+           "high": ff.FrequencyRange.high(w)}[band]
+    mode = "kyp" if band == "entire" else "gkyp"
+    res = ff.min_gamma(system, rng, mode, bisect_tol=1e-2)
+    assert 0.0 < res.gain_lower_bound <= res.gamma_star
+
+
+def test_frozen_floor_of_an_lti_system_is_its_peak():
+    # 1/(s+1): the peak 1 sits at w = 0 on the axis and on a low band, at the edge on a high one
+    lti = _scalar_lti()
+    assert lmi._frozen_peak(lti, ff.FrequencyRange.entire(), "kyp") == pytest.approx(1.0)
+    assert lmi._frozen_peak(lti, LOW1, "gkyp") == pytest.approx(1.0)
+    assert lmi._frozen_peak(lti, ff.FrequencyRange.high(10.0), "gkyp") == \
+        pytest.approx(1.0 / np.sqrt(101.0))
+    res = ff.min_gamma(lti, LOW1, "gkyp", bisect_tol=1e-4)
+    assert res.gain_lower_bound == pytest.approx(1.0) and res.gamma_star >= 1.0
+
+
+def test_frozen_floor_of_the_q_free_modes_on_the_example_is_the_feedthrough(benchmark_system):
+    # the example's peak over the whole axis sits at w -> inf, |D(p)| = |-4.6104 + 1.8747 p|,
+    # largest at p = 0.1 among lpv_ef's corners and taken at the midpoint 0.15 by kyp
+    assert lmi._frozen_peak(benchmark_system, LOW1, "lpv_ef") == \
+        pytest.approx(4.6104 - 0.1 * 1.8747, rel=1e-12)
+    assert lmi._frozen_peak(benchmark_system, ff.FrequencyRange.entire(), "kyp") == \
+        pytest.approx(4.6104 - 0.15 * 1.8747, rel=1e-12)
+
+
+def test_a_floor_past_the_cap_gives_up_without_a_solve(monkeypatch):
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    loud = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[2.0 * lmi._GAMMA_CAP]])
+    with pytest.raises(RuntimeError, match="not to admit a finite bound"):
+        ff.min_gamma(loud, ff.FrequencyRange.entire(), "kyp")
+    assert solves == []
+
+
+def test_a_pole_on_a_sampled_node_leaves_the_floor_finite():
+    # eigenvalues +-j: the node w = 1, the low band's edge, is a pole of G
+    osc = ff.LpvSystem.lti([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    assert np.linalg.slogdet(np.block([[-osc.A.constant, -np.eye(2)],
+                                       [np.eye(2), -osc.A.constant]]))[0] == 0.0
+    floor = lmi._frozen_peak(osc, LOW1, "gkyp")
+    assert np.isfinite(floor) and floor > 1.0
+
+
+def test_a_certified_gain_below_the_floor_fails_loudly(benchmark_system, monkeypatch):
+    monkeypatch.setattr(lmi, "_frozen_peak", lambda *args: 3.0)  # above gamma* = 2.1496
+    with pytest.raises(RuntimeError, match="below the frozen in-band peak"):
+        ff.min_gamma(benchmark_system, LOW1, "lpv_ff")
 
 
 @pytest.mark.parametrize("mode", ["lpv_ff", "theorem2"])
