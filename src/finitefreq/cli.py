@@ -152,7 +152,7 @@ def cmd_analyze(args):
         "relaxation_gap_flag": res.relaxation_gap_flag,
         "grid_violations": [(p, r, lam) for p, r, lam in res.violations],
         "margin": res.margin, "bracket": list(res.bracket), "lo_certified": res.lo_certified,
-        "gain_lower_bound": res.gain_lower_bound,
+        "lo_rests_on": res.lo_rests_on, "gain_lower_bound": res.gain_lower_bound,
     })
     return 0
 

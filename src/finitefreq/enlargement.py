@@ -132,8 +132,8 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
     if g2 == 0.0:
         return EnlargementResult(0.0, 0.0, None, None, rng, rng, rho)
 
-    tr_w_p_min = min(float(np.trace(gramian_lpv_frozen(system, p, rng)))
-                     for p in system.box.p_grid())
+    W = gramian_lpv_frozen(system, system.box.p_grid(), rng)
+    tr_w_p_min = float(np.trace(W, axis1=1, axis2=2).min())
     bound = shifted_trace_bound(system, rng, lambda: uas_certificate(system, c3, c1, c2))
     tr_dot = bound.bound_1 + bound.bound_2
     d2 = delta_squared(g2, tr_w_p_min, tr_dot)

@@ -28,6 +28,9 @@ from .lmi import UasCertificate
 from .simulation import warn_if_outside_box
 
 _TAU_CHUNK = 512  # tau samples per block of the quadrature's exponential table
+# matrices per chunk of p rows: (p, w) solves for the frozen Gramians, (p, w, p') products
+# for the drift suprema
+_SUP_CHUNK = 4096
 
 
 @lru_cache(maxsize=16)
@@ -69,35 +72,46 @@ def _band_nodes(rng: FrequencyRange, quad_nodes: int):
 
 
 def _first_singular(M, B, om):
-    """The first node whose resolvent solve fails or is not finite."""
-    for Mk, o in zip(M, om):
-        try:
-            if not np.isfinite(np.linalg.solve(Mk, B)).all():
+    """The first node, p row by p row, whose resolvent solve fails or is not finite."""
+    for Mp, Bp in zip(M, B):
+        for Mk, o in zip(Mp, om):
+            try:
+                if not np.isfinite(np.linalg.solve(Mk, Bp)).all():
+                    return o
+            except np.linalg.LinAlgError:
                 return o
-        except np.linalg.LinAlgError:
-            return o
     return None
 
 
 def _resolvent_gramian(A, B, rng, quad_nodes):
-    """sum_k w_k 2 Re R_k R_k^*, R_k = (j w_k I - A)^{-1} B, from one batched solve."""
+    """sum_k w_k 2 Re R_k R_k^*, R_k = (j w_k I - A)^{-1} B, for each of a stack of pairs
+    A (P, n, n), B (P, n, m): (P, n, n) from batched solves over chunks of p rows."""
     om, wts = _band_nodes(rng, quad_nodes)
-    M = 1j * om[:, None, None] * np.eye(A.shape[0]) - A
-    try:
-        R = np.linalg.solve(M, np.broadcast_to(B, (len(om),) + B.shape))
-    except np.linalg.LinAlgError:
-        R = None
-    if R is None or not np.isfinite(R).all():
-        raise ValueError(f"resolvent singular at omega = {_first_singular(M, B, om)}")
-    W = 2.0 * np.real(np.einsum("k,kim,kjm->ij", wts, R, R.conj()))
-    return 0.5 * (W + W.T)
+    n = A.shape[-1]
+    rows = max(1, _SUP_CHUNK // len(om))
+    W = np.empty(A.shape)
+    for i in range(0, len(A), rows):
+        M = 1j * om[:, None, None] * np.eye(n) - A[i:i + rows, None]  # (p, w, n, n)
+        try:
+            R = np.linalg.solve(M, np.broadcast_to(B[i:i + rows, None], M.shape[:2] + B.shape[1:]))
+        except np.linalg.LinAlgError:
+            R = None
+        if R is None or not np.isfinite(R).all():
+            raise ValueError(f"resolvent singular at omega = {_first_singular(M, B[i:i + rows], om)}")
+        Wi = 2.0 * np.real(np.einsum("k,pkim,pkjm->pij", wts, R, R.conj()))
+        W[i:i + rows] = 0.5 * (Wi + np.swapaxes(Wi, 1, 2))
+    return W
 
 
 def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: int = 201,
                        classical: bool = False) -> np.ndarray:
-    """Band-restricted Gramian of the system frozen at parameter p."""
-    A, B, _, _ = system.frozen(p)
-    W = _resolvent_gramian(A, B, rng, quad_nodes)
+    """Band-restricted Gramian of the system frozen at parameter p, (n, n); for a stack
+    of parameter rows p (N, nparams), one Gramian per row, (N, n, n)."""
+    if np.ndim(p) == 2:
+        W = _resolvent_gramian(system.A.batch(p), system.B.batch(p), rng, quad_nodes)
+    else:
+        A, B, _, _ = system.frozen(p)
+        W = _resolvent_gramian(A[None], B[None], rng, quad_nodes)[0]
     return W / (2.0 * np.pi) if classical else W
 
 
@@ -130,7 +144,7 @@ def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: Frequency
     Phi = state_transition(system, trajectory, t, step)[0]
     A_t = system.A(trajectory.p(t))
     B_0 = system.B(trajectory.p(0.0))
-    Win = _resolvent_gramian(A_t, B_0, rng, quad_nodes)
+    Win = _resolvent_gramian(A_t[None], B_0[None], rng, quad_nodes)[0]
     W = Phi @ Win @ Phi.T
     return 0.5 * (W + W.T)
 
@@ -232,24 +246,35 @@ def _drift(M: AffineMatrixFunction) -> AffineMatrixFunction:
 def _lam_max_gram(M) -> float:
     """Largest eigenvalue of M M^* over a stack of matrices M (..., r, c).
 
-    A non-finite M M^* raises ValueError; the check is on the matrices, since
-    LAPACK may return finite eigenvalues for a NaN matrix and max() would
-    drop a NaN one.
+    It is taken from the smaller Gram, M M^* or M^* M, which share their
+    nonzero eigenvalues: a 1 x 1 Gram is its trace, the squared Frobenius
+    norm; of k x k Grams only those whose trace reaches max tr / k are
+    eigensolved, since lambda_max <= tr G <= k lambda_max.  A non-finite M
+    raises ValueError; the check is on the traces, which every entry of M
+    reaches, since LAPACK may return finite eigenvalues for a NaN matrix.
     """
-    G = M @ np.swapaxes(M.conj(), -1, -2)
-    if not np.isfinite(G).all():
+    r, c = M.shape[-2:]
+    M = M.reshape(-1, r, c)
+    tr = np.einsum("kij,kij->k", M.conj(), M).real
+    if not np.isfinite(tr).all():
         raise ValueError("drift integrand is not finite; the trace bound is undefined")
-    return float(np.linalg.eigvalsh(G).max())
+    k = min(r, c)
+    if k == 1:
+        return float(tr.max())
+    M = M[tr >= tr.max() / k]
+    MH = np.swapaxes(M.conj(), 1, 2)
+    return float(np.linalg.eigvalsh(M @ MH if r <= c else MH @ M).max())
 
 
 def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int = 11,
                 omega_nodes: int = 21):
     """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands.
 
-    M_1 = (A(p) - A(p')) R B(p') over parameter pairs and M_2 = R Bdot(r) over
-    rate corners, with R = (jwI - A(p))^{-1} from one batched inverse over
-    (p, w).  Each outer p is one stacked step, so memory stays
-    O(|w| |grid| n max(n, m)).  A non-finite integrand raises ValueError.
+    M_1 = (A(p) - A(p')) (R B(p')) over parameter pairs and M_2 = R Bdot(r) over
+    rate corners, with R = (jwI - A(p))^{-1}.  Both are formed for a chunk of
+    outer p rows at once, about ``_SUP_CHUNK`` (p, w, p') triples, so memory
+    stays O(_SUP_CHUNK n max(n, m)) beyond one outer row.  A non-finite
+    integrand raises ValueError.
     """
     if rng.kind == "high":
         om = np.linspace(rng.lo, 10.0 * rng.lo, omega_nodes)
@@ -261,11 +286,14 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int = 11,
     pgrid = system.box.p_grid(grid_density)
     A, B = system.A.batch(pgrid), system.B.batch(pgrid)
     Bd = _drift(system.B).batch(grid(system.box.rate_lower, system.box.rate_upper))
-    R = np.linalg.inv(1j * om[:, None, None] * np.eye(system.n) - A[:, None])  # (p, w, n, n)
+    jw = 1j * om[:, None, None] * np.eye(system.n)
+    rows = max(1, _SUP_CHUNK // (len(om) * len(A)))
     m1 = m2 = 0.0
-    for Ap, Rp in zip(A, R):
-        m1 = max(m1, _lam_max_gram((Ap - A)[None] @ Rp[:, None] @ B[None]))  # (w, p', n, m)
-        m2 = max(m2, _lam_max_gram(Rp[:, None] @ Bd[None]))  # (w, rate, n, m)
+    for i in range(0, len(A), rows):
+        Ap = A[i:i + rows, None]
+        R = np.linalg.inv(jw - Ap)[:, :, None]  # (p, w, 1, n, n)
+        m1 = max(m1, _lam_max_gram((Ap - A)[:, None] @ (R @ B)))  # (p, w, p', n, m)
+        m2 = max(m2, _lam_max_gram(R @ Bd))  # (p, w, rate, n, m)
     return m1, m2
 
 

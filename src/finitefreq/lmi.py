@@ -29,8 +29,8 @@ The index enters the constants only, as gamma^2 times a fixed matrix, so
 gamma to a strictly feasible level g (passing without a solve the levels
 below the frozen in-band peak, which GKYP rules out), one barrier run
 maximizes g^2 - gamma^2 (an eigenvalue problem) and an exact eigen re-check
-accepts the level it reaches; the run's dual bound, or a probe just below,
-closes the bracket.
+accepts the level it reaches; the run's dual bound, the frozen peak, or a
+probe just below, closes the bracket.
 The decay certificate (``uas_certificate``) is the template with B, C and D
 empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
 scalars free, its c1 is maximized in one barrier run the same way and
@@ -320,6 +320,7 @@ class GammaResult:
     bracket: tuple
     # bracket[0] rests on a dual bound below zero or on the floor, not on "not shown feasible"
     lo_certified: bool
+    lo_rests_on: str  # "floor", "dual bound" (the barrier run's) or "probe" (a solve's verdict)
     margin: float
     mode: str
     range: FrequencyRange
@@ -343,16 +344,20 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
 
     hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
     passes at margin(hi); otherwise hi = g.  lo is the largest of the last
-    infeasible or skipped doubling level and the barrier's dual bound mapped
-    back to gamma, at most hi.  While hi - lo > bisect_tol, probes warm-started
-    from hi's point move one end: the first at max(hi - bisect_tol, (lo + hi)/2),
-    the others at the midpoint, so a hi left at g costs a bisection, not a scan.
+    infeasible or skipped doubling level, the barrier's dual bound mapped
+    back to gamma and the floor less 1e-9 relative, at most hi.  While
+    lo < hi - bisect_tol, probes warm-started from hi's point move one end:
+    the first at max(hi - bisect_tol, (lo + hi)/2), the others at the
+    midpoint, so a hi left at g costs a bisection, not a scan, and a first
+    probe not shown feasible ends it whatever the rounding of hi - bisect_tol.
     ``lo_certified`` says whether lo rests on a dual bound below zero (the
     barrier's, at the folded margin m, or a probe's, at margin(lo)) or on the
-    floor rather than on "not shown feasible".  gamma_star is hi; a hi below
-    the floor raises RuntimeError, as GKYP rules it out.  The floor is
-    returned as ``gain_lower_bound``.  The certificate is then re-checked on
-    a parameter grid; violations set relaxation_gap_flag instead of failing.
+    floor rather than on "not shown feasible"; ``lo_rests_on`` names which of
+    "floor", "dual bound" (the barrier's) or "probe" set it.  gamma_star is
+    hi; a hi below the floor raises RuntimeError, as GKYP rules it out.  The
+    floor is returned as ``gain_lower_bound``.  The certificate is then
+    re-checked on a parameter grid; violations set relaxation_gap_flag
+    instead of failing.
     """
     if not bisect_tol > 0:  # NaN included
         raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
@@ -372,15 +377,15 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     # frozen peak are infeasible by GKYP, so they are passed without a solve.
     floor = _frozen_peak(system, rng, mode)
     bar = floor * (1.0 - 1e-9)  # room for the rounding of the sampled peak
-    g, lo, lo_certified = 1.0, 0.0, True  # 0 bounds every gain from below
+    g, lo, lo_certified, lo_rests_on = 1.0, 0.0, True, "floor"  # 0 bounds every gain from below
     while True:
-        certified = True
+        certified, rests_on = True, "floor"
         if g >= bar:
             res, top, m = probe(g, family.margin)
             if res.feasible:
                 break
-            certified = bool(res.dual_bound < 0)
-        lo, lo_certified = g, certified
+            certified, rests_on = bool(res.dual_bound < 0), "probe"
+        lo, lo_certified, lo_rests_on = g, certified, rests_on
         g *= 2.0
         if g > _GAMMA_CAP:
             raise RuntimeError(
@@ -398,16 +403,18 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     if max_eig_neg(prob.form, run.x) <= -prob.margin:
         hi, x = gamma, run.x
     if g * g - run.bound > lo * lo:
-        lo, lo_certified = float(np.sqrt(g * g - run.bound)), True
+        lo, lo_certified, lo_rests_on = float(np.sqrt(g * g - run.bound)), True, "dual bound"
+    if bar > lo:
+        lo, lo_certified, lo_rests_on = bar, True, "floor"
     lo = min(lo, hi)
 
     gamma = max(hi - bisect_tol, 0.5 * (lo + hi))  # hi is usually within bisect_tol of the optimum
-    while hi - lo > bisect_tol:
+    while lo < hi - bisect_tol:  # a first probe at hi - bisect_tol not shown feasible ends it
         res, _, _ = probe(gamma, 0.0, x)
         if res.feasible:
             hi, x = gamma, res.x
         else:
-            lo, lo_certified = gamma, bool(res.dual_bound < 0)
+            lo, lo_certified, lo_rests_on = gamma, bool(res.dual_bound < 0), "probe"
         gamma = 0.5 * (lo + hi)
 
     if hi < bar:  # GKYP rules this out: the template or the sampler is wrong
@@ -420,7 +427,8 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     return GammaResult(
         gamma_star=hi, certificate=cert, x=x,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
-        violations=violations, bracket=(lo, hi), lo_certified=lo_certified, margin=prob.margin,
+        violations=violations, bracket=(lo, hi), lo_certified=lo_certified,
+        lo_rests_on=lo_rests_on, margin=prob.margin,
         mode=mode, range=rng, gain_lower_bound=floor,
     )
 

@@ -37,6 +37,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require_hermitian(H, message):
+    """Raise ValueError(message) unless |H - H^*| <= 1e-10 + 1e-5 |H^*| entrywise over the
+    stack H (..., k, k), np.allclose's rule in one comparison.  A NaN or infinite entry
+    always fails it, and is reported as not finite instead."""
+    Ht = np.swapaxes(H, -1, -2)
+    Ht = Ht.conj() if np.iscomplexobj(H) else Ht
+    with np.errstate(invalid="ignore"):  # inf - inf: the entry fails, and is named below
+        close = (np.abs(H - Ht) <= 1e-10 + 1e-5 * np.abs(Ht)).all()
+    if not close:
+        raise ValueError(message if np.isfinite(H).all() else "matrix entries are not finite")
+
+
 @dataclass
 class AffineSymmetricForm:
     """Block-diagonal symmetric matrix pencil F(x) = C_b + sum_j x_j K_bj per block.
@@ -60,8 +72,7 @@ class AffineSymmetricForm:
         self._coeff_stacks = []  # (nvar, B*k*k) per size: x @ K sums the coefficients
         for k, idx in self._sizes.items():
             K = np.stack([self.coeff_blocks[i] for i in idx], axis=1)
-            if not np.allclose(K, np.swapaxes(K, -1, -2), atol=1e-10):
-                raise ValueError("blocks must be symmetric")
+            _require_hermitian(K, "blocks must be symmetric")
             self._coeff_stacks.append(K.reshape(len(K), len(idx) * k * k))
         self._set_constants(self.constant_blocks)
 
@@ -75,8 +86,7 @@ class AffineSymmetricForm:
             if any(Cb.shape != (k, k) for Cb in C):
                 raise ValueError("block shapes inconsistent")
             C = np.stack(C)
-            if not np.allclose(C, np.swapaxes(C, -1, -2), atol=1e-10):
-                raise ValueError("blocks must be symmetric")
+            _require_hermitian(C, "blocks must be symmetric")
             self._const_stacks.append(C)
 
     def with_constants(self, constants) -> "AffineSymmetricForm":
@@ -93,11 +103,6 @@ class AffineSymmetricForm:
     @property
     def nvar(self):
         return self.coeff_blocks[0].shape[0] if self.coeff_blocks else 0
-
-    def eval_blocks(self, x):
-        x = np.asarray(x, dtype=float)
-        return [C + np.tensordot(x, K, axes=(0, 0))
-                for C, K in zip(self.constant_blocks, self.coeff_blocks)]
 
     def scale(self):
         s = 0.0
@@ -129,9 +134,9 @@ def real_embedding(H) -> np.ndarray:
     eigenvalue doubled in multiplicity.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim < 2 or H.shape[-1] != H.shape[-2] \
-            or not np.allclose(H, np.swapaxes(H.conj(), -1, -2), atol=1e-10):
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise ValueError("real_embedding needs a Hermitian matrix")
+    _require_hermitian(H, "real_embedding needs a Hermitian matrix")
     R, I = H.real, H.imag
     return np.block([[R, -I], [I, R]])
 

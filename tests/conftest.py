@@ -37,6 +37,12 @@ def input_result(u, step):
     return ff.SimulationResult(step * np.arange(len(u)), u, none, none, none, step)
 
 
+def eval_blocks(form, x):
+    """The blocks C_b + sum_j x_j K_bj of an AffineSymmetricForm at x."""
+    return [C + np.tensordot(np.asarray(x, dtype=float), K, axes=(0, 0))
+            for C, K in zip(form.constant_blocks, form.coeff_blocks)]
+
+
 def random_stable_lti(rng, n=2, m=1, q=1, d_scale=0.3, min_decay=0.3):
     """Random strictly stable LTI system with well-scaled data."""
     while True:

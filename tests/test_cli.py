@@ -312,7 +312,8 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     assert ff.max_eig_neg(prob.form, x) <= -prob.margin / 2
     assert cert["bracket"][0] <= hi <= cert["bracket"][0] + 1e-2
     assert isinstance(cert["lo_certified"], bool)
-    assert 0.0 < cert["gain_lower_bound"] <= hi
+    assert 0.0 < cert["gain_lower_bound"] * (1.0 - 1e-9) <= cert["bracket"][0]
+    assert cert["lo_rests_on"] in ("floor", "dual bound", "probe")
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -8,7 +8,8 @@ import scipy.linalg
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
 from finitefreq._rk4 import half_steps
-from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre
+from finitefreq import gramians
+from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre, _lam_max_gram
 from conftest import random_stable_lti, three_state_two_input_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
@@ -388,6 +389,61 @@ def test_resolvent_gramian_names_the_singular_node():
     A = np.array([[0.0, w], [-w, 0.0]])  # poles at +-jw, w a quadrature node
     with pytest.raises(ValueError, match=re.escape(f"omega = {w}")):
         lti_gramian(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+@pytest.mark.parametrize("which", ["example", "three_state"])
+def test_stacked_frozen_gramian_equals_per_row_calls(benchmark_system, which, band):
+    sysm = benchmark_system if which == "example" else three_state_two_input_system()[0]
+    P = sysm.box.p_grid()
+    W = ff.gramian_lpv_frozen(sysm, P, band, quad_nodes=51)
+    assert W.shape == (len(P), sysm.n, sysm.n)
+    for p, Wp in zip(P, W):
+        ref = ff.gramian_lpv_frozen(sysm, p, band, quad_nodes=51)
+        assert ref.shape == (sysm.n, sysm.n)
+        assert np.abs(Wp - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_stacked_frozen_gramian_names_the_singular_node_of_its_row():
+    om, _ = _band_nodes(LOW1, 9)
+    w = om[6]
+    # A(p) = [[-p, w], [-w, -p]]: poles -p +- jw, on the node w at p = 0 only
+    sysm = ff.LpvSystem(ff.AffineMatrixFunction([[0.0, w], [-w, 0.0]], (-np.eye(2),)),
+                        ff.AffineMatrixFunction([[1.0], [0.0]], (np.zeros((2, 1)),)),
+                        ff.AffineMatrixFunction([[1.0, 0.0]], (np.zeros((1, 2)),)),
+                        ff.AffineMatrixFunction([[0.0]], (np.zeros((1, 1)),)),
+                        ff.ParameterBox([0.0], [1.0], [0.0], [0.0]))
+    with pytest.raises(ValueError, match=re.escape(f"omega = {w}")):
+        ff.gramian_lpv_frozen(sysm, np.array([[1.0], [0.5], [0.0], [2.0]]), LOW1, quad_nodes=9)
+
+
+@pytest.mark.parametrize("band", BANDS, ids=str)
+@pytest.mark.parametrize("rows", [1, 7])
+def test_drift_sups_do_not_depend_on_the_chunking(benchmark_system, band, rows, monkeypatch):
+    cases = [(benchmark_system, 11, 21), (three_state_two_input_system()[0], 4, 7)]
+    want = [_drift_sups(sysm, band, d, k) for sysm, d, k in cases]
+    for (sysm, d, k), ref in zip(cases, want):
+        # rows outer p rows per chunk: 11 rows in chunks of 7 and 4, 16 in 7, 7 and 2
+        monkeypatch.setattr(gramians, "_SUP_CHUNK", rows * k * len(sysm.box.p_grid(d)))
+        assert _drift_sups(sysm, band, d, k) == ref
+    monkeypatch.setattr(gramians, "_SUP_CHUNK", rows)
+    assert [_drift_sups(sysm, band, d, k) for sysm, d, k in cases] == want
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3), (1, 4), (4, 1), (1, 1)])
+def test_lam_max_gram_matches_the_eigenvalues_of_m_m_star(shape):
+    rng = np.random.default_rng(sum(shape))
+    # scales over six decades, so most Grams fail the trace test and some pass it
+    scale = 10.0 ** rng.uniform(-3, 3, size=(40, 1, 1))
+    M = scale * (rng.normal(size=(40,) + shape) + 1j * rng.normal(size=(40,) + shape))
+    M = M.reshape((2, 20) + shape)
+    ref = np.linalg.eigvalsh(M @ np.swapaxes(M.conj(), -1, -2)).max()
+    assert _lam_max_gram(M) == pytest.approx(ref, rel=1e-12)
+    assert _lam_max_gram(M.real) == pytest.approx(
+        np.linalg.eigvalsh(M.real @ np.swapaxes(M.real, -1, -2)).max(), rel=1e-12)
+    M[1, 7, 0, -1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        _lam_max_gram(M)
 
 
 def test_gauss_legendre_rule_is_cached_read_only():

@@ -11,7 +11,8 @@ from finitefreq import lmi
 from finitefreq.lmi import build_problem
 from finitefreq.model import grid
 from finitefreq.sdp import solve_feasibility
-from conftest import inband_sup, random_stable_lti
+from conftest import eval_blocks, inband_sup, random_stable_lti
+from test_simulation import seeded_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
 
@@ -107,7 +108,7 @@ def test_reduction_constant_q_matches_band_condition(benchmark_system):
     box = benchmark_system.box
     n_corners = len(grid(box.p_lower, box.p_upper)) * len(grid(box.rate_lower, box.rate_upper))
     assert n_vertices == n_corners == 4
-    for lhs, rhs in zip(f_t2.eval_blocks(x_t2)[:n_vertices], f_ff.eval_blocks(x_ff)[:n_vertices]):
+    for lhs, rhs in zip(eval_blocks(f_t2, x_t2)[:n_vertices], eval_blocks(f_ff, x_ff)[:n_vertices]):
         assert np.allclose(lhs, rhs, atol=1e-10)
     # and the enlarged decision space can only lower the certified gain
     probes = [2.0, 2.8, 3.1, 3.6, 4.2, 5.0, 6.5, 8.0, 10.0, 15.0]
@@ -683,14 +684,37 @@ def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, b
     assert ref.bisection_trace[:k + 1] == [(2.0 ** i, i == k) for i in range(k + 1)]
     skipped = [g for g, _ in ref.bisection_trace[:k] if g < floor * (1.0 - 1e-9)]
     assert res.bisection_trace == ref.bisection_trace[len(skipped):]
-    assert (res.gamma_star, res.bracket, res.lo_certified) == \
-        (ref.gamma_star, ref.bracket, ref.lo_certified)
+    # the floor may raise lo to itself, never move hi
+    assert (res.gamma_star, res.bracket[1]) == (ref.gamma_star, ref.bracket[1])
+    assert res.bracket[0] >= floor * (1.0 - 1e-9)
+    assert res.lo_rests_on in ("floor", "dual bound", "probe")
     assert np.array_equal(res.x, ref.x) and floor <= res.gamma_star
     # soundness: no skipped level is feasible at the margin phase 1 would have probed it at
     family = build_problem(benchmark_system, band, mode, 0.0)
     for g in skipped:
         prob = family.at(g)
         assert not solve_feasibility(prob.form, max(family.margin, prob.margin)).feasible
+
+
+def test_lo_rests_on_the_frozen_floor(benchmark_system):
+    # the barrier's dual bound leaves lo at 3.278330 here; GKYP rules out every level below
+    # the floor 3.278848, so lo rests on it, certified
+    res = ff.min_gamma(benchmark_system, ff.FrequencyRange.low(5.955), "theorem2", bisect_tol=1e-3)
+    lo, hi = res.bracket
+    assert (res.lo_rests_on, res.lo_certified) == ("floor", True)
+    assert lo == res.gain_lower_bound * (1.0 - 1e-9) and hi - lo <= 3.7e-5
+    assert len(res.bisection_trace) == 1
+
+
+@pytest.mark.parametrize("mode", ["lpv_ff", "lpv_ef"])
+def test_rounding_of_the_first_probe_level_forces_no_second_probe(mode):
+    # hi - (hi - 1e-3) reads 1e-3 + 3.3e-16 on this system: the probe at hi - 1e-3, not shown
+    # feasible, still closes the bracket
+    system = seeded_system(6)[0]
+    res = ff.min_gamma(system, LOW1, mode, bisect_tol=1e-3)
+    lo, hi = res.bracket
+    assert res.bisection_trace[-2:] == [(8.0, True), (hi - 1e-3, False)]
+    assert (lo, res.lo_rests_on) == (hi - 1e-3, "probe")
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
@@ -784,7 +808,7 @@ def test_decay_blocks_match_hand_written_derivative(benchmark_system, system):
     for p in pcs:
         A, Pp = sysm.A(p), Ps[0] + sum(pi * Pi for pi, Pi in zip(p, Ps[1:]))
         want += [-(A.T @ Pp + Pp @ A + sum(ri * Pi for ri, Pi in zip(r, Ps[1:]))) for r in rcs]
-    got = form.eval_blocks(x)
+    got = eval_blocks(form, x)
     assert len(got) == len(want)
     scale = max(np.abs(w).max() for w in want)
     for g, w in zip(got, want):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import finitefreq as ff
 from finitefreq.lmi import build_problem
 from finitefreq.sdp import AffineSymmetricForm
+from conftest import eval_blocks
 
 
 def _interval_form():
@@ -128,6 +129,38 @@ def test_real_embedding_rejects_non_hermitian():
         ff.real_embedding(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+def test_symmetry_checks_decide_as_allclose_on_finite_input():
+    rng = np.random.default_rng(4)
+    # offsets within a factor 2 of the rule's threshold 1e-10 + 1e-5 |x|, both ways
+    for k in range(200):
+        x = 10.0 ** rng.uniform(-12, 3)
+        C = np.array([[1.0, x], [x, 2.0]])
+        C[0, 1] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * (1e-10 + 1e-5 * x)
+        H = C + 1j * np.array([[0.0, x], [-x, 0.0]])
+        for check, M in ((lambda M: AffineSymmetricForm([M], [np.zeros((0, 2, 2))]), C),
+                         (lambda M: AffineSymmetricForm([np.eye(2)], [M[None]]), C),
+                         (ff.real_embedding, H)):
+            if np.allclose(M, M.T.conj(), atol=1e-10):
+                check(M)
+            else:
+                with pytest.raises(ValueError, match="symmetric|Hermitian"):
+                    check(M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symmetry_checks_reject_non_finite_entries(bad):
+    form = _scalar_kyp_form(1.5)
+    C = np.eye(2)
+    C[0, 1] = bad
+    for M in (C, np.full((2, 2), bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            form.with_constants([M])
+        with pytest.raises(ValueError, match="not finite"):
+            AffineSymmetricForm([np.eye(2)], [M[None]])
+        with pytest.raises(ValueError, match="not finite"):
+            ff.real_embedding(M + 0j)
+
+
 @given(st.integers(0, 49))
 def test_real_embedding_spectrum_doubles(seed):
     rng = np.random.default_rng(seed)
@@ -214,7 +247,7 @@ def test_max_eig_neg_stacks_match_the_blockwise_loop():
     form = AffineSymmetricForm([_symmetric(rng, k) for k in sizes], K)
     x = rng.normal(size=2)
     for f in (form, form.with_constants([_symmetric(rng, k) for k in sizes])):
-        ref = max(np.linalg.eigvalsh(-Fb).max() for Fb in f.eval_blocks(x))
+        ref = max(np.linalg.eigvalsh(-Fb).max() for Fb in eval_blocks(f, x))
         assert ff.max_eig_neg(f, x) == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
 
