@@ -2,7 +2,7 @@
 
 from .model import (AffineMatrixFunction, DimensionError, FrequencyRange, LpvSystem,
                     ParameterBox, THETA, THETA_D, frequency_weight, load_system,
-                    system_from_dict, transfer_function)
+                    system_from_dict)
 from .sdp import (AffineSymmetricForm, FeasibilityResult, max_eig_neg,
                   real_embedding, solve_feasibility)
 from .lmi import (GammaResult, LmiProblem, UasCertificate, build_problem, min_gamma,

@@ -5,12 +5,13 @@ The band-restricted controllability Gramian of a frozen system is
     W(band) = integral over the band of (jwI - A)^{-1} B B^* (jwI - A)^{-*} dw,
 
 computed by Gauss-Legendre quadrature over the positive half of the band and
-symmetrized over +-w.  Following the shipped reference example, no 1/(2pi)
-factor is applied by default; ``classical=True`` restores the conventional
-normalization.  The time-varying variants weight the integrand with the state
-transition matrix Phi(t, tau_k) (at tau = 0, or at every step time for the
-parameter-drift correction terms) that ``state_transition`` integrates backward
-from t with RK4 on ``_rk4.half_steps``: N = max(1, round(t/step)) steps of h = t/N.
+symmetrized over +-w, every resolvent from ``model.resolvent`` (a pole on a node raises
+ValueError naming it).  Following the shipped reference example, no 1/(2pi) factor is
+applied by default; ``classical=True`` restores the conventional normalization.  The
+time-varying variants weight the integrand with the state transition matrix Phi(t, tau_k)
+(at tau = 0, or at every step time for the parameter-drift correction terms) that
+``state_transition`` integrates backward from t with RK4 on ``_rk4.half_steps``:
+N = max(1, round(t/step)) steps of h = t/N.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._rk4 import half_steps, propagate_matrix, stages, step_matrices
-from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, grid
+from .model import AffineMatrixFunction, FrequencyRange, LpvSystem, gram_peak, grid, resolvent
 from .lmi import UasCertificate
 from .simulation import warn_if_outside_box
 
@@ -71,33 +72,25 @@ def _band_nodes(rng: FrequencyRange, quad_nodes: int):
     return np.concatenate([n1, n2]), np.concatenate([w1, w2])
 
 
-def _first_singular(M, B, om):
-    """The first node, p row by p row, whose resolvent solve fails or is not finite."""
-    for Mp, Bp in zip(M, B):
-        for Mk, o in zip(Mp, om):
-            try:
-                if not np.isfinite(np.linalg.solve(Mk, Bp)).all():
-                    return o
-            except np.linalg.LinAlgError:
-                return o
-    return None
+def _resolvent(A, X, om):
+    """(jwI - A)^{-1} X at the nodes om from ``model.resolvent``, as one (..., W, n, k)
+    complex array; a pole raises ValueError naming its node, the first p row by p row."""
+    Re, Im = resolvent(A, X, om)
+    R = Re + 1j * Im
+    ok = np.isfinite(R).all(axis=(-2, -1)).reshape(-1, len(om))
+    if not ok.all():
+        raise ValueError(f"resolvent singular at omega = {om[np.argwhere(~ok)[0, 1]]}")
+    return R
 
 
 def _resolvent_gramian(A, B, rng, quad_nodes):
     """sum_k w_k 2 Re R_k R_k^*, R_k = (j w_k I - A)^{-1} B, for each of a stack of pairs
-    A (P, n, n), B (P, n, m): (P, n, n) from batched solves over chunks of p rows."""
+    A (P, n, n), B (P, n, m): (P, n, n) over chunks of p rows."""
     om, wts = _band_nodes(rng, quad_nodes)
-    n = A.shape[-1]
     rows = max(1, _SUP_CHUNK // len(om))
     W = np.empty(A.shape)
     for i in range(0, len(A), rows):
-        M = 1j * om[:, None, None] * np.eye(n) - A[i:i + rows, None]  # (p, w, n, n)
-        try:
-            R = np.linalg.solve(M, np.broadcast_to(B[i:i + rows, None], M.shape[:2] + B.shape[1:]))
-        except np.linalg.LinAlgError:
-            R = None
-        if R is None or not np.isfinite(R).all():
-            raise ValueError(f"resolvent singular at omega = {_first_singular(M, B[i:i + rows], om)}")
+        R = _resolvent(A[i:i + rows], B[i:i + rows], om)  # (p, w, n, m)
         Wi = 2.0 * np.real(np.einsum("k,pkim,pkjm->pij", wts, R, R.conj()))
         W[i:i + rows] = 0.5 * (Wi + np.swapaxes(Wi, 1, 2))
     return W
@@ -167,7 +160,7 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     the tau-sums of both terms at all nodes are one matrix product
     E(w, tau) @ H(tau, (c, i, j, k, l)).  E is formed in tau-chunks: on the
     tau grid k h every chunk is one base block e^{jw s h} times a
-    per-chunk phase e^{jw tau_0}.  The resolvents are one batched inverse.
+    per-chunk phase e^{jw tau_0}.  The resolvents R(w) are one ``model.resolvent``.
     """
     n = system.n
     if t <= 0:
@@ -189,6 +182,7 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     tw[0] = tw[-1] = 0.5 * h
 
     om, wts = _band_nodes(rng, quad_nodes)
+    R = _resolvent(A_t, np.eye(n), om)
     m = system.n_inputs
     C = min(N + 1, _TAU_CHUNK)
     base = np.exp(1j * np.outer(om, h * np.arange(C)))
@@ -201,7 +195,6 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
         S += np.exp(1j * om * taus[k0])[:, None] * (Y[:len(om)] + 1j * Y[len(om):])
     S = S.reshape(len(om), 2, n, n, n, m)
 
-    R = np.linalg.inv(1j * om[:, None, None] * np.eye(n) - A_t)
     V = -np.einsum("wjk,wcijkl->wcil", R, S)
     W = 2.0 * np.real(np.einsum("w,wcil,wcml->cim", wts, V, V.conj()))
     W1, W2 = W
@@ -243,38 +236,16 @@ def _drift(M: AffineMatrixFunction) -> AffineMatrixFunction:
     return AffineMatrixFunction(np.zeros(M.shape), M.coeffs)
 
 
-def _lam_max_gram(M) -> float:
-    """Largest eigenvalue of M M^* over a stack of matrices M (..., r, c).
-
-    It is taken from the smaller Gram, M M^* or M^* M, which share their
-    nonzero eigenvalues: a 1 x 1 Gram is its trace, the squared Frobenius
-    norm; of k x k Grams only those whose trace reaches max tr / k are
-    eigensolved, since lambda_max <= tr G <= k lambda_max.  A non-finite M
-    raises ValueError; the check is on the traces, which every entry of M
-    reaches, since LAPACK may return finite eigenvalues for a NaN matrix.
-    """
-    r, c = M.shape[-2:]
-    M = M.reshape(-1, r, c)
-    tr = np.einsum("kij,kij->k", M.conj(), M).real
-    if not np.isfinite(tr).all():
-        raise ValueError("drift integrand is not finite; the trace bound is undefined")
-    k = min(r, c)
-    if k == 1:
-        return float(tr.max())
-    M = M[tr >= tr.max() / k]
-    MH = np.swapaxes(M.conj(), 1, 2)
-    return float(np.linalg.eigvalsh(M @ MH if r <= c else MH @ M).max())
-
-
 def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int = 11,
                 omega_nodes: int = 21):
     """Grid suprema of lambda_max(M_i M_i^*) for the two drift integrands.
 
     M_1 = (A(p) - A(p')) (R B(p')) over parameter pairs and M_2 = R Bdot(r) over
-    rate corners, with R = (jwI - A(p))^{-1}.  Both are formed for a chunk of
-    outer p rows at once, about ``_SUP_CHUNK`` (p, w, p') triples, so memory
-    stays O(_SUP_CHUNK n max(n, m)) beyond one outer row.  A non-finite
-    integrand raises ValueError.
+    rate corners, with R = (jwI - A(p))^{-1} from ``model.resolvent`` and
+    lambda_max from ``model.gram_peak``.  Both are formed for a chunk of outer
+    p rows at once, about ``_SUP_CHUNK`` (p, w, p') triples, so memory stays
+    O(_SUP_CHUNK n max(n, m)) beyond one outer row.  A pole on a node or a
+    non-finite integrand raises ValueError.
     """
     if rng.kind == "high":
         om = np.linspace(rng.lo, 10.0 * rng.lo, omega_nodes)
@@ -286,14 +257,12 @@ def _drift_sups(system: LpvSystem, rng: FrequencyRange, grid_density: int = 11,
     pgrid = system.box.p_grid(grid_density)
     A, B = system.A.batch(pgrid), system.B.batch(pgrid)
     Bd = _drift(system.B).batch(grid(system.box.rate_lower, system.box.rate_upper))
-    jw = 1j * om[:, None, None] * np.eye(system.n)
     rows = max(1, _SUP_CHUNK // (len(om) * len(A)))
     m1 = m2 = 0.0
     for i in range(0, len(A), rows):
-        Ap = A[i:i + rows, None]
-        R = np.linalg.inv(jw - Ap)[:, :, None]  # (p, w, 1, n, n)
-        m1 = max(m1, _lam_max_gram((Ap - A)[:, None] @ (R @ B)))  # (p, w, p', n, m)
-        m2 = max(m2, _lam_max_gram(R @ Bd))  # (p, w, rate, n, m)
+        R = _resolvent(A[i:i + rows], np.eye(system.n), om)[:, :, None]  # (p, w, 1, n, n)
+        m1 = max(m1, gram_peak((A[i:i + rows, None] - A)[:, None] @ (R @ B)))  # (p, w, p', n, m)
+        m2 = max(m2, gram_peak(R @ Bd))  # (p, w, rate, n, m)
     return m1, m2
 
 

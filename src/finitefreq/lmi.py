@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox, frequency_weight,
-                    grid)
+                    gram_peak, grid, resolvent)
 from .sdp import (AffineSymmetricForm, max_eig_neg, minimize, real_embedding, solve_feasibility,
                   stack_blocks)
 
@@ -213,12 +213,10 @@ def _frozen_peak(system: LpvSystem, rng: FrequencyRange, mode: str) -> float:
     sigma_max(G_p(jw)) on the band; the whole axis when Q is absent.  Returns
     the largest sigma_max over the mode's enforcement points and 64 in-band
     nodes (a geometric sweep and the w -> inf limit D(p) when the band is
-    unbounded), each from the real form [[-A, -wI], [wI, -A]] [Xr; Xi] = [B; 0]
-    of (jwI - A) X = B.  Nodes on a pole of G_p and non-finite samples drop out.
+    unbounded), with G_p = C (Re + j Im) + D from ``model.resolvent`` and
+    sigma_max^2 from ``model.gram_peak``.  Nodes on a pole of G_p and
+    non-finite samples drop out.
     """
-    def sigma_max(G):  # the largest singular value over a stack of matrices
-        return float(np.sqrt(np.linalg.eigvalsh(np.swapaxes(G, -1, -2) @ G)[..., -1].max()))
-
     p_kind, q_kind = _MODE_TABLE[mode]
     box = system.box
     P = box.midpoint()[None] if p_kind == "constant" else grid(box.p_lower, box.p_upper)
@@ -230,21 +228,11 @@ def _frozen_peak(system: LpvSystem, rng: FrequencyRange, mode: str) -> float:
         first = rng.lo if q_kind else 0.0  # the high band's edge, else 0
         s = float(np.sqrt((A * A).sum(axis=(1, 2))).max()) or 1.0  # |A(p)|_F sets the scale
         w = np.r_[first, np.geomspace(max(first, 1e-3 * s), 1e3 * max(first, s), 63)]
-        peak = sigma_max(D)
-    n, wI = system.n, w[:, None, None] * np.eye(system.n)
-    M = np.empty((len(P), len(w), 2 * n, 2 * n))
-    M[..., :n, :n] = M[..., n:, n:] = -A[:, None]
-    M[..., :n, n:], M[..., n:, :n] = -wI, wI
-    rhs = np.zeros(M.shape[:-1] + (system.n_inputs,))
-    rhs[..., :n, :] = B[:, None]
-    ok = np.linalg.slogdet(M)[0] != 0  # a node on a pole of G_p stays NaN
-    X = np.full(rhs.shape, np.nan)
-    X[ok] = np.linalg.solve(M[ok], rhs[ok])
-    Gr, Gi = C[:, None] @ X[..., :n, :] + D[:, None], C[:, None] @ X[..., n:, :]
-    E = np.concatenate([np.concatenate([Gr, -Gi], axis=-1), np.concatenate([Gi, Gr], axis=-1)],
-                       axis=-2)  # the real embedding: G's singular values, each twice
-    E = E[np.isfinite(E).all(axis=(-2, -1))]
-    return max(peak, sigma_max(E)) if len(E) else peak
+        peak = float(np.sqrt(gram_peak(D)))
+    Re, Im = resolvent(A, B, w)  # a node on a pole of G_p is NaN
+    G = (C[:, None] @ Re + D[:, None]) + 1j * (C[:, None] @ Im)
+    G = G[np.isfinite(G).all(axis=(-2, -1))]
+    return max(peak, float(np.sqrt(gram_peak(G)))) if len(G) else peak
 
 
 def _margin(main):

@@ -1,6 +1,7 @@
-"""Domain types: parameter-affine state-space systems, frequency bands, weights.
+"""Domain types: parameter-affine state-space systems, frequency bands, weights;
+and the frequency-response kernel, ``resolvent`` and ``gram_peak``.
 
-Everything here is an immutable value object; the analysis modules consume
+Every type here is an immutable value object; the analysis modules consume
 these types and never mutate them.
 """
 
@@ -11,6 +12,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sdp import real_embedding
 
 # Fixed 2x2 structure matrices used by every performance LMI.
 THETA = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -327,16 +330,55 @@ def frequency_weight(rng: FrequencyRange) -> np.ndarray:
     return m
 
 
-def transfer_function(system: LpvSystem, omega, p=None) -> np.ndarray:
-    """G(jw) = C (jwI - A)^{-1} B + D for the system frozen at parameter p."""
-    A, B, C, D = system.frozen(p)
-    n = A.shape[0]
-    M = 1j * float(omega) * np.eye(n) - A
+def resolvent(A, X, w):
+    """(jwI - A)^{-1} X at every node w, as its real and imaginary parts (Re, Im).
+
+    A (..., n, n) and X (..., n, k) broadcast over their stack axes; nodes w (W,)
+    give two (..., W, n, k) arrays, from one batched solve of the real form
+    [[-A, -wI], [wI, -A]] [Re; Im] = [X; 0]: no complex array reaches LAPACK,
+    and no A^2 + w^2 I squares the condition number.  Only if LAPACK finds an
+    exactly singular block (a pole on a node) are the nodes whose real form has
+    a zero determinant left NaN; callers decide what a pole means.
+    """
+    A, X, w = (np.asarray(a, dtype=float) for a in (A, X, w))
+    n, k = X.shape[-2:]
+    stack = np.broadcast_shapes(A.shape[:-2], X.shape[:-2]) + (len(w),)
+    M = np.empty(stack + (2 * n, 2 * n))
+    M[..., :n, :n] = M[..., n:, n:] = -A[..., None, :, :]
+    wI = w[:, None, None] * np.eye(n)
+    M[..., :n, n:], M[..., n:, :n] = -wI, wI
+    rhs = np.zeros(stack + (2 * n, k))
+    rhs[..., :n, :] = X[..., None, :, :]
     try:
-        X = np.linalg.solve(M, B)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"omega = {omega} is a pole of the frozen system") from exc
-    # Guard nearly singular resolvents that solve() lets through.
-    if not np.all(np.isfinite(X)) or np.linalg.cond(M) > 1e14:
-        raise ValueError(f"omega = {omega} is (numerically) a pole of the frozen system")
-    return C @ X + D
+        Y = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(M)[0] != 0
+        Y = np.full(rhs.shape, np.nan)
+        Y[ok] = np.linalg.solve(M[ok], rhs[ok])
+    return Y[..., :n, :], Y[..., n:, :]
+
+
+def gram_peak(M) -> float:
+    """Largest eigenvalue of M M^* (the squared largest singular value) over a stack of
+    real or complex matrices M (..., r, c).
+
+    It is taken from the smaller Gram, M M^* or M^* M, which share their
+    nonzero eigenvalues: a 1 x 1 Gram is its trace, the squared Frobenius
+    norm; of k x k Grams only those whose trace reaches max tr / k are
+    eigensolved, since lambda_max <= tr G <= k lambda_max, a complex one
+    through ``sdp.real_embedding``, which doubles each eigenvalue.  A non-finite
+    M raises ValueError; the check is on the traces, which every entry of M
+    reaches, since LAPACK may return finite eigenvalues for a NaN matrix.
+    """
+    r, c = M.shape[-2:]
+    M = M.reshape(-1, r, c)
+    tr = np.einsum("kij,kij->k", M.conj(), M).real
+    if not np.isfinite(tr).all():
+        raise ValueError("matrix entries are not finite; the Gram peak is undefined")
+    k = min(r, c)
+    if k == 1:
+        return float(tr.max())
+    M = M[tr >= tr.max() / k]
+    MH = np.swapaxes(M.conj(), 1, 2)
+    G = M @ MH if r <= c else MH @ M
+    return float(np.linalg.eigvalsh(real_embedding(G) if np.iscomplexobj(G) else G).max())

@@ -8,9 +8,11 @@ import scipy.linalg
 import finitefreq as ff
 from finitefreq.reference import example_band, example_schedule
 from finitefreq._rk4 import half_steps
-from finitefreq import gramians
-from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre, _lam_max_gram
+from finitefreq import gramians, lmi
+from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre
+from finitefreq.model import gram_peak
 from conftest import random_stable_lti, three_state_two_input_system
+from test_simulation import seeded_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
 
@@ -391,6 +393,47 @@ def test_resolvent_gramian_names_the_singular_node():
         lti_gramian(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
 
 
+def pole_system(w):
+    """A(p) = [[0, w], [-w, 0]] for every p in [0, 1]: poles at +-jw; B drifts with p."""
+    return ff.LpvSystem(ff.AffineMatrixFunction([[0.0, w], [-w, 0.0]], (np.zeros((2, 2)),)),
+                        ff.AffineMatrixFunction([[1.0], [0.0]], ([[0.0], [0.5]],)),
+                        ff.AffineMatrixFunction([[1.0, 0.0]], (np.zeros((1, 2)),)),
+                        ff.AffineMatrixFunction([[0.0]], (np.zeros((1, 1)),)),
+                        ff.ParameterBox([0.0], [1.0], [-1.0], [1.0]))
+
+
+def test_shifted_gramian_names_the_singular_node():
+    w = _band_nodes(LOW1, 9)[0][6]
+    traj = ff.ScheduleTrajectory.sinusoid([0.5], [0.2], 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"resolvent singular at omega = {w}")):
+        ff.gramian_lpv_shifted(pole_system(w), traj, 1.0, LOW1, quad_nodes=9)
+
+
+def test_drift_sups_name_the_singular_node():
+    w = _band_nodes(LOW1, 9)[0][6]
+    # the 21-node grid on low:w starts at -w, a pole
+    with pytest.raises(ValueError, match=re.escape(f"resolvent singular at omega = {-w}")):
+        _drift_sups(pole_system(w), ff.FrequencyRange.low(w))
+
+
+def test_no_complex_array_reaches_numpy_linalg(benchmark_system, monkeypatch):
+    # complex LAPACK routines are kept out of the frequency-domain code: each
+    # resolvent is solved in its real form and each complex Gram eigensolved
+    # through its real embedding
+    def spy(fn):
+        def call(*args, **kwargs):
+            assert not any(np.iscomplexobj(a) for a in args), fn.__name__
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("solve", "inv", "eigvalsh", "eigh", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+    ff.recommend_range(benchmark_system, LOW1)
+    for mode in lmi.MODES:
+        assert lmi._frozen_peak(seeded_system(6)[0], ff.FrequencyRange.middle(0.5, 1.5), mode) > 0
+    ff.gramian_set(benchmark_system, example_schedule(), 2.0, LOW1, quad_nodes=51)
+
+
 @pytest.mark.parametrize("band", BANDS, ids=str)
 @pytest.mark.parametrize("which", ["example", "three_state"])
 def test_stacked_frozen_gramian_equals_per_row_calls(benchmark_system, which, band):
@@ -438,12 +481,12 @@ def test_lam_max_gram_matches_the_eigenvalues_of_m_m_star(shape):
     M = scale * (rng.normal(size=(40,) + shape) + 1j * rng.normal(size=(40,) + shape))
     M = M.reshape((2, 20) + shape)
     ref = np.linalg.eigvalsh(M @ np.swapaxes(M.conj(), -1, -2)).max()
-    assert _lam_max_gram(M) == pytest.approx(ref, rel=1e-12)
-    assert _lam_max_gram(M.real) == pytest.approx(
+    assert gram_peak(M) == pytest.approx(ref, rel=1e-12)
+    assert gram_peak(M.real) == pytest.approx(
         np.linalg.eigvalsh(M.real @ np.swapaxes(M.real, -1, -2)).max(), rel=1e-12)
     M[1, 7, 0, -1] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        _lam_max_gram(M)
+        gram_peak(M)
 
 
 def test_gauss_legendre_rule_is_cached_read_only():

@@ -753,6 +753,26 @@ def test_frozen_floor_of_the_q_free_modes_on_the_example_is_the_feedthrough(benc
         pytest.approx(4.6104 - 0.15 * 1.8747, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode, band", [("lpv_ff", ff.FrequencyRange.middle(0.5, 1.5)),
+                                        ("kyp", ff.FrequencyRange.entire())])
+def test_frozen_floor_of_a_mimo_system_matches_a_complex_svd(mode, band):
+    # 2 inputs and 2 outputs, so the peak is eigensolved, not read off a 1 x 1 trace
+    sysm = seeded_system(6)[0]
+    if mode == "lpv_ff":
+        P, ws, peak = grid(sysm.box.p_lower, sysm.box.p_upper), np.linspace(0.5, 1.5, 64), 0.0
+    else:
+        P = sysm.box.midpoint()[None]
+        s = max(np.linalg.norm(sysm.A(p)) for p in P)
+        ws = np.r_[0.0, np.geomspace(1e-3 * s, 1e3 * s, 63)]
+        peak = max(np.linalg.svd(sysm.D(p), compute_uv=False)[0] for p in P)
+    for p in P:
+        A, B, C, D = sysm.frozen(p)
+        for w in ws:
+            G = C @ np.linalg.solve(1j * w * np.eye(sysm.n) - A, B) + D
+            peak = max(peak, np.linalg.svd(G, compute_uv=False)[0])
+    assert lmi._frozen_peak(sysm, band, mode) == pytest.approx(peak, rel=1e-13)
+
+
 def test_a_floor_past_the_cap_gives_up_without_a_solve(monkeypatch):
     solves = _spy(monkeypatch, lmi, "solve_feasibility")
     loud = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[2.0 * lmi._GAMMA_CAP]])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import finitefreq as ff
-from finitefreq.model import DimensionError, system_from_dict
+from finitefreq.model import DimensionError, resolvent, system_from_dict
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "data" / "example1.json"
 
@@ -157,10 +157,17 @@ def test_batch_rows_do_not_depend_on_the_other_rows(l):
             assert np.array_equal(got[i], M.batch(P[i:i + 1])[0])
 
 
+def transfer_function(system, w, p=None):
+    """G(jw) = C (Re + j Im) + D of the system frozen at p, at the nodes w: (W, q, m)."""
+    A, B, C, D = system.frozen(p)
+    Re, Im = resolvent(A, B, np.atleast_1d(w))
+    return C @ Re + D + 1j * (C @ Im)
+
+
 def test_transfer_function_scalar_dc():
     s = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-    assert ff.transfer_function(s, 0.0) == pytest.approx(1.0)
-    g1 = ff.transfer_function(s, 1.0)[0, 0]
+    assert transfer_function(s, 0.0)[0] == pytest.approx(1.0)
+    g1 = transfer_function(s, 1.0)[0, 0, 0]
     assert abs(g1) == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
     assert g1 == pytest.approx(1.0 / (1.0 + 1.0j), abs=1e-12)
 
@@ -169,26 +176,49 @@ def test_transfer_function_benchmark_regression(benchmark_system):
     # independent oracle: direct complex solve
     A, B, C, D = benchmark_system.frozen([0.15])
     oracle = (C @ np.linalg.solve(-A, B) + D)[0, 0]
-    g = ff.transfer_function(benchmark_system, 0.0, [0.15])[0, 0]
+    g = transfer_function(benchmark_system, 0.0, [0.15])[0, 0, 0]
     assert g == pytest.approx(oracle, abs=1e-12)
     assert g.real == pytest.approx(0.5702366, abs=1e-6)
 
 
-def test_transfer_function_pole_reports_omega():
+def test_transfer_function_is_nan_on_a_pole_node_only():
     s = ff.LpvSystem.lti([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
                          [[1.0, 0.0]], [[0.0]])
-    with pytest.raises(ValueError, match="pole"):
-        ff.transfer_function(s, 1.0)
+    G = transfer_function(s, [0.5, 1.0, -1.0, 2.0])
+    assert np.isnan(G[1:3]).all()
+    assert np.isfinite(G[[0, 3]]).all()
+    assert G[0, 0, 0] == pytest.approx(1.0 / 0.75, abs=1e-12)  # 1/(1 - w^2)
 
 
 def test_transfer_function_matches_resolvent_grid(benchmark_system):
     rng = np.random.default_rng(3)
-    for w in rng.uniform(0.0, 20.0, 12):
-        A, B, C, D = benchmark_system.frozen([0.17])
+    ws = rng.uniform(0.0, 20.0, 12)
+    got = transfer_function(benchmark_system, ws, [0.17])
+    A, B, C, D = benchmark_system.frozen([0.17])
+    for w, g in zip(ws, got):
         M = 1j * w * np.eye(2) - A
         oracle = C @ (np.linalg.inv(M) @ B) + D
-        g = ff.transfer_function(benchmark_system, w, [0.17])
         assert np.linalg.norm(g - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
+
+
+BAND_KINDS = [ff.FrequencyRange.low(1.3), ff.FrequencyRange.middle(0.4, 2.5),
+              ff.FrequencyRange.high(3.0), ff.FrequencyRange.entire()]
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.sampled_from(BAND_KINDS),
+       st.integers(0, 2**32 - 1))
+def test_resolvent_equals_the_complex_solve(n, k, stack, band, seed):
+    from finitefreq.gramians import _band_nodes
+    g = np.random.default_rng(seed)
+    N = g.normal(size=(stack, n, n))
+    A = N - (np.linalg.norm(N, 2, axis=(1, 2)) + 0.5)[:, None, None] * np.eye(n)  # Hurwitz
+    X = g.normal(size=(stack, n, k))
+    w = _band_nodes(band, 7)[0]
+    Re, Im = resolvent(A, X, w)
+    assert Re.shape == Im.shape == (stack, len(w), n, k)
+    ref = np.linalg.solve(1j * w[:, None, None] * np.eye(n) - A[:, None], X[:, None])
+    err = np.abs(Re + 1j * Im - ref).max(axis=(-2, -1))
+    assert (err <= 1e-12 * np.abs(ref).max(axis=(-2, -1))).all()
 
 
 def test_system_json_roundtrip(benchmark_system):
