@@ -151,6 +151,7 @@ def cmd_analyze(args):
         "certificate": res.certificate, "bisection_trace": res.bisection_trace,
         "relaxation_gap_flag": res.relaxation_gap_flag,
         "grid_violations": [(p, r, lam) for p, r, lam in res.violations],
+        "grid_points": res.violations.points, "worst_grid_eigenvalue": res.violations.worst,
         "margin": res.margin, "bracket": list(res.bracket), "lo_certified": res.lo_certified,
         "lo_rests_on": res.lo_rests_on, "gain_lower_bound": res.gain_lower_bound,
     })

@@ -74,10 +74,17 @@ def _band_nodes(rng: FrequencyRange, quad_nodes: int):
 
 def _resolvent(A, X, om):
     """(jwI - A)^{-1} X at the nodes om from ``model.resolvent``, as one (..., W, n, k)
-    complex array; a pole raises ValueError naming its node, the first p row by p row."""
+    complex array; a pole raises ValueError naming its node, the first p row by p row.
+
+    A node is a pole when its resolvent is not finite or numerically infinite:
+    max|R| (|A|_F + |w|) > 1e12 max|X|, a scale-free bound on the condition of
+    jwI - A, since |jwI - A| <= |A|_F + |w|.
+    """
     Re, Im = resolvent(A, X, om)
     R = Re + 1j * Im
-    ok = np.isfinite(R).all(axis=(-2, -1)).reshape(-1, len(om))
+    scale = np.linalg.norm(A, axis=(-2, -1))[..., None] + np.abs(om)
+    size = np.abs(R).max(axis=(-2, -1)) * scale  # NaN at an exact pole, and fails the test
+    ok = (size <= 1e12 * np.abs(X).max(axis=(-2, -1))[..., None]).reshape(-1, len(om))
     if not ok.all():
         raise ValueError(f"resolvent singular at omega = {om[np.argwhere(~ok)[0, 1]]}")
     return R

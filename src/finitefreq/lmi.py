@@ -22,7 +22,7 @@ vector; a constant one is one slab), an affine P brings the rate term
 Pdot = sum_i pdot_i P_i, and the band weight Psi appears iff Q does.  Rates
 are symmetrized to +-max |rate| per axis.  The corners are the product grid
 at 2 points per axis; ``verify_on_grid`` re-checks the same template on a
-finer product grid.
+finer p grid times the rate corners.
 
 The index enters the constants only, as gamma^2 times a fixed matrix, so
 ``min_gamma`` treats gamma^2 as one more decision variable: after doubling
@@ -161,8 +161,9 @@ def _template(A, B, C, D, pi_matrix, psi, layout, P, R, X):
 
 
 def _product_rows(box: ParameterBox, rate_lo, rate_hi, density):
-    """(p, pdot) rows of the product of the p grid and the rate grid, p-major."""
-    P, R = grid(box.p_lower, box.p_upper, density), grid(rate_lo, rate_hi, density)
+    """(p, pdot) rows of the p grid at ``density`` points per axis times the rate corners,
+    p-major."""
+    P, R = grid(box.p_lower, box.p_upper, density), grid(rate_lo, rate_hi)
     return np.repeat(P, len(R), axis=0), np.tile(R, (len(P), 1))
 
 
@@ -170,7 +171,7 @@ def _points(box: ParameterBox, mode: str, density: int):
     """Rows (p, pdot) where a mode's template is checked: the corners at density 2.
 
     A constant P is checked at the frozen midpoint only; an affine one on the
-    product grid of the box and the symmetrized rates +-max |rate|, which
+    p grid times the corners of the symmetrized rates +-max |rate|, which
     keeps the rate term from acting as a one-sided subsidy and makes the
     zero-coefficient reduction to the constant-P condition exact.
     """
@@ -328,7 +329,10 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     the decision vector (its coefficient is -gain in the main blocks, 0 in the
     PSD blocks, m folded into every constant) and maximizes it with one
     ``minimize`` run from (x_g, 0), an eigenvalue problem (Boyd, El Ghaoui,
-    Feron & Balakrishnan, 1994, section 2.2).
+    Feron & Balakrishnan, 1994, section 2.2).  When phase 1 passed a level
+    below g (skipped, or probed and not shown feasible), g < 2 gamma*, and the
+    run stops at the duality gap 0.1 * bisect_tol * g in gamma^2 units, so hi
+    ends within bisect_tol/10 of its optimum; otherwise it runs to the gap 1e-9.
 
     hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
     passes at margin(hi); otherwise hi = g.  lo is the largest of the last
@@ -344,8 +348,8 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     "floor", "dual bound" (the barrier's) or "probe" set it.  gamma_star is
     hi; a hi below the floor raises RuntimeError, as GKYP rules it out.  The
     floor is returned as ``gain_lower_bound``.  The certificate is then
-    re-checked on a parameter grid; violations set relaxation_gap_flag
-    instead of failing.
+    re-checked on the p grid times the rate corners (``verify_on_grid``);
+    violations set relaxation_gap_flag instead of failing.
     """
     if not bisect_tol > 0:  # NaN included
         raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
@@ -384,7 +388,9 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     lifted = [(C - m * np.eye(len(C)),
                np.concatenate([K, (-family.gain if b < nmain else 0.0 * C)[None]]))
               for b, (C, K) in enumerate(zip(top.form.constant_blocks, top.form.coeff_blocks))]
-    run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), target=np.inf)
+    gap_tol = 0.1 * bisect_tol * g if lo > 0.0 else 1e-9  # in gamma^2 units; see above
+    run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), target=np.inf,
+                   gap_tol=gap_tol)
     hi, x = g, res.x
     gamma = float(np.sqrt(max(g * g - run.t, 0.0)))
     prob = family.at(gamma)
@@ -421,12 +427,25 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     )
 
 
-def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11):
-    """Evaluate the certified inequality on a (p, pdot) grid.
+class GridViolations(list):
+    """The flagged (p, pdot, lambda) rows of ``verify_on_grid`` in grid order, with the
+    number of rows it evaluated (``points``) and the largest lambda over them (``worst``)."""
+
+    def __init__(self, flagged, points: int, worst: float):
+        super().__init__(flagged)
+        self.points, self.worst = points, worst
+
+
+def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11) -> GridViolations:
+    """Evaluate the certified inequality on the p grid times the rate corners.
 
     Returns the points where the main block exceeds -margin/2, i.e. where the
     vertex relaxation fails to extend to the interior at the solved margin.
-    The template is built as at the vertices, in the single direction of the
+    pdot enters the block only through Pdot = sum_i pdot_i P_i, so the block is
+    affine in pdot and its largest eigenvalue, convex in pdot, peaks at a rate
+    corner: the worst lambda and the flagged p are those of the whole
+    (p, pdot) grid, at 2^l rates per p instead of grid_density^l.  The
+    template is built as at the vertices, in the single direction of the
     certificate x, over chunks of ``_GRID_CHUNK`` grid rows, each checked
     with one batched eigensolve, so memory stays bounded as the grid grows.
     """
@@ -440,7 +459,8 @@ def verify_on_grid(problem: LmiProblem, x, grid_density: int = 11):
                                   R[rows], X)
         F = const0 + problem.gamma ** 2 * problem.gain + Fx[:, 0]
         lam[rows] = np.linalg.eigvalsh(-F).max(axis=-1)
-    return [(P[i], R[i], float(lam[i])) for i in np.nonzero(lam > -problem.margin / 2)[0]]
+    flagged = [(P[i], R[i], float(lam[i])) for i in np.nonzero(lam > -problem.margin / 2)[0]]
+    return GridViolations(flagged, len(P), float(lam.max()))
 
 
 @dataclass

@@ -5,7 +5,8 @@ S(y) = C + sum_j y_j A_j >= 0 by log-barrier path following (Boyd &
 Vandenberghe, Convex Optimization, ch. 11), up to a stop target: each Newton
 step yields a dual point bounding t* from above, and the run ends once t
 exceeds the target, a dual bound falls below a finite target, or the duality
-gap falls below 1e-9.  ``stack_blocks`` builds that pencil for every caller.
+gap falls below a tolerance (1e-9 unless the caller sets a looser one).
+``stack_blocks`` builds that pencil for every caller.
 Each block is normalized to unit size.  The blocks of size 2 or more are
 zero-padded to the largest size k and stacked into one (B, k, k) batch, and
 the 1x1 blocks become elementwise rows s = c + a.y.  A pad row and column has
@@ -25,7 +26,8 @@ verdict is re-checked by an exact eigensolve, a dual bound below zero
 certifies infeasibility, and any other infeasible verdict means "not shown
 feasible".  Two callers instead put their own variable last and run
 ``minimize`` to the gap, with no target: ``lmi.min_gamma`` maximizes
-g^2 - gamma^2 from a feasible level g, and the decay certificate
+g^2 - gamma^2 from a feasible level g (to a gap set by its ``bisect_tol``),
+and the decay certificate
 (``lmi.uas_certificate``) maximizes c1.  The optimum may then be negative,
 so a negative dual bound does not end the run.
 """
@@ -208,25 +210,28 @@ def _step_length(w, slope):
     return a
 
 
-def minimize(pencil, y, target=0.0):
+def minimize(pencil, y, target=0.0, gap_tol=1e-9):
     """Maximize t = y[-1] over the packed pencil by barrier path following from interior y.
 
     Runs until t exceeds ``target`` (0 for a feasibility search; inf to maximize
     t outright), a dual bound proves a finite target out of reach, the duality
-    gap falls below 1e-9, or NEWTON_STEPS Newton steps; returns the iterate with
-    the largest t.  With target inf only the gap ends the run, so t* may be
-    negative.
+    gap, in units of t, falls below ``gap_tol``, or NEWTON_STEPS Newton steps;
+    returns the iterate with the largest t.  With target inf only the gap ends
+    the run, so t* may be negative.  The Hessian is eigensolved once per
+    barrier evaluation: a centred iterate only shrinks mu, and reuses it.
     """
     N, e_t = pencil.rows, np.eye(y.size)[-1]
-    D, best, bound, mu, nit, nfev = _barrier(pencil, y), y, np.inf, 1.0 / N, 0, 1
+    D, eig, best, bound, mu, nit, nfev = _barrier(pencil, y), None, y, np.inf, 1.0 / N, 0, 1
     while y[-1] <= target and nit < NEWTON_STEPS and D is not None:
         M, g, H, tr = D
-        d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling; the box makes every diagonal positive
-        # the scaled system, pseudo-inverted as lstsq(rcond=1e-13) does for a symmetric PSD
-        # matrix; H is formed symmetric, and the upper triangle keeps lstsq's Newton path on
-        # the shipped example
-        lam, V = np.linalg.eigh(H * np.outer(d, d), UPLO="U")
-        lam = np.where(np.abs(lam) > 1e-13 * np.abs(lam).max(), lam, np.inf)
+        if eig is None:
+            d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling; the box makes every diagonal positive
+            # the scaled system, pseudo-inverted as lstsq(rcond=1e-13) does for a symmetric PSD
+            # matrix; H is formed symmetric, and the upper triangle keeps lstsq's Newton path
+            # on the shipped example
+            lam, V = np.linalg.eigh(H * np.outer(d, d), UPLO="U")
+            eig = d, np.where(np.abs(lam) > 1e-13 * np.abs(lam).max(), lam, np.inf), V
+        d, lam, V = eig
         dy = d * (V @ ((V.T @ ((tr + e_t / mu) * d)) / lam))
         w = np.concatenate([np.linalg.eigvalsh(_combine(dy, M)).ravel(), g @ dy])
         if w.max() <= 1.0:  # the dual point Z = mu * L^-T (I - W) L^-1 is PSD
@@ -234,13 +239,13 @@ def minimize(pencil, y, target=0.0):
             gap = mu * (N - w.sum())  # sum_b <Z_b, S_b>
             if a[-1] < 0:  # weak duality over the box, with the residuals of a charged in full
                 bound = min(bound, (gap - a @ y + RADIUS * np.abs(a[:-1]).sum()) / -a[-1])
-            if bound < target < np.inf or gap <= 1e-9:  # certified, or t* to solver resolution
+            if bound < target < np.inf or gap <= gap_tol:  # certified, or t* to the gap asked
                 break
         if w @ w <= 0.0625:  # centred (Newton decrement below 1/4)
             mu *= 0.1
             continue
         y = y + _step_length(w, dy[-1] / mu) * dy
-        D, nit, nfev = _barrier(pencil, y), nit + 1, nfev + 1
+        D, eig, nit, nfev = _barrier(pencil, y), None, nit + 1, nfev + 1
         best = y if y[-1] > best[-1] else best
     return NewtonResult(best[:-1], float(best[-1]), bound, nit, nfev)
 

@@ -314,6 +314,10 @@ def test_analyze_certificate_reverifies_from_its_json(tmp_path, mode):
     assert isinstance(cert["lo_certified"], bool)
     assert 0.0 < cert["gain_lower_bound"] * (1.0 - 1e-9) <= cert["bracket"][0]
     assert cert["lo_rests_on"] in ("floor", "dual bound", "probe")
+    # the re-check's p grid times the rate corners, or the midpoint for a constant P
+    assert cert["grid_points"] == (1 if mode in ("kyp", "gkyp") else 11 * 2)
+    flagged = cert["worst_grid_eigenvalue"] > -cert["margin"] / 2
+    assert flagged == bool(cert["grid_violations"]) and cert["relaxation_gap_flag"] == flagged
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -393,6 +393,20 @@ def test_resolvent_gramian_names_the_singular_node():
         lti_gramian(A, np.array([[1.0], [0.0]]), LOW1, quad_nodes=9)
 
 
+@pytest.mark.parametrize("shift", ["one ulp", "1e-12 relative"])
+def test_a_pole_next_to_a_node_is_named_like_one_on_it(shift):
+    # the resolvent is finite but numerically infinite there: the Gramian's trace read 4.2e31
+    # (one ulp) and 2.0e23 (1e-12 relative) before the check
+    w = _band_nodes(LOW1, 9)[0][6]
+    near = np.nextafter(w, 2.0) if shift == "one ulp" else w * (1.0 + 1e-12)
+    B = np.array([[1.0], [0.0]])
+    with pytest.raises(ValueError, match=re.escape(f"resolvent singular at omega = {w}")):
+        lti_gramian([[0.0, near], [-near, 0.0]], B, LOW1, quad_nodes=9)
+    # a pole 1e-6 relative away is resolved and integrated
+    far = w * (1.0 + 1e-6)
+    assert np.isfinite(lti_gramian([[0.0, far], [-far, 0.0]], B, LOW1, quad_nodes=9)).all()
+
+
 def pole_system(w):
     """A(p) = [[0, w], [-w, 0]] for every p in [0, 1]: poles at +-jw; B drifts with p."""
     return ff.LpvSystem(ff.AffineMatrixFunction([[0.0, w], [-w, 0.0]], (np.zeros((2, 2)),)),

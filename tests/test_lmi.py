@@ -456,8 +456,9 @@ def ref_build_form(system, rng, mode, gamma):
     return ff.AffineSymmetricForm([c for c, _ in blocks], [K for _, K in blocks])
 
 
-def ref_grid_eigs(problem, x, grid_density):
-    """(p, pdot, lambda_max, max |entry|) of the main block at every grid point, one kron assembly each."""
+def ref_grid_eigs(problem, x, grid_density, rate_density=2):
+    """(p, pdot, lambda_max, max |entry|) of the main block at every grid point, one kron
+    assembly each: the p grid times the rate grid, by default its corners."""
     sysm, l = problem.system, problem.system.nparams
     pi = ref_pi(problem.gamma, sysm.n_outputs, sysm.n_inputs)
     psi = ff.frequency_weight(problem.range) \
@@ -467,7 +468,7 @@ def ref_grid_eigs(problem, x, grid_density):
     else:
         pgrid = sysm.box.p_grid(grid_density)
         r = np.maximum(np.abs(sysm.box.rate_lower), np.abs(sysm.box.rate_upper))
-        axes = [np.linspace(-ri, ri, max(2, grid_density)) if ri > 0 else np.array([0.0])
+        axes = [np.linspace(-ri, ri, max(2, rate_density)) if ri > 0 else np.array([0.0])
                 for ri in r]
         rgrid = [np.array(c) for c in itertools.product(*axes)]
     out = []
@@ -495,7 +496,8 @@ def _two_parameter_system():
 
 
 MID = ff.FrequencyRange.middle(0.5, 1.5)
-# (system, mode, band, grid density, grid points); p2 of the two-parameter box is degenerate
+# (system, mode, band, grid density, points of the full (p, pdot) grid at that density); p2
+# of the two-parameter box is degenerate
 GRID_CASES = [("example", "gkyp", LOW1, 5, 1), ("example", "lpv_ff", LOW1, 5, 25),
               ("example", "lpv_ff", MID, 5, 25), ("example", "lpv_ef", LOW1, 5, 25),
               ("example", "theorem2", ff.FrequencyRange.low(5.955), 5, 25),
@@ -519,8 +521,15 @@ def test_verify_on_grid_matches_per_point_loop(benchmark_system, system, mode, b
     # a tolerance that every point exceeds makes verify_on_grid return the whole grid
     got = ff.verify_on_grid(dataclasses.replace(prob, margin=1e9), x, grid_density=density)
     ref = ref_grid_eigs(prob, x, density)
-    assert len(ref) == points
+    full = ref_grid_eigs(prob, x, density, density)
+    assert len(full) == points and got.points == len(ref)
     _assert_grid_matches(got, ref)
+    assert got.worst == max(lam for *_, lam in got)
+    # the rate corners hold the largest lambda of every p over the whole rate grid
+    scale = max(g for *_, g in full)
+    for p in {tuple(p) for p, *_ in full}:
+        worst = max(lam for q, _, lam, _ in full if tuple(q) == p)
+        assert abs(max(lam for q, _, lam in got if tuple(q) == p) - worst) <= 1e-12 * scale
 
 
 def test_verify_on_grid_planted_violation_matches_loop(benchmark_system):
@@ -531,8 +540,9 @@ def test_verify_on_grid_planted_violation_matches_loop(benchmark_system):
     bad[3] += 0.1  # P1[0, 0]: breaks the block at some (p, pdot) grid points only
     got = ff.verify_on_grid(prob, bad, grid_density=7)
     ref = ref_grid_eigs(prob, bad, 7)
-    assert 0 < len(got) < len(ref)
+    assert 0 < len(got) < len(ref) == got.points == 7 * 2
     _assert_grid_matches(got, [row for row in ref if row[2] > -prob.margin / 2])
+    assert got.worst == max(lam for *_, lam in got)
 
 
 def test_verify_on_grid_in_chunks_gives_the_same_violations_in_order(benchmark_system,
@@ -540,17 +550,80 @@ def test_verify_on_grid_in_chunks_gives_the_same_violations_in_order(benchmark_s
     res = ff.min_gamma(benchmark_system, LOW1, "lpv_ff", bisect_tol=1e-2)
     prob = build_problem(benchmark_system, LOW1, "lpv_ff", res.bracket[1])
     bad = res.x.copy()
-    bad[3] += 0.1  # violated at some of the 11 x 11 = 121 grid points only
+    bad[3] += 0.1  # violated at some of the 11 x 2 = 22 grid points only
     want = ff.verify_on_grid(prob, bad)
     rows = []
     main_blocks = lmi._main_blocks
     monkeypatch.setattr(lmi, "_main_blocks", lambda *a: rows.append(len(a[3])) or main_blocks(*a))
     monkeypatch.setattr(lmi, "_GRID_CHUNK", 7)
     got = ff.verify_on_grid(prob, bad)
-    assert rows == [7] * 17 + [2]
-    assert 0 < len(got) == len(want) < 121
+    assert rows == [7, 7, 7, 1]
+    assert 0 < len(got) == len(want) < 22 and (got.points, got.worst) == (22, want.worst)
     for (p, r, lam), (p_want, r_want, lam_want) in zip(got, want):
         assert np.array_equal(p, p_want) and np.array_equal(r, r_want) and lam == lam_want
+
+
+def full_grid_eigs(problem, x, density=11):
+    """(p rows, lambda_max) of the main block on the whole (p, pdot) grid, density points
+    per axis of both, in chunks of 4096 rows: the product the re-check took before it kept
+    only the rate corners."""
+    box = problem.system.box
+    r = np.maximum(np.abs(box.rate_lower), np.abs(box.rate_upper))
+    P, R = grid(box.p_lower, box.p_upper, density), grid(0.0 - r, r, density)
+    P, R = np.repeat(P, len(R), axis=0), np.tile(R, (len(P), 1))
+    Ps, Qs = problem.layout.unpack(x)
+    X = np.stack(Ps + Qs)[:, None]
+    lam = []
+    for k in range(0, len(P), 4096):
+        c, F = lmi._main_blocks(problem.system, problem.range, problem.layout, P[k:k + 4096],
+                                R[k:k + 4096], X)
+        F = c + problem.gamma ** 2 * problem.gain + F[:, 0]
+        lam.append(np.linalg.eigvalsh(-F).max(axis=-1))
+    return P, np.concatenate(lam)
+
+
+WORST_CASES = [("example", mode, band) for mode in ("lpv_ff", "lpv_ef", "theorem2")
+               for band in (LOW1, MID)] + [
+    ("seeded_6", "theorem2", MID), ("seeded_6", "lpv_ef", LOW1), ("two_parameter", "theorem2", MID)]
+
+
+@pytest.mark.parametrize("system,mode,band", WORST_CASES, ids=lambda v: str(v))
+def test_rate_corners_give_the_worst_eigenvalue_and_flagged_p_of_the_full_grid(
+        benchmark_system, system, mode, band):
+    sysm = {"example": lambda: benchmark_system, "seeded_6": lambda: seeded_system(6)[0],
+            "two_parameter": _two_parameter_system}[system]()
+    res = ff.min_gamma(sysm, band, mode, bisect_tol=1e-2)
+    prob = build_problem(sysm, band, mode, res.gamma_star)
+    xs = [res.x]
+    if system == "example":  # its certificates pass the grid: plant a violation too
+        xs.append(res.x + 0.1 * (np.arange(len(res.x)) == 3))
+    for x in xs:
+        got = ff.verify_on_grid(prob, x)
+        P, lam = full_grid_eigs(prob, x)
+        assert got.points == len(P) // 11 ** sysm.nparams * 2 ** sysm.nparams
+        assert abs(got.worst - lam.max()) <= 1e-12 * abs(lam.max())
+        assert {tuple(p) for p, _, _ in got} == {tuple(p) for p in P[lam > -prob.margin / 2]}
+    if system != "example":  # the FOUND system and the two-parameter one are flagged
+        assert res.violations and res.violations.worst > 0.0
+
+
+@pytest.mark.parametrize("mode,band", [("lpv_ef", LOW1), ("lpv_ff", LOW1), ("lpv_ff", MID)],
+                         ids=lambda v: str(v))
+def test_the_gain_run_stops_within_a_tenth_of_bisect_tol(benchmark_system, mode, band,
+                                                         monkeypatch):
+    # the example's certify jobs, against the same bracket rules with the run taken to the
+    # gap 1e-9; phase 1 passes a level below the first feasible one g on each
+    full, asked = lmi.minimize, []
+    monkeypatch.setattr(lmi, "minimize",
+                        lambda *a, **k: asked.append(k["gap_tol"]) or full(*a, **k))
+    res = ff.min_gamma(benchmark_system, band, mode, bisect_tol=1e-3)
+    g = next(g for g, v in res.bisection_trace if v)
+    assert asked == [0.1 * 1e-3 * g]
+    monkeypatch.setattr(lmi, "minimize", lambda *a, **k: full(*a, **dict(k, gap_tol=1e-9)))
+    ref = ff.min_gamma(benchmark_system, band, mode, bisect_tol=1e-3)
+    assert ref.gamma_star <= res.gamma_star <= ref.gamma_star + 1e-3 / 10
+    assert len(res.bisection_trace) <= len(ref.bisection_trace)
+    assert res.lo_certified or not ref.lo_certified
 
 
 def _assert_forms_match(form, ref):
@@ -683,7 +756,10 @@ def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, b
     k = [v for _, v in ref.bisection_trace].index(True)
     assert ref.bisection_trace[:k + 1] == [(2.0 ** i, i == k) for i in range(k + 1)]
     skipped = [g for g, _ in ref.bisection_trace[:k] if g < floor * (1.0 - 1e-9)]
-    assert res.bisection_trace == ref.bisection_trace[len(skipped):]
+    # the floor adds no probe; without it the reference's dual bound, from a gain run stopped
+    # at the resolution bisect_tol asks for, may leave the bracket open for one more probe
+    assert res.bisection_trace == ref.bisection_trace[len(skipped):][:len(res.bisection_trace)]
+    assert k + 1 - len(skipped) <= len(res.bisection_trace)
     # the floor may raise lo to itself, never move hi
     assert (res.gamma_star, res.bracket[1]) == (ref.gamma_star, ref.bracket[1])
     assert res.bracket[0] >= floor * (1.0 - 1e-9)
@@ -697,12 +773,13 @@ def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, b
 
 
 def test_lo_rests_on_the_frozen_floor(benchmark_system):
-    # the barrier's dual bound leaves lo at 3.278330 here; GKYP rules out every level below
+    # the barrier's dual bound leaves lo at 3.276018 here; GKYP rules out every level below
     # the floor 3.278848, so lo rests on it, certified
     res = ff.min_gamma(benchmark_system, ff.FrequencyRange.low(5.955), "theorem2", bisect_tol=1e-3)
     lo, hi = res.bracket
     assert (res.lo_rests_on, res.lo_certified) == ("floor", True)
-    assert lo == res.gain_lower_bound * (1.0 - 1e-9) and hi - lo <= 3.7e-5
+    # the gain run stops at the gap that leaves hi within bisect_tol/10 of its optimum
+    assert lo == res.gain_lower_bound * (1.0 - 1e-9) and hi - lo <= 3.7e-5 + 1e-3 / 10
     assert len(res.bisection_trace) == 1
 
 

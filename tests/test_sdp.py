@@ -201,14 +201,15 @@ def _random_positive_definite(seed):
     return 3.0 * G @ G.T + 0.01 * np.eye(4)
 
 
-def _maximize_shift(M, c):
+def _maximize_shift(M, c, gap_tol=1e-9):
     """max t subject to M - (c + t)*I >= 0, one free variable x boxed by -1 <= x <= 1."""
     from finitefreq.sdp import minimize, stack_blocks
     blocks = [(M - c * np.eye(4), np.stack([np.zeros((4, 4)), -np.eye(4)])),
               (np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
               (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
     t0 = np.linalg.eigvalsh(M).min() - c - 1.0
-    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=np.inf)
+    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=np.inf,
+                    gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -233,6 +234,26 @@ def test_minimize_to_the_gap_reaches_a_negative_optimum(seed):
     assert res.t == pytest.approx(t_star, abs=1e-9)
     assert res.t <= t_star <= res.bound
     assert np.linalg.eigvalsh(M - (c + res.t) * np.eye(4)).min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_stops_at_the_gap_asked(seed):
+    # the duality gap bounds t* - t: a looser gap ends the run sooner, still within it
+    M = _random_positive_definite(seed)
+    lam = np.linalg.eigvalsh(M).min()
+    tight, loose = _maximize_shift(M, 0.0), _maximize_shift(M, 0.0, gap_tol=1e-3)
+    assert loose.nit < tight.nit
+    assert lam - 1e-3 <= loose.t <= lam <= loose.bound
+    assert np.linalg.eigvalsh(M - loose.t * np.eye(4)).min() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_eigensolves_the_hessian_once_per_barrier_evaluation(seed, monkeypatch):
+    # a centred iterate only shrinks mu, so it reuses the decomposition of its Hessian
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    res = _run(_two_blocks(seed) + _box_rows())
+    assert res.nit > 0 and len(calls) <= res.nfev
 
 
 def _symmetric(rng, k, scale=1.0):
