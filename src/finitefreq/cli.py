@@ -235,14 +235,16 @@ def cmd_gramians(args):
     if args.schedule is not None:
         schedule = parse_schedule(args.schedule, box=system.box)
         t = _GRAMIAN_T if args.t is None else args.t
-        gramians = gramian_set(system, schedule, t, rng, args.quad_nodes, classical=args.classical)
+        gramians = gramian_set(system, schedule, t, rng, args.quad_nodes)
         report = {"time": t}
     elif args.t is not None:
         raise UsageError("--t needs --schedule: a frozen Gramian has no time")
     else:
         p = parse_p(args.p) if args.p is not None else system.box.midpoint()
-        gramians = {"W_p": gramian_lpv_frozen(system, p, rng, args.quad_nodes, args.classical)}
+        gramians = {"W_p": gramian_lpv_frozen(system, p, rng, args.quad_nodes)}
         report = {"p": list(np.atleast_1d(p))}
+    if args.classical:  # the conventional 1/(2 pi) normalization
+        gramians = {k: W / (2.0 * np.pi) for k, W in gramians.items()}
     report.update({"traces": {k: float(np.trace(W)) for k, W in gramians.items()},
                    "eigenvalues": {k: np.linalg.eigvalsh(W) for k, W in gramians.items()},
                    "range": rng, "quad_nodes": args.quad_nodes,

@@ -7,11 +7,11 @@ The band-restricted controllability Gramian of a frozen system is
 computed by Gauss-Legendre quadrature over the positive half of the band and
 symmetrized over +-w, every resolvent from ``model.resolvent`` (a pole on a node raises
 ValueError naming it).  Following the shipped reference example, no 1/(2pi) factor is
-applied by default; ``classical=True`` restores the conventional normalization.  The
-time-varying variants weight the integrand with the state transition matrix Phi(t, tau_k)
-(at tau = 0, or at every step time for the parameter-drift correction terms) that
-``state_transition`` integrates backward from t with RK4 on ``_rk4.half_steps``:
-N = max(1, round(t/step)) steps of h = t/N.
+applied (``finitefreq gramians --classical`` divides by 2pi).  The time-varying variants
+weight the integrand with the state transition matrix Phi(t, tau_k) (at tau = 0, or at
+every step time for the parameter-drift correction terms) that ``state_transition``
+integrates backward from t with RK4 on ``_rk4.half_steps``: N = max(1, round(t/step))
+steps of h = t/N.  One pass along the schedule (``_schedule_gramians``) forms all three.
 """
 
 from __future__ import annotations
@@ -90,29 +90,32 @@ def _resolvent(A, X, om):
     return R
 
 
+def _band_integral(wts, M):
+    """sum_k wts_k 2 Re M_k M_k^*, symmetrized, for a stack M (..., W, n, m) of integrands
+    at the W band nodes: (..., n, n)."""
+    W = 2.0 * np.real(np.einsum("k,...kim,...kjm->...ij", wts, M, M.conj()))
+    return 0.5 * (W + np.swapaxes(W, -1, -2))
+
+
 def _resolvent_gramian(A, B, rng, quad_nodes):
-    """sum_k w_k 2 Re R_k R_k^*, R_k = (j w_k I - A)^{-1} B, for each of a stack of pairs
+    """The band integral of R_k = (j w_k I - A)^{-1} B for each of a stack of pairs
     A (P, n, n), B (P, n, m): (P, n, n) over chunks of p rows."""
     om, wts = _band_nodes(rng, quad_nodes)
     rows = max(1, _SUP_CHUNK // len(om))
     W = np.empty(A.shape)
     for i in range(0, len(A), rows):
-        R = _resolvent(A[i:i + rows], B[i:i + rows], om)  # (p, w, n, m)
-        Wi = 2.0 * np.real(np.einsum("k,pkim,pkjm->pij", wts, R, R.conj()))
-        W[i:i + rows] = 0.5 * (Wi + np.swapaxes(Wi, 1, 2))
+        W[i:i + rows] = _band_integral(wts, _resolvent(A[i:i + rows], B[i:i + rows], om))
     return W
 
 
-def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange, quad_nodes: int = 201,
-                       classical: bool = False) -> np.ndarray:
+def gramian_lpv_frozen(system: LpvSystem, p, rng: FrequencyRange,
+                       quad_nodes: int = 201) -> np.ndarray:
     """Band-restricted Gramian of the system frozen at parameter p, (n, n); for a stack
     of parameter rows p (N, nparams), one Gramian per row, (N, n, n)."""
     if np.ndim(p) == 2:
-        W = _resolvent_gramian(system.A.batch(p), system.B.batch(p), rng, quad_nodes)
-    else:
-        A, B, _, _ = system.frozen(p)
-        W = _resolvent_gramian(A[None], B[None], rng, quad_nodes)[0]
-    return W / (2.0 * np.pi) if classical else W
+        return _resolvent_gramian(system.A.batch(p), system.B.batch(p), rng, quad_nodes)
+    A, B, _, _ = system.frozen(p)
+    return _resolvent_gramian(A[None], B[None], rng, quad_nodes)[0]
 
 
 def state_transition(system: LpvSystem, trajectory, t: float, step: float) -> np.ndarray:
@@ -127,7 +130,6 @@ def state_transition(system: LpvSystem, trajectory, t: float, step: float) -> np
         return np.eye(system.n)[None, :, :]
     h, s = half_steps(t, step)
     P = trajectory.p(t - s)
-    # both schedule Gramians come here: one location, so a run warns once
     warn_if_outside_box(trajectory, P, stacklevel=2)
     # Y[k] = Phi(t, t - k*h)^T; reversed and transposed, tau ascends
     Y = propagate_matrix(step_matrices(stages(np.swapaxes(system.A.batch(P), 1, 2)), h),
@@ -135,50 +137,44 @@ def state_transition(system: LpvSystem, trajectory, t: float, step: float) -> np
     return np.swapaxes(Y[::-1], 1, 2)
 
 
-def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
-                         quad_nodes: int = 201, step: float = 1e-3) -> np.ndarray:
-    """Transition-weighted Gramian: Phi(t,0) [resolvent integral] Phi(t,0)^T.
+def _schedule_gramians(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
+                       quad_nodes: int, step: float):
+    """(W_hat, W1, W2) at time t from one backward transition run Phi(t, tau) and one
+    resolvent stack R(w) = (jwI - A(p(t)))^{-1} at the band nodes.
 
-    The resolvent is frozen at p(t) while the input matrix is taken at p(0).
-    """
-    Phi = state_transition(system, trajectory, t, step)[0]
-    A_t = system.A(trajectory.p(t))
-    B_0 = system.B(trajectory.p(0.0))
-    Win = _resolvent_gramian(A_t[None], B_0[None], rng, quad_nodes)[0]
-    W = Phi @ Win @ Phi.T
-    return 0.5 * (W + W.T)
-
-
-def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
-                        quad_nodes: int = 201, step: float = 1e-3):
-    """Drift-correction Gramian pair (W1, W2) at time t.
-
+    W_hat = Phi(t,0) [band integral of R B(p(0))] Phi(t,0)^T: the resolvent frozen at
+    p(t), the input matrix taken at p(0).  The drift pair W1, W2 is zero for t = 0.
     W1 collects the frozen-matrix mismatch A(p(t)) - A(p(tau)); W2 collects the
     input-matrix drift Bdot(p(tau)) = sum_i pdot_i(tau) B_i (exact, from
-    affinity).  Each is the band integral of V_c(w) V_c(w)^* with the
-    trapezoidal tau-integral
+    affinity).  Each is the band integral of V_c(w) with the trapezoidal
+    tau-integral
 
         V_c(w) = -sum_tau tw_tau e^{jw tau} G_c(tau) R(w) X_c(tau),
 
-    where R(w) = (jwI - A(p(t)))^{-1}, G_1 = Phi(t, tau)(A(p(t)) - A(p(tau))),
-    X_1 = B(p(tau)), G_2 = Phi(t, tau) and X_2 = Bdot(p(tau)).  Because R(w)
-    does not depend on tau, V_c(w) = -sum_jk R(w)_jk S_c(w)[:, j, k, :] with
+    where G_1 = Phi(t, tau)(A(p(t)) - A(p(tau))), X_1 = B(p(tau)), G_2 = Phi(t, tau)
+    and X_2 = Bdot(p(tau)).  Because R(w) does not depend on tau,
+    V_c(w) = -sum_jk R(w)_jk S_c(w)[:, j, k, :] with
     S_c(w) = sum_tau tw_tau e^{jw tau} G_c(tau)[:, j] (x) X_c(tau)[k, :], so
     the tau-sums of both terms at all nodes are one matrix product
     E(w, tau) @ H(tau, (c, i, j, k, l)).  E is formed in tau-chunks: on the
     tau grid k h every chunk is one base block e^{jw s h} times a
-    per-chunk phase e^{jw tau_0}.  The resolvents R(w) are one ``model.resolvent``.
+    per-chunk phase e^{jw tau_0}.
     """
-    n = system.n
-    if t <= 0:
-        return np.zeros((n, n)), np.zeros((n, n))
+    n, m = system.n, system.n_inputs
+    phi_t_tau = state_transition(system, trajectory, t, step)
+    A_t = system.A(trajectory.p(t))
+    om, wts = _band_nodes(rng, quad_nodes)
+    R = _resolvent(A_t, np.eye(n), om)
+    Phi = phi_t_tau[0]
+    W_hat = Phi @ _band_integral(wts, R @ system.B(trajectory.p(0.0))) @ Phi.T
+    W_hat = 0.5 * (W_hat + W_hat.T)
+    if t == 0:
+        return W_hat, np.zeros((n, n)), np.zeros((n, n))
+
     h, ts = half_steps(t, step)
     taus = ts[::2]
     N = len(taus) - 1
-    phi_t_tau = state_transition(system, trajectory, t, step)
-    A_t = system.A(trajectory.p(t))
     P, Pd = trajectory.p(taus), trajectory.pdot(taus)
-
     A_tau, B_tau = system.A.batch(P), system.B.batch(P)
     Bdot_tau = _drift(system.B).batch(Pd)
 
@@ -188,9 +184,6 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
     tw = np.full(N + 1, h)
     tw[0] = tw[-1] = 0.5 * h
 
-    om, wts = _band_nodes(rng, quad_nodes)
-    R = _resolvent(A_t, np.eye(n), om)
-    m = system.n_inputs
     C = min(N + 1, _TAU_CHUNK)
     base = np.exp(1j * np.outer(om, h * np.arange(C)))
     base = np.concatenate([base.real, base.imag])  # real rows, then imaginary: real GEMMs
@@ -202,24 +195,32 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
         S += np.exp(1j * om * taus[k0])[:, None] * (Y[:len(om)] + 1j * Y[len(om):])
     S = S.reshape(len(om), 2, n, n, n, m)
 
-    V = -np.einsum("wjk,wcijkl->wcil", R, S)
-    W = 2.0 * np.real(np.einsum("w,wcil,wcml->cim", wts, V, V.conj()))
-    W1, W2 = W
-    return 0.5 * (W1 + W1.T), 0.5 * (W2 + W2.T)
+    V = -np.einsum("wjk,wcijkl->cwil", R, S)
+    W1, W2 = _band_integral(wts, V)
+    return W_hat, W1, W2
+
+
+def gramian_lpv_weighted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
+                         quad_nodes: int = 201, step: float = 1e-3) -> np.ndarray:
+    """Transition-weighted Gramian W_hat of ``_schedule_gramians`` (the whole pass runs)."""
+    return _schedule_gramians(system, trajectory, t, rng, quad_nodes, step)[0]
+
+
+def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
+                        quad_nodes: int = 201, step: float = 1e-3):
+    """Drift-correction Gramian pair (W1, W2) of ``_schedule_gramians`` (the whole pass
+    runs)."""
+    return _schedule_gramians(system, trajectory, t, rng, quad_nodes, step)[1:]
 
 
 def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
-                quad_nodes: int = 201, step: float = 1e-3,
-                classical: bool = False) -> dict[str, np.ndarray]:
+                quad_nodes: int = 201, step: float = 1e-3) -> dict[str, np.ndarray]:
     """All band-restricted Gramians along one schedule at time t, keyed "W_p" (frozen at
     p(t)), "W_hat_p" (transition-weighted) and "W_dot_p_1", "W_dot_p_2" (drift pair)."""
     if not 0.0 <= t < np.inf:  # NaN included
         raise ValueError(f"time t must be finite and nonnegative, got {t}")
-    W_p = gramian_lpv_frozen(system, trajectory.p(t), rng, quad_nodes, classical)
-    W_hat = gramian_lpv_weighted(system, trajectory, t, rng, quad_nodes, step)
-    W1, W2 = gramian_lpv_shifted(system, trajectory, t, rng, quad_nodes, step)
-    if classical:
-        W_hat, W1, W2 = (W / (2.0 * np.pi) for W in (W_hat, W1, W2))
+    W_p = gramian_lpv_frozen(system, trajectory.p(t), rng, quad_nodes)
+    W_hat, W1, W2 = _schedule_gramians(system, trajectory, t, rng, quad_nodes, step)
     return {"W_p": W_p, "W_hat_p": W_hat, "W_dot_p_1": W1, "W_dot_p_2": W2}
 
 

@@ -312,7 +312,6 @@ class GammaResult:
     lo_rests_on: str  # "floor", "dual bound" (the barrier run's) or "probe" (a solve's verdict)
     margin: float
     mode: str
-    range: FrequencyRange
     gain_lower_bound: float = 0.0  # the sampled frozen in-band peak; no certified gain lies below
 
 
@@ -321,23 +320,25 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
     """Smallest certified L2-gain level: gamma^2 minimized in one barrier run.
 
     Feasibility of the stacked vertex form is monotone in gamma^2, and its
-    constants are C(gamma) = C0 + gamma^2 * gain.  Phase 1 doubles gamma from 1
-    until a probe is feasible at g, at the margin m = max(margin(0), margin(g)):
-    ||C(gamma)|| is convex in gamma^2, so m bounds margin(gamma) for every
-    gamma <= g.  It probes no level below the floor ``_frozen_peak`` (less 1e-9
-    relative), which no certificate meets.  Phase 2 adds t = g^2 - gamma^2 to
-    the decision vector (its coefficient is -gain in the main blocks, 0 in the
-    PSD blocks, m folded into every constant) and maximizes it with one
+    constants are C(gamma) = C0 + gamma^2 * gain.  No certificate meets a
+    level below the floor ``_frozen_peak`` less 1e-9 relative (GKYP), so lo
+    starts there and phase 1 doubles gamma from the first power of two at or
+    above max(1, floor) until a probe is feasible at g, at the margin
+    m = max(margin(0), margin(g)): ||C(gamma)|| is convex in gamma^2, so m
+    bounds margin(gamma) for every gamma <= g.  Phase 2 adds t = g^2 - gamma^2
+    to the decision vector (its coefficient is -gain in the main blocks, 0 in
+    the PSD blocks, m folded into every constant) and maximizes it with one
     ``minimize`` run from (x_g, 0), an eigenvalue problem (Boyd, El Ghaoui,
-    Feron & Balakrishnan, 1994, section 2.2).  When phase 1 passed a level
-    below g (skipped, or probed and not shown feasible), g < 2 gamma*, and the
-    run stops at the duality gap 0.1 * bisect_tol * g in gamma^2 units, so hi
-    ends within bisect_tol/10 of its optimum; otherwise it runs to the gap 1e-9.
+    Feron & Balakrishnan, 1994, section 2.2).  The run stops at a duality gap
+    in gamma^2 units that leaves hi within bisect_tol/10 of its optimum:
+    0.1 * bisect_tol * g when g > 1, as a level below g was passed and so
+    g < 2 gamma*; else 0.2 * bisect_tol * floor, as gamma* >= floor (at
+    least 1e-9).
 
     hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
-    passes at margin(hi); otherwise hi = g.  lo is the largest of the last
-    infeasible or skipped doubling level, the barrier's dual bound mapped
-    back to gamma and the floor less 1e-9 relative, at most hi.  While
+    passes at margin(hi); otherwise hi = g.  lo is the largest of the floor,
+    the last infeasible doubling level and the barrier's dual bound mapped
+    back to gamma, at most hi.  While
     lo < hi - bisect_tol, probes warm-started from hi's point move one end:
     the first at max(hi - bisect_tol, (lo + hi)/2), the others at the
     midpoint, so a hi left at g costs a bisection, not a scan, and a first
@@ -365,30 +366,28 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
         trace.append((float(g), bool(res.feasible)))
         return res, prob, margin
 
-    # Phase 1: a point strictly inside at margin m for some g; levels below the
-    # frozen peak are infeasible by GKYP, so they are passed without a solve.
+    # Phase 1: a point strictly inside at margin m for some g, probed from the floor up
     floor = _frozen_peak(system, rng, mode)
     bar = floor * (1.0 - 1e-9)  # room for the rounding of the sampled peak
-    g, lo, lo_certified, lo_rests_on = 1.0, 0.0, True, "floor"  # 0 bounds every gain from below
-    while True:
-        certified, rests_on = True, "floor"
-        if g >= bar:
-            res, top, m = probe(g, family.margin)
-            if res.feasible:
-                break
-            certified, rests_on = bool(res.dual_bound < 0), "probe"
-        lo, lo_certified, lo_rests_on = g, certified, rests_on
+    g, lo, lo_certified, lo_rests_on = 1.0, bar, True, "floor"
+    while g < bar:
         g *= 2.0
+    while True:
         if g > _GAMMA_CAP:
             raise RuntimeError(
                 "system appears not to admit a finite bound under this relaxation")
+        res, top, m = probe(g, family.margin)
+        if res.feasible:
+            break
+        lo, lo_certified, lo_rests_on = g, bool(res.dual_bound < 0), "probe"
+        g *= 2.0
 
     # Phase 2: maximize t = g^2 - gamma^2 over the lifted pencil.
     nmain = len(family.const0)
     lifted = [(C - m * np.eye(len(C)),
                np.concatenate([K, (-family.gain if b < nmain else 0.0 * C)[None]]))
               for b, (C, K) in enumerate(zip(top.form.constant_blocks, top.form.coeff_blocks))]
-    gap_tol = 0.1 * bisect_tol * g if lo > 0.0 else 1e-9  # in gamma^2 units; see above
+    gap_tol = 0.1 * bisect_tol * g if g > 1.0 else max(0.2 * bisect_tol * bar, 1e-9)
     run = minimize(stack_blocks(lifted, False), np.append(res.x, 0.0), target=np.inf,
                    gap_tol=gap_tol)
     hi, x = g, res.x
@@ -398,8 +397,6 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
         hi, x = gamma, run.x
     if g * g - run.bound > lo * lo:
         lo, lo_certified, lo_rests_on = float(np.sqrt(g * g - run.bound)), True, "dual bound"
-    if bar > lo:
-        lo, lo_certified, lo_rests_on = bar, True, "floor"
     lo = min(lo, hi)
 
     gamma = max(hi - bisect_tol, 0.5 * (lo + hi))  # hi is usually within bisect_tol of the optimum
@@ -423,7 +420,7 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
         bisection_trace=trace, relaxation_gap_flag=bool(violations),
         violations=violations, bracket=(lo, hi), lo_certified=lo_certified,
         lo_rests_on=lo_rests_on, margin=prob.margin,
-        mode=mode, range=rng, gain_lower_bound=floor,
+        mode=mode, gain_lower_bound=floor,
     )
 
 

@@ -58,8 +58,6 @@ REFERENCE = {
     "gamma_lpv_ef": (5.2445, 0.05),
     "gamma_theorem2_enlarged": (5.0313, 0.05),
     "uas_c": ((0.5, 0.6, 7.4), None),
-    "uas_alpha": (1.2, 1e-9),
-    "uas_beta": (7.4 / 1.2, 1e-9),
 }
 
 

@@ -228,7 +228,6 @@ class IqcReport:
     s_curve: np.ndarray
     final_value: float
     sign_verdict: str  # 'nonnegative' | 'negative'
-    range: FrequencyRange
     scale: float
 
 
@@ -243,7 +242,7 @@ def iqc_value(result: SimulationResult, rng: FrequencyRange) -> IqcReport:
     scale = float(np.trapezoid(absint, dx=result.step))
     final = float(s[-1])
     verdict = "nonnegative" if final >= -1e-9 * max(scale, 1.0) else "negative"
-    return IqcReport(s, final, verdict, rng, scale)
+    return IqcReport(s, final, verdict, scale)
 
 
 def spectrum_fraction(result: SimulationResult, rng: FrequencyRange) -> float:

@@ -116,8 +116,8 @@ def test_gramians_broadcast_a_sinusoid_amplitude_over_two_parameters(tmp_path):
 
 
 def test_gramians_schedule_leaving_the_box_warns_once(tmp_path):
-    # both schedule Gramians integrate the transition matrix; a fresh interpreter under
-    # the "default" filter prints a warning once per location
+    # the schedule Gramians share one transition run; a fresh interpreter under the
+    # "default" filter prints a warning once per location
     src = str(Path(ff.__file__).resolve().parents[1])
     argv = ["--out", str(tmp_path), "gramians", "--system", str(EXAMPLE), "--range", "low:1",
             "--schedule", "sin:0:5:1:0", "--t", "2"]
@@ -209,6 +209,43 @@ def _strict_json(path):
     def reject(name):
         raise ValueError(f"{path.name} holds {name}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("which, failed", [
+    ("example1", ["gamma_lpv_ff_low1", "gamma_lpv_ef"]),
+    ("example2", ["trace_bound_1", "gamma_theorem2_enlarged"])])
+def test_reproduce_exits_2_with_the_known_failed_rows(tmp_path, capsys, which, failed):
+    # verdicts only: the values these rows compute are pinned by the library tests
+    assert cli.main(["--out", str(tmp_path), "reproduce", which]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == f"failed bands: {', '.join(failed)}"
+    report = _strict_json(tmp_path / f"reproduce_{which}.json")
+    assert report["target"] == which
+    rows = {r["name"]: r for r in report["rows"]}
+    assert [name for name, r in rows.items() if r["pass"] is False] == failed
+    assert all(r["pass"] is True for name, r in rows.items()
+               if name not in failed and r["band"] is not None)
+    if which == "example2":
+        assert rows["trace_w_p"]["pass"] is None and rows["trace_w_p"]["band"] is None
+
+
+def _gramians_report(tmp_path, name, argv):
+    assert cli.main(["--out", str(tmp_path / name), "gramians", "--system", str(EXAMPLE),
+                     "--range", "low:1", *argv]) == 0
+    return _strict_json(tmp_path / name / "gramians.json")
+
+
+@pytest.mark.parametrize("argv", [["--p", "0.12"], ["--schedule", "sin:0.15:0.04:2", "--t", "3"]],
+                         ids=["p", "schedule"])
+def test_gramians_classical_divides_every_reported_gramian_by_2pi(tmp_path, argv):
+    plain = _gramians_report(tmp_path, "plain", argv)
+    classical = _gramians_report(tmp_path, "classical", [*argv, "--classical"])
+    assert (plain["classical_normalization"], classical["classical_normalization"]) == (False, True)
+    assert len(plain["traces"]) == (1 if "--p" in argv else 4)
+    for k, tr in plain["traces"].items():
+        assert abs(classical["traces"][k] - tr / (2.0 * np.pi)) <= 1e-15 * abs(tr)
+        lam = np.array(plain["eigenvalues"][k]) / (2.0 * np.pi)
+        got = np.array(classical["eigenvalues"][k])
+        assert np.abs(got - lam).max() <= 1e-15 * np.abs(lam).max()
 
 
 def test_zero_gap_enlarge_writes_strict_json(tmp_path, capsys):

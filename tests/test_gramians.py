@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import itertools
+import pkgutil
 import re
 
 import numpy as np
@@ -21,7 +24,8 @@ def lti_gramian(A, B, rng, quad_nodes=201, classical=False):
     """Band Gramian of a fixed (A, B) pair: the frozen Gramian of the LTI system."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     sysm = ff.LpvSystem.lti(A, B, np.zeros((1, len(A))), np.zeros((1, B.shape[1])))
-    return ff.gramian_lpv_frozen(sysm, [], rng, quad_nodes, classical)
+    W = ff.gramian_lpv_frozen(sysm, [], rng, quad_nodes)
+    return W / (2.0 * np.pi) if classical else W
 
 
 def test_scalar_band_gramian_is_arctan_integral():
@@ -251,6 +255,36 @@ def test_gramian_set_bundle(benchmark_system):
     # W_p is the frozen Gramian at p(5), the time the set was asked for
     frozen = ff.gramian_lpv_frozen(benchmark_system, example_schedule().p(5.0), LOW1, 51)
     assert np.array_equal(gs["W_p"], frozen)
+
+
+def test_gramian_set_is_one_pass_along_the_schedule(benchmark_system, monkeypatch):
+    sched, t = example_schedule(), 2.0
+    runs, solves = [], []
+    transition, resolve = gramians.state_transition, gramians._resolvent
+    monkeypatch.setattr(gramians, "state_transition", lambda *a: runs.append(a) or transition(*a))
+    monkeypatch.setattr(gramians, "_resolvent",
+                        lambda A, X, om: solves.append((A, X)) or resolve(A, X, om))
+    gs = ff.gramian_set(benchmark_system, sched, t, LOW1, quad_nodes=51)
+    assert len(runs) == 1
+    # W_p's own solve at (A(p(t)), B(p(t))), then one with X = I for W_hat_p and the drift pair
+    A_t, B_t = benchmark_system.A(sched.p(t)), benchmark_system.B(sched.p(t))
+    assert len(solves) == 2
+    assert all(np.array_equal(np.reshape(A, A_t.shape), A_t) for A, _ in solves)
+    assert np.array_equal(solves[0][1][0], B_t) and np.array_equal(solves[1][1], np.eye(2))
+    monkeypatch.undo()
+    W_hat = ff.gramian_lpv_weighted(benchmark_system, sched, t, LOW1, quad_nodes=51)
+    W1, W2 = ff.gramian_lpv_shifted(benchmark_system, sched, t, LOW1, quad_nodes=51)
+    assert np.array_equal(W_hat, gs["W_hat_p"])
+    assert np.array_equal(W1, gs["W_dot_p_1"]) and np.array_equal(W2, gs["W_dot_p_2"])
+
+
+def test_no_library_signature_takes_a_normalization_option():
+    # the 1/(2 pi) convention is applied once, by the gramians command
+    for info in pkgutil.iter_modules(ff.__path__):
+        module = importlib.import_module(f"finitefreq.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                assert "classical" not in inspect.signature(obj).parameters, name
 
 
 @pytest.mark.parametrize("t, tol", [(0.5004, {"W_p": 0.0, "W_hat_p": 1e-4, "W_dot_p_1": 1e-4,

@@ -626,6 +626,32 @@ def test_the_gain_run_stops_within_a_tenth_of_bisect_tol(benchmark_system, mode,
     assert res.lo_certified or not ref.lo_certified
 
 
+@pytest.mark.parametrize("scale", [0.5, 0.9])
+def test_a_first_probe_that_passes_leaves_the_gap_to_the_floor(scale, monkeypatch):
+    # scale/(s+1) on low:1 peaks at scale < 1, so the first probe, g = 1, passes; the floor
+    # bounds gamma* from below and sets the gain run's gap in its place
+    plant = ff.LpvSystem.lti([[-1.0]], [[1.0]], [[scale]], [[0.0]])
+    full, runs = lmi.minimize, []
+
+    def spy(*a, gap_tol, **k):
+        out = full(*a, gap_tol=gap_tol, **k)
+        runs.append((gap_tol, out.nit))
+        return out
+
+    monkeypatch.setattr(lmi, "minimize", spy)
+    res = ff.min_gamma(plant, LOW1, "gkyp", bisect_tol=1e-3)
+    assert res.bisection_trace[0] == (1.0, True)
+    assert res.gain_lower_bound == pytest.approx(scale, rel=1e-12)
+    monkeypatch.setattr(lmi, "minimize", lambda *a, **k: spy(*a, **dict(k, gap_tol=1e-9)))
+    ref = ff.min_gamma(plant, LOW1, "gkyp", bisect_tol=1e-3)
+    (gap, steps), (_, ref_steps) = runs
+    assert gap == 0.2 * 1e-3 * res.gain_lower_bound * (1.0 - 1e-9) and steps < ref_steps
+    assert ref.gamma_star <= res.gamma_star <= ref.gamma_star + 1e-3 / 10
+    # the coarser run's dual bound may fall below the floor, which then holds lo
+    assert res.bisection_trace == ref.bisection_trace == [(1.0, True)]
+    assert res.lo_certified and res.bracket[1] - res.bracket[0] <= 1e-3
+
+
 def _assert_forms_match(form, ref):
     assert [C.shape for C in form.constant_blocks] == [C.shape for C in ref.constant_blocks]
     for C, K, Cr, Kr in zip(form.constant_blocks, form.coeff_blocks,
@@ -760,11 +786,16 @@ def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, b
     # at the resolution bisect_tol asks for, may leave the bracket open for one more probe
     assert res.bisection_trace == ref.bisection_trace[len(skipped):][:len(res.bisection_trace)]
     assert k + 1 - len(skipped) <= len(res.bisection_trace)
-    # the floor may raise lo to itself, never move hi
-    assert (res.gamma_star, res.bracket[1]) == (ref.gamma_star, ref.bracket[1])
     assert res.bracket[0] >= floor * (1.0 - 1e-9)
     assert res.lo_rests_on in ("floor", "dual bound", "probe")
-    assert np.array_equal(res.x, ref.x) and floor <= res.gamma_star
+    assert floor <= res.gamma_star and res.gamma_star == res.bracket[1]
+    if res.bisection_trace[0] == (1.0, True):
+        # the first probe passed: the floor sets the gain run's gap, so hi may end above the
+        # reference's, within bisect_tol/10
+        assert ref.bracket[1] <= res.bracket[1] <= ref.bracket[1] + 1e-3 / 10
+    else:  # the floor may raise lo to itself, never move hi
+        assert (res.gamma_star, res.bracket[1]) == (ref.gamma_star, ref.bracket[1])
+        assert np.array_equal(res.x, ref.x)
     # soundness: no skipped level is feasible at the margin phase 1 would have probed it at
     family = build_problem(benchmark_system, band, mode, 0.0)
     for g in skipped:
