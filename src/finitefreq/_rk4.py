@@ -15,21 +15,24 @@ numpy's per-item loop over 2x2 matrices.  Elementwise ufuncs keep the order
 of their inputs, so step matrices, offsets and states all stay time-major.
 C-ordered inputs give the same numbers, only more slowly.
 
-The recurrence runs as a recursive blocked scan (Blelloch, "Prefix sums and
-their applications", 1990): the N steps are cut into B blocks of
-L ~ N^(1/3) steps, every block's affine end map [Phi_b | c_b] is formed with
-all blocks advancing together, the block start states are the same scan
-over the B block maps, and a second pass reruns all blocks from those exact
-start states into the output.  The Python-level work is O(N^(1/3)) batched
-products at the top level and fewer below it, and no per-step product array
-is stored.
+The recurrence runs as a two-sweep scan (Blelloch, "Prefix sums and their
+applications", 1990).  The N steps are cut into B blocks of L = 8 steps, and
+every block's affine end map [Phi_b | c_b] is formed in L - 1 products with
+all blocks advancing together.  An up-sweep composes the block maps pairwise,
+level by level, up to one map for all B blocks; a down-sweep hands every map
+its start state, from x_0 at the root down to the B block start states.  Each
+sweep is ceil(log2 B) batched products, and the work halves at every level.
+A last pass of L products reruns all blocks from those exact start states
+into the output, and a plain loop takes the fewer than L steps left over.
+The Python-level work is O(log N) batched products, and no per-step product
+array is stored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_LOOP_STEPS = 8  # below this many steps the scan is a plain loop
+_BLOCK = 8  # steps per block of the scan; the steps left over run as a plain loop
 
 
 def half_steps(duration, step):
@@ -136,47 +139,59 @@ def _sweep(M, g, out):
     """Fill out[1:] with X_{k+1} = M_k X_k + g_k from X_0 = out[0].
 
     M: (N, n, n); g: (N, n, r), or None for g = 0; out: (N+1, n, r), written
-    in place.  The first B*L steps form B blocks of L ~ N^(1/3) steps, so the
-    basic slice [j:B*L:L] of a step array holds step j of every block.  The
-    block start states are this same sweep over the block maps, and the
-    fewer than L steps left over are swept from the state the blocks end in.
+    in place.  The first B*L steps form B blocks of L = ``_BLOCK`` steps, so
+    the basic slice [j:B*L:L] of a step array holds step j of every block.
+    Level d+1 of the up-sweep holds the compositions of level d's pairs, an
+    odd last map carried up as it is; on the way down, map 2i of a level
+    starts where its parent starts, and map 2i+1 where map 2i ends.
     """
     N, n = M.shape[0], M.shape[1]
-    if N < _LOOP_STEPS:
-        for k in range(N):
-            X = product(M[k:k + 1], out[k:k + 1])
-            if g is not None:
-                X += g[k:k + 1]
-            out[k + 1:k + 2] = X
-        return
-    L = round(N ** (1.0 / 3.0))
+    L = _BLOCK
     B = N // L
     head = B * L
-
-    # pass 1: every block's affine end map T_b = [Phi_b | c_b], all blocks together
-    T = np.empty((B, n, n if g is None else n + g.shape[-1]), order="F")
-    T[:, :, :n] = M[0:head:L]
-    if g is not None:
-        T[:, :, n:] = g[0:head:L]
-    for j in range(1, L):
-        T = product(M[j:head:L], T)
+    if B:
+        # every block's affine end map T_b = [Phi_b | c_b], all blocks together
+        T = np.empty((B, n, n if g is None else n + g.shape[-1]), order="F")
+        T[:, :, :n] = M[0:head:L]
         if g is not None:
-            T[:, :, n:] += g[j:head:L]
+            T[:, :, n:] = g[0:head:L]
+        for j in range(1, L):
+            T = product(M[j:head:L], T)
+            if g is not None:
+                T[:, :, n:] += g[j:head:L]
 
-    # the block start states: the same scan over the B block maps
-    starts = np.empty((B + 1,) + out.shape[1:], order="F")
-    starts[0] = out[0]
-    _sweep(T[:, :, :n], None if g is None else T[:, :, n:], starts)
+        # up-sweep: compose pairs of maps until one map spans all blocks
+        levels = [T]
+        while len(T) > 1:
+            k = len(T) // 2
+            up = product(T[1:2 * k:2, :, :n], T[0:2 * k:2])  # [Phi Phi' | Phi c' + c]
+            up[:, :, n:] += T[1:2 * k:2, :, n:]
+            T = np.concatenate((up, T[2 * k:])) if len(T) % 2 else up
+            levels.append(T)
 
-    # pass 2: rerun every block from its exact start state into the output
-    X = starts[:B]
-    for j in range(L):
-        X = product(M[j:head:L], X)
+        # down-sweep: the start state of every map, from X_0 at the root
+        X = out[:1]
+        for T in reversed(levels[:-1]):
+            k = len(T) // 2
+            starts = np.empty((len(T),) + out.shape[1:], order="F")
+            starts[0::2] = X
+            starts[1::2] = product(T[0:2 * k:2, :, :n], X[:k])  # where map 2i ends
+            if g is not None:
+                starts[1::2] += T[0:2 * k:2, :, n:]
+            X = starts
+
+        # rerun every block from its exact start state into the output
+        for j in range(L):
+            X = product(M[j:head:L], X)
+            if g is not None:
+                X += g[j:head:L]
+            out[j + 1:head + 1:L] = X
+
+    for k in range(head, N):  # the fewer than L steps left over
+        X = product(M[k:k + 1], out[k:k + 1])
         if g is not None:
-            X += g[j:head:L]
-        out[j + 1:head + 1:L] = X
-
-    _sweep(M[head:], None if g is None else g[head:], out[head:])
+            X += g[k:k + 1]
+        out[k + 1:k + 2] = X
 
 
 def propagate_vector(M, g, x0, out=None):

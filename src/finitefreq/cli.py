@@ -243,6 +243,10 @@ def cmd_gramians(args):
         p = parse_p(args.p) if args.p is not None else system.box.midpoint()
         gramians = {"W_p": gramian_lpv_frozen(system, p, rng, args.quad_nodes)}
         report = {"p": list(np.atleast_1d(p))}
+    # a diverging transition overflows the schedule Gramians: fail before any output
+    bad = sorted(k for k, W in gramians.items() if not np.isfinite(W).all())
+    if bad:
+        raise RuntimeError(f"not finite: {', '.join(bad)}")
     if args.classical:  # the conventional 1/(2 pi) normalization
         gramians = {k: W / (2.0 * np.pi) for k, W in gramians.items()}
     report.update({"traces": {k: float(np.trace(W)) for k, W in gramians.items()},

@@ -216,11 +216,15 @@ def gramian_lpv_shifted(system: LpvSystem, trajectory, t: float, rng: FrequencyR
 def gramian_set(system: LpvSystem, trajectory, t: float, rng: FrequencyRange,
                 quad_nodes: int = 201, step: float = 1e-3) -> dict[str, np.ndarray]:
     """All band-restricted Gramians along one schedule at time t, keyed "W_p" (frozen at
-    p(t)), "W_hat_p" (transition-weighted) and "W_dot_p_1", "W_dot_p_2" (drift pair)."""
+    p(t)), "W_hat_p" (transition-weighted) and "W_dot_p_1", "W_dot_p_2" (drift pair).
+
+    A transition that overflows gives non-finite Gramians, without a warning: the
+    caller checks them, as ``_rk4`` leaves a diverged state to its caller."""
     if not 0.0 <= t < np.inf:  # NaN included
         raise ValueError(f"time t must be finite and nonnegative, got {t}")
     W_p = gramian_lpv_frozen(system, trajectory.p(t), rng, quad_nodes)
-    W_hat, W1, W2 = _schedule_gramians(system, trajectory, t, rng, quad_nodes, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W_hat, W1, W2 = _schedule_gramians(system, trajectory, t, rng, quad_nodes, step)
     return {"W_p": W_p, "W_hat_p": W_hat, "W_dot_p_1": W1, "W_dot_p_2": W2}
 
 

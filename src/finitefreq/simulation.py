@@ -10,8 +10,8 @@ behavior that the LMI certificates presuppose.
 ``simulate`` keeps O(N) data for the whole run of N steps (times, parameter
 rows, input, state, x_dot and y) and forms the O(n^2)-per-step data (A and
 B on the half-step grid, the RK4 step matrices and offsets, C and D) in one
-loop over chunks of ``_STEP_CHUNK`` steps, so its working memory grows as
-O(chunk*n^2 + N*(n + m + p + l)), not O(N*n^2).
+loop over chunks of about ``_CHUNK_ENTRIES`` stage-matrix entries, so its
+working memory grows as O(_CHUNK_ENTRIES + N*(n + m + p + l)), not O(N*n^2).
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import numpy as np
 from ._rk4 import half_steps, product, propagate_vector, stages, step_matrices, step_offsets
 from .model import DimensionError, FrequencyRange, LpvSystem, frequency_weight
 
-_STEP_CHUNK = 4096  # RK4 steps whose stage and step matrices are held at once
+# stage-matrix entries per chunk: K = max(1, _CHUNK_ENTRIES // n^2) RK4 steps whose stage
+# and step matrices are held at once
+_CHUNK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -158,11 +160,12 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     ``half_steps`` gives, so it ends at t_end; a t_end that rounds to no step
     at all raises ValueError.  Times, parameter rows and input are sampled
     once on the half-step grid of all N steps.  One loop over chunks of
-    ``_STEP_CHUNK`` steps evaluates A and B u on a chunk's half-step rows,
-    propagates the state through the chunk, and forms x_dot = A x + B u and
-    y = C x + D u from the even rows of the same arrays; it raises at the
-    first chunk whose x, x_dot or y is not finite.  Working memory is
-    O(chunk*n^2 + N*(n + m + p + l)) for n states, m inputs, p outputs, l parameters.
+    K = max(1, ``_CHUNK_ENTRIES`` // n^2) steps evaluates A and B u on a
+    chunk's half-step rows, propagates the state through the chunk, and forms
+    x_dot = A x + B u and y = C x + D u from the even rows of the same arrays;
+    it raises at the first chunk whose x, x_dot or y is not finite.  Working
+    memory is O(_CHUNK_ENTRIES + N*(n + m + p + l)) for n states, m inputs,
+    p outputs and l parameters.
     """
     h, ts = half_steps(t_end, step)
     if 2.0 * h <= step:  # round(t_end/step) is 0, so h = t_end is at most half a step
@@ -184,8 +187,9 @@ def simulate(system: LpvSystem, trajectory: ScheduleTrajectory, signal: BandLimi
     y = np.empty((N + 1, system.n_outputs), order="F")
     U = np.empty((N + 1, m), order="F")
     U[...] = u[::2, None]  # every input carries u
-    for k0 in range(0, N, _STEP_CHUNK):
-        k1 = min(k0 + _STEP_CHUNK, N)
+    K = max(1, _CHUNK_ENTRIES // max(1, system.n ** 2))
+    for k0 in range(0, N, K):
+        k1 = min(k0 + K, N)
         rows, k = slice(2 * k0, 2 * k1 + 1), slice(k0, k1 + 1)
         A = system.A.batch(P[rows])
         Bu = product(system.B.batch(P[rows]), np.tile(u[rows], (m, 1)).T)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,26 @@ def test_simulate_whose_summary_overflows_exits_2_without_output(tmp_path, capsy
     assert list(out_dir.iterdir()) == []
     out, err = capsys.readouterr()
     assert out == "infeasible: not finite: final gamma_R\n" and err == ""
+
+
+@pytest.mark.parametrize("t, finite", [("100", False), ("20", True)])
+def test_gramians_on_a_diverging_transition_exit_2_without_output(tmp_path, capsys,
+                                                                  unstable_system, t, finite):
+    out_dir = tmp_path / "out"
+    argv = ["--out", str(out_dir), "gramians", "--system", unstable_system, "--range", "low:1",
+            "--schedule", "sin:0.15:0.04:2", "--t", t]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    if finite:  # traces of about 1e96 to 1e99, still strict JSON
+        assert rc == 0 and err == ""
+        traces = json.loads((out_dir / "gramians.json").read_text(),
+                            parse_constant=pytest.fail)["traces"]
+        assert all(1e90 < v < np.inf for k, v in traces.items() if k != "W_p")
+    else:
+        assert rc == 2 and list(out_dir.iterdir()) == []
+        assert out == "infeasible: not finite: W_dot_p_1, W_dot_p_2, W_hat_p\n" and err == ""
 
 
 def test_parser_is_built_once():

@@ -84,7 +84,10 @@ def assert_rel_close(got, ref, rel=1e-13):
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
 
-LENGTHS = [1, 2, 7, 8, 9, 26, 27, 28, 49, 50, 1000, 60000]  # around the scan's block edges
+# around the scan's block edges: one block of 8 steps, two (15-17), and block counts
+# around powers of two (127-129, 1023, 1025, 16383-16385)
+LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 26, 27, 28, 49, 50, 127, 128, 129, 1000, 1023, 1025,
+           16383, 16384, 16385, 60000]
 
 
 @pytest.mark.parametrize("N", LENGTHS)
@@ -104,12 +107,13 @@ def test_propagate_matrix_matches_sequential_loop(N):
 @pytest.mark.parametrize("N", [1, 2, 3, 49, 50, 1000])
 def test_propagate_random_steps_three_states(N):
     rng = np.random.default_rng(N)
-    M = np.eye(3) + 0.05 * rng.normal(size=(N, 3, 3))
-    g = 0.05 * rng.normal(size=(N, 3))
-    x0 = rng.normal(size=3)
-    assert_rel_close(propagate_vector(M, g, x0), sequential_vector(M, g, x0))
-    X0 = rng.normal(size=(3, 3))
-    assert_rel_close(propagate_matrix(M, X0), sequential_matrix(M, X0))
+    for n in (3, 6):
+        M = np.eye(n) + 0.05 * rng.normal(size=(N, n, n))
+        g = 0.05 * rng.normal(size=(N, n))
+        x0 = rng.normal(size=n)
+        assert_rel_close(propagate_vector(M, g, x0), sequential_vector(M, g, x0))
+        X0 = rng.normal(size=(n, n))
+        assert_rel_close(propagate_matrix(M, X0), sequential_matrix(M, X0))
 
 
 def test_unstable_run_still_reports_divergence():

@@ -401,6 +401,13 @@ def test_a_system_without_inputs_stays_at_rest():
     assert res.u.shape == (101, 0) and not res.x.any() and not res.y.any()
 
 
+def test_a_system_without_states_passes_its_input_through():
+    sysm = ff.LpvSystem.lti(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]])
+    res = ff.simulate(sysm, ff.ScheduleTrajectory.constant(np.zeros(0)),
+                      ff.BandLimitedSignal(((1.0, 1.0, 0.0),)), 1.0, 1e-2)
+    assert res.x.shape == (101, 0) and np.array_equal(res.y, 2.0 * res.u)
+
+
 def _chunk_case(case):
     if case == "example":
         return example_system(), example_schedule(), example_signal(), 1e-3
@@ -409,9 +416,11 @@ def _chunk_case(case):
 
 
 def _recorded_simulate(monkeypatch, chunk, system, schedule, signal, t_end, h):
-    """simulate with _STEP_CHUNK = chunk: its result, the parameter rows of every
-    A.batch call, and the step counts seen by each _rk4 function."""
-    monkeypatch.setattr(simulation, "_STEP_CHUNK", chunk)
+    """simulate in chunks of ``chunk`` steps (_CHUNK_ENTRIES = chunk n^2), or of the
+    shipped budget for chunk None: its result, the parameter rows of every A.batch
+    call, and the step counts seen by each _rk4 function."""
+    if chunk is not None:
+        monkeypatch.setattr(simulation, "_CHUNK_ENTRIES", chunk * system.n ** 2)
     rows, steps = [], {}
     batch = ff.AffineMatrixFunction.batch
 
@@ -469,7 +478,7 @@ def summed(M, v):
 
 def test_chunked_simulate_warns_once_when_the_schedule_leaves_the_box(monkeypatch,
                                                                       benchmark_system):
-    monkeypatch.setattr(simulation, "_STEP_CHUNK", 7)
+    monkeypatch.setattr(simulation, "_CHUNK_ENTRIES", 7 * benchmark_system.n ** 2)
     # p(t) = 0.15 + 0.06 sin(10 t) leaves [0.1, 0.2] at t ~ 0.0985 s and again later
     leaving = ff.ScheduleTrajectory.sinusoid([0.15], [0.06], 10.0, box=benchmark_system.box)
     with warnings.catch_warnings(record=True) as caught:
@@ -498,6 +507,16 @@ def seeded_system(n, seed=3):
     return ff.LpvSystem(A, B, C, D, box), schedule, signal
 
 
+@pytest.mark.parametrize("n, t_end, chunks", [(2, 40.0, [16384, 16384, 7232]),
+                                              (6, 4.0, [1820, 1820, 360])])
+def test_a_long_run_is_cut_into_chunks_of_the_entry_budget(monkeypatch, n, t_end, chunks):
+    assert simulation._CHUNK_ENTRIES // n ** 2 == chunks[0]
+    system, schedule, signal = seeded_system(n)
+    _, rows, steps = _recorded_simulate(monkeypatch, None, system, schedule, signal, t_end, 1e-3)
+    assert [len(r) for r in rows] == [2 * k + 1 for k in chunks]
+    assert steps == dict.fromkeys(("step_matrices", "step_offsets", "propagate_vector"), chunks)
+
+
 def test_simulate_working_memory_does_not_grow_with_n_squared_per_step():
     system, schedule, signal = seeded_system(6)
     tracemalloc.start()
@@ -509,3 +528,16 @@ def test_simulate_working_memory_does_not_grow_with_n_squared_per_step():
     # the result alone is 60,001 x (1 + 2 + 6 + 6 + 2) doubles, about 8.2 MB
     assert peak < 40e6
     assert all(a.base is None for a in (res.times, res.u, res.x, res.x_dot, res.y))
+
+
+def test_simulate_working_memory_at_twelve_states_stays_within_the_chunk_budget():
+    system, schedule, signal = seeded_system(12)
+    tracemalloc.start()
+    try:
+        ff.simulate(system, schedule, signal, 10.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result is 10,001 x (1 + 2 + 12 + 12 + 2) doubles, about 2.3 MB; a chunk's
+    # A on its half-step rows is 2 _CHUNK_ENTRIES doubles, about 1 MB
+    assert peak < 12e6
