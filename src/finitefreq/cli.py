@@ -173,6 +173,8 @@ def cmd_enlarge(args):
         "rho_unif": res.rho_unif,
         "trace_W_p_min": res.trace_W_p_min, "trace_W_dot_p": res.trace_W_dot_p,
         "original_range": res.original, "enlarged_range": res.enlarged,
+        "decay": None if res.decay is None else
+        {k: getattr(res.decay, k) for k in ("c1", "c2", "c3", "alpha", "beta")},
     })
     return 0
 

@@ -9,12 +9,12 @@ nonnegativity of the band IQC for parameter-varying systems.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gramians import gramian_lpv_frozen, shifted_trace_bound
-from .lmi import check_decay_scalars, uas_certificate
+from .lmi import UasCertificate, check_decay_scalars, uas_certificate
 from .model import FrequencyRange, LpvSystem, frequency_weight
 from .sdp import real_embedding
 
@@ -113,6 +113,9 @@ class EnlargementResult:
     enlarged: FrequencyRange
     original: FrequencyRange
     rho_unif: float
+    # the certificate behind trace_W_dot_p, None when none was needed; its P arrays are not
+    # compared, the traces above carry its alpha/beta
+    decay: UasCertificate | None = field(default=None, compare=False)
 
 
 def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
@@ -123,8 +126,9 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
     on the parameter grid and the decay-certificate drift bound
     (``shifted_trace_bound``).  The decay scalars are checked before any
     solve; ``uas_certificate(system, c3, c1, c2)`` runs only when the gap and
-    a drift integrand are nonzero.  A zero gap needs no widening and no
-    traces (None); rho_unif is reported alongside.
+    a drift integrand are nonzero, and the certificate is returned as
+    ``decay``.  A zero gap needs no widening and no traces (None); rho_unif
+    is reported alongside.
     """
     check_decay_scalars(c1, c2, c3)
     rho = uniform_spectral_radius(system)
@@ -134,7 +138,14 @@ def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
 
     W = gramian_lpv_frozen(system, system.box.p_grid(), rng)
     tr_w_p_min = float(np.trace(W, axis1=1, axis2=2).min())
-    bound = shifted_trace_bound(system, rng, lambda: uas_certificate(system, c3, c1, c2))
+    certs = []
+
+    def certify():
+        certs.append(uas_certificate(system, c3, c1, c2))
+        return certs[0]
+
+    bound = shifted_trace_bound(system, rng, certify)
     tr_dot = bound.bound_1 + bound.bound_2
     d2 = delta_squared(g2, tr_w_p_min, tr_dot)
-    return EnlargementResult(g2, d2, tr_w_p_min, tr_dot, enlarge_range(rng, d2), rng, rho)
+    return EnlargementResult(g2, d2, tr_w_p_min, tr_dot, enlarge_range(rng, d2), rng, rho,
+                             certs[0] if certs else None)

@@ -33,9 +33,8 @@ accepts the level it reaches; the run's dual bound, the frozen peak, or a
 probe just below, closes the bracket.
 The decay certificate (``uas_certificate``) is the template with B, C and D
 empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
-scalars free, its c1 is maximized in one barrier run the same way and
-strictly certified by an exact eigen re-check, and the dead band applies to
-fixed scalars only.
+scalars free, its c1 is maximized in one barrier run the same way; every
+certificate it returns passes an exact eigen re-check at margin 0.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ import numpy as np
 
 from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox, frequency_weight,
                     gram_peak, grid, resolvent)
-from .sdp import (AffineSymmetricForm, max_eig_neg, minimize, real_embedding, solve_feasibility,
-                  stack_blocks)
+from .sdp import (AffineSymmetricForm, FeasibilityResult, max_eig_neg, minimize, real_embedding,
+                  solve_feasibility, stack_blocks)
 
 # mode: (P, Q), each "constant", "affine" in p, or None (absent)
 _MODE_TABLE = {
@@ -517,17 +516,19 @@ def check_decay_scalars(c1, c2, c3):
 def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> UasCertificate:
     """Decay certificate with affine P(p) at fixed c3 (halved on failure).
 
-    With c1, c2 supplied the scalars are held fixed and only P is searched
-    (boundary-tight certificates are accepted within a small dead band).  With
-    them free, c2 is normalized to 1, which minimizes the overshoot ratio
-    alpha = 1/c1: a feasibility solve at c1 = 1e-6 gives a strictly interior
-    point, and one barrier run from it maximizes c1 with P.  That c1 passes an
-    exact eigen re-check at (c1, 1, c3) with no dead band; a c3 whose first
-    solve passes only inside the dead band counts as failed.
+    Each c3 first needs a point at (c1, c2, c3), or at (1e-6, 1, c3) with the
+    scalars free, that passes the exact eigen re-check at margin 0: P = c1 I
+    when c1 = c2, as the bound blocks then force P(p) = c1 I, else a
+    feasibility solve's.  Supplied scalars stop there.  Free ones normalize c2
+    to 1, which minimizes the overshoot ratio alpha = 1/c1, and one barrier
+    run from the point maximizes c1 with P; that c1 is kept if it passes the
+    exact re-check at (c1, 1, c3), else the point's 1e-6 is.
     """
     check_decay_scalars(c1, c2, c3_target)
     layout, base, scalars = _uas_family(system)
     eye = np.eye(system.n)
+    free = c1 is None
+    c1, c2 = (1e-6, 1.0) if free else (float(c1), float(c2))
 
     def form_at(c):
         return base.with_constants([sign * c[i] * eye for i, sign in scalars])
@@ -538,24 +539,24 @@ def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> Ua
 
     c3 = float(c3_target)
     for _ in range(40):
-        if c1 is not None:
-            c = (float(c1), float(c2), c3)
-            form = form_at(c)
-            res = solve_feasibility(form, 0.0)
-            if res.feasible or res.achieved_margin >= -1e-6 * form.scale():
-                return certificate(c, res.x, res.achieved_margin)
+        c = (c1, c2, c3)
+        if c1 == c2:  # P = c1 I in slab 0: E_ii has trace 1, E_ij + E_ji trace 0
+            x = np.r_[c1 * np.einsum("tii->t", layout.basis), np.zeros(layout.nvar - layout.t)]
+            v = max_eig_neg(form_at(c), x)
+            res = FeasibilityResult(v <= 0.0, x, -v, 0)
         else:
-            res = solve_feasibility(form_at((1e-6, 1.0, c3)), 0.0)
-            if res.feasible:
-                # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
-                lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
-                          for (i, sign), K in zip(scalars, base.coeff_blocks)]
-                pencil = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
-                top = minimize(pencil, np.append(res.x, 1e-6), target=np.inf)
-                c = (top.t, 1.0, c3)
-                v = max_eig_neg(form_at(c), top.x)
-                if v <= 0.0:
-                    return certificate(c, top.x, -v)
-                return certificate((1e-6, 1.0, c3), res.x, res.achieved_margin)
+            res = solve_feasibility(form_at(c), 0.0)
+        if res.feasible and not free:
+            return certificate(c, res.x, res.achieved_margin)
+        if res.feasible:
+            # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
+            lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
+                      for (i, sign), K in zip(scalars, base.coeff_blocks)]
+            pencil = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
+            top = minimize(pencil, np.append(res.x, c1), target=np.inf)
+            v = max_eig_neg(form_at((top.t, 1.0, c3)), top.x)
+            if v <= 0.0:
+                return certificate((top.t, 1.0, c3), top.x, -v)
+            return certificate(c, res.x, res.achieved_margin)
         c3 *= 0.5
     raise RuntimeError("no UAS certificate found under affine P_s")

@@ -106,12 +106,6 @@ class AffineSymmetricForm:
     def nvar(self):
         return self.coeff_blocks[0].shape[0] if self.coeff_blocks else 0
 
-    def scale(self):
-        s = 0.0
-        for C, K in zip(self.constant_blocks, self.coeff_blocks):
-            s = max(s, float(np.abs(C).max(initial=0.0)), float(np.abs(K).max(initial=0.0)))
-        return max(s, 1.0)
-
 
 @dataclass
 class FeasibilityResult:

@@ -257,6 +257,7 @@ def test_zero_gap_enlarge_writes_strict_json(tmp_path, capsys):
     res = _strict_json(tmp_path / "enlarge.json")
     assert res["gap_squared"] == 0.0 and res["delta_squared"] == 0.0
     assert res["trace_W_p_min"] is None and res["trace_W_dot_p"] is None
+    assert res["decay"] is None
     assert res["enlarged_range"] == res["original_range"] == "low:20"
 
 
@@ -265,8 +266,10 @@ def test_enlarge_json_keys(tmp_path):
             "--c1", "0.5", "--c2", "0.6", "--c3", "7.4"]
     assert cli.main(argv) == 0
     res = _strict_json(tmp_path / "enlarge.json")
-    assert sorted(res) == ["delta_squared", "enlarged_range", "gap_squared", "original_range",
-                           "rho_unif", "trace_W_dot_p", "trace_W_p_min"]
+    assert sorted(res) == ["decay", "delta_squared", "enlarged_range", "gap_squared",
+                           "original_range", "rho_unif", "trace_W_dot_p", "trace_W_p_min"]
+    assert res["decay"] == {"c1": 0.5, "c2": 0.6, "c3": 7.4, "alpha": 0.6 / 0.5,
+                            "beta": 7.4 / 1.2}
     assert res["gap_squared"] == pytest.approx(163.6236, rel=1e-4)
     assert res["delta_squared"] == pytest.approx(
         res["gap_squared"] * res["trace_W_dot_p"] / res["trace_W_p_min"], rel=1e-12)
@@ -335,6 +338,26 @@ def test_gramians_on_a_diverging_transition_exit_2_without_output(tmp_path, caps
     else:
         assert rc == 2 and list(out_dir.iterdir()) == []
         assert out == "infeasible: not finite: W_dot_p_1, W_dot_p_2, W_hat_p\n" and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify-uas", "--c3", "1"],
+    ["enlarge", "--range", "low:1"],
+], ids=["certify-uas", "enlarge"])
+def test_fixed_decay_scalars_without_an_exact_certificate_exit_2(tmp_path, capsys, argv):
+    # A(-0.5) has the eigenvalue +0.158, yet solves at (1e-6, 1) come within 1e-6 of feasible
+    obj = json.loads(EXAMPLE.read_text())
+    obj.update(A0=[[-1.0, 6.0], [0.0, -2.0]], A=[[[0.0, 2.0], [-1.0, 0.0]]], B0=[[1.0], [0.0]],
+               B=[[[0.0], [0.0]]], C0=[[1.0, 0.0]], C=[[[0.0, 0.0]]], D0=[[0.0]], D=[[[0.0]]],
+               p_lower=[-0.5], p_upper=[0.5], rate_lower=[-0.3], rate_upper=[0.3])
+    system = tmp_path / "unstable.json"
+    system.write_text(json.dumps(obj))
+    out_dir = tmp_path / "out"
+    argv = ["--out", str(out_dir), *argv, "--system", str(system), "--c1", "1e-6", "--c2", "1"]
+    assert cli.main(argv) == 2
+    assert list(out_dir.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert out == "infeasible: no UAS certificate found under affine P_s\n" and err == ""
 
 
 def test_parser_is_built_once():

@@ -259,6 +259,8 @@ def test_recommend_range_evaluates_drift_sups_once(benchmark_system, benchmark_b
     res = ff.recommend_range(benchmark_system, benchmark_band)
     assert len(sups) == 1 and len(certs) == 1
     assert res == want
+    direct = ff.uas_certificate(benchmark_system, 1.0)
+    assert (res.decay.c1, res.decay.c2, res.decay.c3) == (direct.c1, 1.0, 1.0)
 
 
 def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
@@ -272,7 +274,7 @@ def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
     certs = _counting(monkeypatch, enl, "uas_certificate")
     res = ff.recommend_range(sys, LOW1)
     assert res.gap_squared > 0 and res.delta_squared == 0.0 and res.trace_W_dot_p == 0.0
-    assert certs == []
+    assert certs == [] and res.decay is None
 
 
 @pytest.mark.parametrize("c1, c2", [(0.5, 0.6), (None, None)])

@@ -15,6 +15,7 @@ from finitefreq import gramians, lmi
 from finitefreq.gramians import _band_nodes, _drift_sups, _gauss_legendre
 from finitefreq.model import gram_peak
 from conftest import random_stable_lti, three_state_two_input_system
+from test_lmi import _decay_min_eigs
 from test_simulation import seeded_system
 
 LOW1 = ff.FrequencyRange.low(1.0)
@@ -185,6 +186,7 @@ def test_shifted_gramian_benchmark_regression(benchmark_system):
 
 def test_trace_bound_dominates_quadrature(benchmark_system, benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
     bound = ff.shifted_trace_bound(benchmark_system, benchmark_band, cert)
     W1, W2 = ff.gramian_lpv_shifted(benchmark_system, example_schedule(), 20.0,
                                     benchmark_band, quad_nodes=101)
@@ -194,6 +196,7 @@ def test_trace_bound_dominates_quadrature(benchmark_system, benchmark_band):
 
 def test_trace_bound_benchmark_values(benchmark_system, benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
     bound = ff.shifted_trace_bound(benchmark_system, benchmark_band, cert)
     # regressions for this implementation: the grid sups behind the bounds
     m1, m2 = _drift_sups(benchmark_system, benchmark_band)
@@ -216,6 +219,7 @@ def test_trace_bound_requires_certificate(benchmark_system, benchmark_band):
 
 def test_trace_bound_rate_box_scaling(benchmark_system, benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
     b1 = ff.shifted_trace_bound(benchmark_system, benchmark_band, cert)
     doubled = ff.LpvSystem(
         benchmark_system.A, benchmark_system.B, benchmark_system.C, benchmark_system.D,
@@ -369,6 +373,7 @@ def test_trace_bound_raises_on_non_finite_integrand(benchmark_system, benchmark_
     nan_B = ff.LpvSystem(s.A, ff.AffineMatrixFunction(s.B.constant, (np.full(s.B.shape, np.nan),)),
                          s.C, s.D, s.box)
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
     with pytest.raises(ValueError, match="not finite"):
         ff.shifted_trace_bound(nan_B, benchmark_band, cert)
 
@@ -547,6 +552,7 @@ def test_gauss_legendre_rule_is_cached_read_only():
 def test_trace_bound_calls_a_certificate_factory_only_when_needed(benchmark_system,
                                                                    benchmark_band):
     cert = ff.uas_certificate(benchmark_system, 7.4, 0.5, 0.6)
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
     calls = []
 
     def factory():

@@ -212,6 +212,7 @@ def test_uas_certificate_benchmark_fixed_scalars(benchmark_system):
         P = cert.P[0] + p * cert.P[1]
         ev = np.linalg.eigvalsh(P)
         assert ev.min() >= 0.5 - 1e-6 and ev.max() <= 0.6 + 1e-6
+    assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
 
 
 def test_uas_certificate_scalar_boundary():
@@ -219,6 +220,7 @@ def test_uas_certificate_scalar_boundary():
     cert = ff.uas_certificate(sys, 2.0, 1.0, 1.0)
     assert cert.alpha == pytest.approx(1.0)
     assert cert.beta == pytest.approx(1.0)
+    assert _decay_min_eigs(sys, cert).min() >= 0.0
 
 
 def test_uas_certificate_unstable_fails():
@@ -232,6 +234,24 @@ def test_uas_certificate_c3_failover():
     cert = ff.uas_certificate(sys, 7.4, 0.5, 1.0)
     assert cert.c3 < 7.4
     assert cert.beta == pytest.approx(cert.c3 / 2.0)
+    assert _decay_min_eigs(sys, cert).min() >= 0.0
+
+
+@pytest.mark.parametrize("case, c, c3", [("lti-boundary", 1.0, 2.0), ("one-parameter", 2.0, 1.0)])
+def test_uas_certificate_equal_scalars_take_p_as_a_multiple_of_identity(
+        benchmark_system, monkeypatch, case, c, c3):
+    # c1 = c2 leaves P(p) = c1 I as the only point of the bound blocks: no solve is run
+    system = benchmark_system if case == "one-parameter" else \
+        ff.LpvSystem.lti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    cert = ff.uas_certificate(system, c3, c, c)
+    assert solves == []
+    assert (cert.c1, cert.c2, cert.c3) == (c, c, c3)
+    n = system.n
+    assert np.array_equal(cert.P[0], c * np.eye(n)) and len(cert.P) == system.nparams + 1
+    assert all(np.array_equal(Pi, np.zeros((n, n))) for Pi in cert.P[1:])
+    assert cert.achieved_margin >= 0.0
+    assert _decay_min_eigs(system, cert).min() >= 0.0
 
 
 def _decay_min_eigs(system, cert):
@@ -317,22 +337,35 @@ def test_uas_certificate_free_mode_below_one(monkeypatch, case):
     assert dead_band_c1 > top.bound  # the dead band let the old search exceed the dual bound
 
 
-def test_uas_certificate_free_mode_rejects_a_dead_band_start(monkeypatch):
-    # A(p) = [[-1, 6], [0, -2]] + p [[0, 2], [-1, 0]] is unstable at p = -0.5: no
-    # certificate exists, yet the phase-1 solve at c3 = 2^-17 passes inside the dead band
-    system = ff.LpvSystem(
+def unstable_at_minus_half():
+    """A(p) = [[-1, 6], [0, -2]] + p [[0, 2], [-1, 0]], p in [-0.5, 0.5]: A(-0.5) has the
+    eigenvalue +0.158, so no decay certificate exists, yet some solves at small c3 come
+    within 1e-6 of feasible."""
+    return ff.LpvSystem(
         ff.AffineMatrixFunction([[-1.0, 6.0], [0.0, -2.0]], ([[0.0, 2.0], [-1.0, 0.0]],)),
         ff.AffineMatrixFunction([[1.0], [0.0]], ([[0.0], [0.0]],)),
         ff.AffineMatrixFunction([[1.0, 0.0]], ([[0.0, 0.0]],)),
         ff.AffineMatrixFunction([[0.0]], ([[0.0]],)),
         ff.ParameterBox([-0.5], [0.5], [-0.3], [0.3]))
+
+
+def test_uas_certificate_free_mode_rejects_a_dead_band_start(monkeypatch):
+    # the phase-1 solve at c3 = 2^-17 comes within 1e-6 of feasible, and is not accepted
+    system = unstable_at_minus_half()
     solves = _spy(monkeypatch, lmi, "solve_feasibility")
     tops = _spy(monkeypatch, lmi, "minimize")
     with pytest.raises(RuntimeError, match="no UAS certificate"):
         ff.uas_certificate(system, 1.0)
     assert len(solves) == 40 and not tops and not any(r.feasible for r in solves)
-    # inside the dead band 1e-6 * form.scale() (the scale is at least 1), which the
-    # free mode used to accept
+    # within 1e-6 of feasible, yet not a certificate
+    assert any(r.achieved_margin >= -1e-6 for r in solves)
+
+
+def test_uas_certificate_fixed_scalars_accept_only_the_exact_check(monkeypatch):
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    with pytest.raises(RuntimeError, match="no UAS certificate found under affine P_s"):
+        ff.uas_certificate(unstable_at_minus_half(), 1.0, 1e-6, 1.0)
+    assert len(solves) == 40 and not any(r.feasible for r in solves)
     assert any(r.achieved_margin >= -1e-6 for r in solves)
 
 
