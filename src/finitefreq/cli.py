@@ -174,7 +174,7 @@ def cmd_enlarge(args):
         "trace_W_p_min": res.trace_W_p_min, "trace_W_dot_p": res.trace_W_dot_p,
         "original_range": res.original, "enlarged_range": res.enlarged,
         "decay": None if res.decay is None else
-        {k: getattr(res.decay, k) for k in ("c1", "c2", "c3", "alpha", "beta")},
+        {k: getattr(res.decay, k) for k in ("c1", "c2", "c3", "alpha", "beta", "achieved_margin")},
     })
     return 0
 
@@ -266,6 +266,7 @@ def cmd_certify_uas(args):
     print(f"alpha={cert.alpha:.6g} beta={cert.beta:.6g}")
     _write(args, "uas.json", {"c1": cert.c1, "c2": cert.c2, "c3": cert.c3,
                               "alpha": cert.alpha, "beta": cert.beta,
+                              "achieved_margin": cert.achieved_margin,
                               "P": [M for M in cert.P]})
     return 0
 
@@ -357,7 +358,7 @@ def build_parser():
     pe.add_argument("--range", required=True)
     pe.add_argument("--c1", type=float)
     pe.add_argument("--c2", type=float)
-    pe.add_argument("--c3", type=float, default=1.0)
+    pe.add_argument("--c3", type=float)
     pe.set_defaults(func=cmd_enlarge)
 
     ps = sub.add_parser("simulate", help="time-domain run with realized gain and IQC")
@@ -383,7 +384,7 @@ def build_parser():
 
     pu = sub.add_parser("certify-uas", help="exponential-decay certificate")
     pu.add_argument("--system", required=True)
-    pu.add_argument("--c3", type=float, required=True)
+    pu.add_argument("--c3", type=float)
     pu.add_argument("--c1", type=float)
     pu.add_argument("--c2", type=float)
     pu.set_defaults(func=cmd_certify_uas)

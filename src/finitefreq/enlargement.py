@@ -118,17 +118,17 @@ class EnlargementResult:
     decay: UasCertificate | None = field(default=None, compare=False)
 
 
-def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float = 1.0,
+def recommend_range(system: LpvSystem, rng: FrequencyRange, c3: float | None = None,
                     c1: float | None = None, c2: float | None = None) -> EnlargementResult:
     """End-to-end band recommendation: gap, traces, widening, enlarged band.
 
     One rule: ``delta_squared`` of the gap, the smallest frozen Gramian trace
     on the parameter grid and the decay-certificate drift bound
-    (``shifted_trace_bound``).  The decay scalars are checked before any
-    solve; ``uas_certificate(system, c3, c1, c2)`` runs only when the gap and
-    a drift integrand are nonzero, and the certificate is returned as
-    ``decay``.  A zero gap needs no widening and no traces (None); rho_unif
-    is reported alongside.
+    (``shifted_trace_bound``).  The decay scalars, all three or none, are
+    checked before any solve; ``uas_certificate(system, c3, c1, c2)`` (free
+    scalars: c1*c3 maximized) runs only when the gap and a drift integrand
+    are nonzero, and the certificate is returned as ``decay``.  A zero gap
+    needs no widening and no traces (None); rho_unif is reported alongside.
     """
     check_decay_scalars(c1, c2, c3)
     rho = uniform_spectral_radius(system)

@@ -33,8 +33,8 @@ accepts the level it reaches; the run's dual bound, the frozen peak, or a
 probe just below, closes the bracket.
 The decay certificate (``uas_certificate``) is the template with B, C and D
 empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
-scalars free, its c1 is maximized in one barrier run the same way; every
-certificate it returns passes an exact eigen re-check at margin 0.
+scalars free, one barrier run maximizes s with c1*c3 >= s^2 the same way.
+Every certificate it returns passes an exact eigen re-check at margin 0.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ import numpy as np
 
 from .model import (THETA, THETA_D, FrequencyRange, LpvSystem, ParameterBox, frequency_weight,
                     gram_peak, grid, resolvent)
-from .sdp import (AffineSymmetricForm, FeasibilityResult, max_eig_neg, minimize, real_embedding,
-                  solve_feasibility, stack_blocks)
+from .sdp import (AffineSymmetricForm, max_eig_neg, minimize, real_embedding, solve_feasibility,
+                  stack_blocks)
 
 # mode: (P, Q), each "constant", "affine" in p, or None (absent)
 _MODE_TABLE = {
@@ -504,59 +504,58 @@ def _uas_family(system: LpvSystem):
 
 
 def check_decay_scalars(c1, c2, c3):
-    """Raise ValueError unless 0 < c3 < inf and, when given, 0 < c1 <= c2 < inf (both or neither)."""
-    if not 0 < c3 < np.inf:
-        raise ValueError(f"c3 must be positive and finite, got {c3}")
-    if (c1 is None) != (c2 is None):
-        raise ValueError("supply both c1 and c2 or neither")
-    if c1 is not None and not 0 < c1 <= c2 < np.inf:
-        raise ValueError(f"need 0 < c1 <= c2 < inf, got c1={c1}, c2={c2}")
+    """Raise ValueError unless c1, c2, c3 are all None, or finite with 0 < c1 <= c2 and 0 < c3."""
+    if not (c1 is None) == (c2 is None) == (c3 is None):
+        raise ValueError("give c1, c2 and c3 together, or none of them")
+    if c1 is not None and not (0 < c1 <= c2 < np.inf and 0 < c3 < np.inf):
+        raise ValueError(f"need 0 < c1 <= c2 < inf and 0 < c3 < inf, got c1={c1}, c2={c2}, c3={c3}")
 
 
-def uas_certificate(system: LpvSystem, c3_target: float, c1=None, c2=None) -> UasCertificate:
-    """Decay certificate with affine P(p) at fixed c3 (halved on failure).
+def uas_certificate(system: LpvSystem, c3=None, c1=None, c2=None) -> UasCertificate:
+    """Decay certificate with affine P(p): given scalars checked as given, free ones found.
 
-    Each c3 first needs a point at (c1, c2, c3), or at (1e-6, 1, c3) with the
-    scalars free, that passes the exact eigen re-check at margin 0: P = c1 I
-    when c1 = c2, as the bound blocks then force P(p) = c1 I, else a
-    feasibility solve's.  Supplied scalars stop there.  Free ones normalize c2
-    to 1, which minimizes the overshoot ratio alpha = 1/c1, and one barrier
-    run from the point maximizes c1 with P; that c1 is kept if it passes the
-    exact re-check at (c1, 1, c3), else the point's 1e-6 is.
+    Given (c1, c2, c3) are taken as they are, with P = c1 I when c1 = c2 (the
+    bound blocks force it), else a feasibility solve's P.  Free ones take
+    c2 = 1, as alpha/beta = 2 c2^2/(c1 c3) does not change when P is scaled,
+    and c1, c3, s as variables with [[c1, s], [s, c3]] >= 0, i.e. c1 c3 >= s^2
+    (Boyd, El Ghaoui, Feron & Balakrishnan, 1994): a margin-0 solve from
+    P = I/2, c1 = 1/4, c3 = lambda/4, s = 0, lambda = min eig -(A(p) + A(p)^T)
+    over the p corners (strictly feasible, 0 steps, when lambda > 0; c3 = -1/4
+    at lambda = 0), then one barrier run maximizing s.  One acceptance rule:
+    the exact eigen re-check of the decay blocks at (c1, c2, c3), s left out,
+    at margin 0 (the run's point, else the solve's); its smallest eigenvalue
+    is ``achieved_margin``.
     """
-    check_decay_scalars(c1, c2, c3_target)
+    check_decay_scalars(c1, c2, c3)
     layout, base, scalars = _uas_family(system)
     eye = np.eye(system.n)
-    free = c1 is None
-    c1, c2 = (1e-6, 1.0) if free else (float(c1), float(c2))
+    p_eye = np.r_[np.einsum("tii->t", layout.basis), np.zeros(layout.nvar - layout.t)]  # P = I
 
     def form_at(c):
         return base.with_constants([sign * c[i] * eye for i, sign in scalars])
 
-    def certificate(c, x, achieved):
-        P, _ = layout.unpack(x)
-        return UasCertificate(c[0], c[1], c[2], c[1] / c[0], c[2] / (2.0 * c[1]), P, achieved)
-
-    c3 = float(c3_target)
-    for _ in range(40):
-        c = (c1, c2, c3)
-        if c1 == c2:  # P = c1 I in slab 0: E_ii has trace 1, E_ij + E_ji trace 0
-            x = np.r_[c1 * np.einsum("tii->t", layout.basis), np.zeros(layout.nvar - layout.t)]
-            v = max_eig_neg(form_at(c), x)
-            res = FeasibilityResult(v <= 0.0, x, -v, 0)
-        else:
-            res = solve_feasibility(form_at(c), 0.0)
-        if res.feasible and not free:
-            return certificate(c, res.x, res.achieved_margin)
+    if c1 is not None:
+        c = (float(c1), float(c2), float(c3))  # the bound blocks force P = c1 I when c1 = c2
+        points = [(c, c[0] * p_eye if c[0] == c[1] else solve_feasibility(form_at(c), 0.0).x)]
+    else:  # c1, c3, s appended: -I for c1 and c3 in their blocks, c2 = 1 the I - P(p) constant
+        mean = np.zeros((layout.nvar + 3, 2, 2))
+        mean[-3:] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+        form = AffineSymmetricForm(
+            [(i == 1) * eye for i, _ in scalars] + [np.zeros((2, 2))],
+            [np.concatenate([K, [sign * (i == 0) * eye, sign * (i == 2) * eye, 0.0 * eye]])
+             for (i, sign), K in zip(scalars, base.coeff_blocks)] + [mean])
+        A = system.A.batch(grid(system.box.p_lower, system.box.p_upper))
+        lam = float(np.linalg.eigvalsh(-(A + np.swapaxes(A, 1, 2))).min())
+        # strictly feasible when lambda > 0; else c3 < 0 (lambda = 0 read as -1): the solve runs
+        res = solve_feasibility(form, 0.0, np.r_[0.5 * p_eye, 0.25, 0.25 * (lam or -1.0), 0.0])
+        xs = [res.x]
         if res.feasible:
-            # c1 joins the decision vector last: coefficient -I in the P(p) - c1 I blocks
-            lifted = [np.concatenate([K, (sign * eye if i == 0 else 0.0 * eye)[None]])
-                      for (i, sign), K in zip(scalars, base.coeff_blocks)]
-            pencil = stack_blocks(zip(form_at((0.0, 1.0, c3)).constant_blocks, lifted), False)
-            top = minimize(pencil, np.append(res.x, c1), target=np.inf)
-            v = max_eig_neg(form_at((top.t, 1.0, c3)), top.x)
-            if v <= 0.0:
-                return certificate((top.t, 1.0, c3), top.x, -v)
-            return certificate(c, res.x, res.achieved_margin)
-        c3 *= 0.5
+            run = minimize(stack_blocks(zip(form.constant_blocks, form.coeff_blocks), False),
+                           res.x, target=np.inf)
+            xs.insert(0, np.append(run.x, run.t))
+        points = [((float(x[-3]), 1.0, float(x[-2])), x[:layout.nvar]) for x in xs]
+    for c, x in points:  # one acceptance rule, s left out: the exact re-check at (c1, c2, c3)
+        v = max_eig_neg(form_at(c), x) if min(c) > 0.0 else np.inf
+        if v <= 0.0:
+            return UasCertificate(*c, c[1] / c[0], c[2] / (2.0 * c[1]), layout.unpack(x)[0], -v)
     raise RuntimeError("no UAS certificate found under affine P_s")

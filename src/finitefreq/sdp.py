@@ -27,9 +27,9 @@ certifies infeasibility, and any other infeasible verdict means "not shown
 feasible".  Two callers instead put their own variable last and run
 ``minimize`` to the gap, with no target: ``lmi.min_gamma`` maximizes
 g^2 - gamma^2 from a feasible level g (to a gap set by its ``bisect_tol``),
-and the decay certificate
-(``lmi.uas_certificate``) maximizes c1.  The optimum may then be negative,
-so a negative dual bound does not end the run.
+and the decay certificate (``lmi.uas_certificate``) maximizes s subject to
+[[c1, s], [s, c3]] >= 0, i.e. c1*c3 >= s^2.  The optimum may then be
+negative, so a negative dual bound does not end the run.
 """
 
 from __future__ import annotations

@@ -136,6 +136,8 @@ def test_gramians_schedule_leaving_the_box_warns_once(tmp_path):
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c2", "0.6"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0", "--c2", "1"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "-1"],
+    ["certify-uas", "--system", str(EXAMPLE), "--c3", "1"],
+    ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c1", "0.5", "--c2", "0.6"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:1", "--c3", "0"],
     ["certify-uas", "--system", str(EXAMPLE), "--c3", "1.0", "--c1", "0.6", "--c2", "0.5"],
     ["enlarge", "--system", str(EXAMPLE), "--range", "low:20", "--c1", "0.6", "--c2", "0.5"],
@@ -161,7 +163,8 @@ def test_gramians_schedule_leaving_the_box_warns_once(tmp_path):
     ["simulate", "--system", str(EXAMPLE), "--signal", "cos:1:0", "--csv-stride", "-3"],
     ["reproduce", "example3"],
 ], ids=["enlarge-mode", "enlarge-c1", "enlarge-c2", "certify-uas-c1", "certify-uas-c2",
-        "certify-uas-c1-zero", "certify-uas-c3-negative", "enlarge-c3-zero",
+        "certify-uas-c1-zero", "certify-uas-c3-negative", "certify-uas-c3-alone",
+        "enlarge-c1-c2-without-c3", "enlarge-c3-zero",
         "certify-uas-c1-above-c2", "enlarge-c1-above-c2-zero-gap",
         "analyze-bisect-tol-nan", "analyze-system-not-an-object",
         "certify-uas-system-is-a-directory", "gramians-t-negative", "gramians-t-nan", "gramians-schedule-two-params", "gramians-p-two-params",
@@ -268,6 +271,7 @@ def test_enlarge_json_keys(tmp_path):
     res = _strict_json(tmp_path / "enlarge.json")
     assert sorted(res) == ["decay", "delta_squared", "enlarged_range", "gap_squared",
                            "original_range", "rho_unif", "trace_W_dot_p", "trace_W_p_min"]
+    assert res["decay"].pop("achieved_margin") >= 0.0  # the exact re-check's smallest eigenvalue
     assert res["decay"] == {"c1": 0.5, "c2": 0.6, "c3": 7.4, "alpha": 0.6 / 0.5,
                             "beta": 7.4 / 1.2}
     assert res["gap_squared"] == pytest.approx(163.6236, rel=1e-4)
@@ -295,7 +299,7 @@ def unstable_system(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--mode", "lpv_ef"],
-    ["certify-uas", "--c3", "1"],
+    ["certify-uas"],
     ["enlarge", "--range", "low:1"],
     ["simulate", "--signal", "cos:1:0", "--t-end", "200", "--step", "0.01"],
 ], ids=["analyze", "certify-uas", "enlarge", "simulate"])
@@ -342,10 +346,10 @@ def test_gramians_on_a_diverging_transition_exit_2_without_output(tmp_path, caps
 
 @pytest.mark.parametrize("argv", [
     ["certify-uas", "--c3", "1"],
-    ["enlarge", "--range", "low:1"],
+    ["enlarge", "--range", "low:1", "--c3", "1"],
 ], ids=["certify-uas", "enlarge"])
 def test_fixed_decay_scalars_without_an_exact_certificate_exit_2(tmp_path, capsys, argv):
-    # A(-0.5) has the eigenvalue +0.158, yet solves at (1e-6, 1) come within 1e-6 of feasible
+    # A(-0.5) has the eigenvalue +0.158: the one solve at (1e-6, 1, 1) is rejected
     obj = json.loads(EXAMPLE.read_text())
     obj.update(A0=[[-1.0, 6.0], [0.0, -2.0]], A=[[[0.0, 2.0], [-1.0, 0.0]]], B0=[[1.0], [0.0]],
                B=[[[0.0], [0.0]]], C0=[[1.0, 0.0]], C=[[[0.0, 0.0]]], D0=[[0.0]], D=[[[0.0]]],
@@ -369,6 +373,15 @@ def test_certify_uas_with_both_scalars(tmp_path):
             "--c1", "0.5", "--c2", "0.6"]
     assert cli.main(argv) == 0
     assert json.loads((tmp_path / "uas.json").read_text())["alpha"] == pytest.approx(1.2)
+
+
+def test_certify_uas_with_free_scalars_maximizes_c1_c3(tmp_path):
+    argv = ["--out", str(tmp_path), "certify-uas", "--system", str(EXAMPLE)]
+    assert cli.main(argv) == 0
+    res = _strict_json(tmp_path / "uas.json")
+    assert res["c2"] == 1.0 and abs(res["c1"] - 1.0) <= 1e-6
+    assert abs(res["c3"] / 12.214093 - 1.0) <= 1e-6
+    assert res["achieved_margin"] >= 0.0 and res["alpha"] == 1.0 / res["c1"]
 
 
 def _decision_vector(certificate):

@@ -259,8 +259,17 @@ def test_recommend_range_evaluates_drift_sups_once(benchmark_system, benchmark_b
     res = ff.recommend_range(benchmark_system, benchmark_band)
     assert len(sups) == 1 and len(certs) == 1
     assert res == want
-    direct = ff.uas_certificate(benchmark_system, 1.0)
-    assert (res.decay.c1, res.decay.c2, res.decay.c3) == (direct.c1, 1.0, 1.0)
+    direct = ff.uas_certificate(benchmark_system)
+    assert (res.decay.c1, res.decay.c2, res.decay.c3) == (direct.c1, 1.0, direct.c3)
+
+
+def test_recommend_range_free_scalars_on_the_example(benchmark_system, benchmark_band):
+    # c1 c3 maximized at P = I, c3 = 12.2141: delta^2 = 2.8209 (c1 = c3 = 1 would give 420.83)
+    res = ff.recommend_range(benchmark_system, benchmark_band)
+    assert abs(res.decay.c1 - 1.0) <= 1e-6 and res.decay.c3 == pytest.approx(12.2141, rel=1e-5)
+    assert res.delta_squared == pytest.approx(2.8209, rel=1e-4)
+    assert res.enlarged.kind == "low" and abs(res.enlarged.hi - 1.9547) <= 1e-4
+    assert res.decay.achieved_margin >= 0.0
 
 
 def test_recommend_range_skips_the_certificate_without_drift(monkeypatch):
@@ -282,7 +291,8 @@ def test_recommend_range_on_a_zero_gap_band_solves_no_certificate(benchmark_syst
                                                                   c1, c2):
     import finitefreq.enlargement as enl
     certs = _counting(monkeypatch, enl, "uas_certificate")
-    res = ff.recommend_range(benchmark_system, ff.FrequencyRange.low(20.0), 7.4, c1, c2)
+    c3 = None if c1 is None else 7.4  # the scalars come all three or none
+    res = ff.recommend_range(benchmark_system, ff.FrequencyRange.low(20.0), c3, c1, c2)
     assert res.gap_squared == 0.0 and res.trace_W_dot_p is None
     assert certs == []
 
@@ -293,6 +303,7 @@ def test_recommend_range_rejects_bad_scalars_before_any_solve(benchmark_system, 
     certs = _counting(monkeypatch, enl, "uas_certificate")
     with pytest.raises(ValueError, match="need 0 < c1 <= c2"):
         ff.recommend_range(benchmark_system, band, 7.4, 0.6, 0.5)
-    with pytest.raises(ValueError, match="both c1 and c2"):
-        ff.recommend_range(benchmark_system, band, 7.4, 0.6)
+    for c3, c1, c2 in [(7.4, 0.6, None), (7.4, None, None), (None, 0.5, 0.6)]:
+        with pytest.raises(ValueError, match="give c1, c2 and c3 together"):
+            ff.recommend_range(benchmark_system, band, c3, c1, c2)
     assert certs == []

@@ -229,12 +229,18 @@ def test_uas_certificate_unstable_fails():
         ff.uas_certificate(sys, 1.0, 0.5, 0.6)
 
 
-def test_uas_certificate_c3_failover():
+def test_uas_certificate_lti_free_scalars_reach_the_decay_rate(monkeypatch):
+    # A = -0.05: P = p in [c1, 1] and 0.1 p >= c3, so c1 c3 peaks at c1 = 1, c3 = 0.1
     sys = ff.LpvSystem.lti([[-0.05]], [[1.0]], [[1.0]], [[0.0]])
-    cert = ff.uas_certificate(sys, 7.4, 0.5, 1.0)
-    assert cert.c3 < 7.4
+    cert = ff.uas_certificate(sys)
+    assert abs(cert.c1 - 1.0) <= 1e-6 and abs(cert.c3 - 0.1) <= 1e-6
     assert cert.beta == pytest.approx(cert.c3 / 2.0)
     assert _decay_min_eigs(sys, cert).min() >= 0.0
+    # given scalars are certified as given: c3 = 7.4 is kept, and one solve rejects it
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    with pytest.raises(RuntimeError, match="no UAS certificate"):
+        ff.uas_certificate(sys, 7.4, 0.5, 1.0)
+    assert len(solves) == 1 and not solves[0].feasible
 
 
 @pytest.mark.parametrize("case, c, c3", [("lti-boundary", 1.0, 2.0), ("one-parameter", 2.0, 1.0)])
@@ -301,40 +307,83 @@ def _spy(monkeypatch, module, name):
     return seen
 
 
-C1_BELOW_ONE = {  # A, c3, and the c1 the dead-band bisection returned
-    "upper-triangular-2": ([[-1.0, 10.0], [0.0, -1.0]], 1 / 32, 0.0183092),
-    "upper-triangular-3": ([[-2.0, 5.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -3.0]], 1 / 8, 0.0733657),
+C1_BELOW_ONE = {  # A, and the fixed c3 at which the strict c1 bisection stays below 0.1
+    "upper-triangular-2": ([[-1.0, 10.0], [0.0, -1.0]], 1 / 32),
+    "upper-triangular-3": ([[-2.0, 5.0, 0.0], [0.0, -1.0, 4.0], [0.0, 0.0, -3.0]], 1 / 8),
 }
 
 
-def _free_mode_certificate(system, c3, monkeypatch):
-    """The free-mode certificate and its barrier run, checked against the strict bisection."""
-    ref = ref_free_c1(system, c3)
+def _corner_decay_rate(system):
+    """The smallest eigenvalue of -(A(p) + A(p)^T) over the parameter corners, by hand."""
+    box = system.box
+    return min(np.linalg.eigvalsh(-(system.A(p) + system.A(p).T)).min()
+               for p in grid(box.p_lower, box.p_upper))
+
+
+def _free_mode_certificate(system, monkeypatch):
+    """The free-mode certificate: one feasibility solve, then one barrier run maximizing s."""
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
     tops = _spy(monkeypatch, lmi, "minimize")
-    cert = ff.uas_certificate(system, c3)
-    assert len(tops) == 1 and cert.c1 == tops[0].t  # one barrier run, no bisection
-    assert cert.c1 >= ref - 1e-9
-    assert cert.c1 <= tops[0].bound <= cert.c1 + 1e-5
-    assert (cert.c2, cert.c3) == (1.0, c3)
-    assert cert.alpha == 1.0 / cert.c1 and cert.beta == c3 / 2.0
-    assert cert.achieved_margin >= 0.0
+    cert = ff.uas_certificate(system)
+    assert len(solves) == 1 and solves[0].feasible and len(tops) == 1
+    s = tops[0].t  # c1 c3 >= s^2, within the run's duality gap of the optimum
+    assert cert.c1 * cert.c3 >= s * s * (1.0 - 1e-12)
+    assert s <= tops[0].bound <= s * (1.0 + 1e-3)
+    assert cert.c2 == 1.0 and cert.alpha == 1.0 / cert.c1 and cert.beta == cert.c3 / 2.0
+    # the margin is the certificate's own, at (c1, 1, c3): the [[c1, s], [s, c3]] block is left out
+    assert cert.achieved_margin == pytest.approx(_decay_min_eigs(system, cert).min(), abs=1e-12)
     assert _decay_min_eigs(system, cert).min() >= 0.0
-    return cert, tops[0]
+    return cert, tops[0], solves[0]
 
 
 def test_uas_certificate_free_mode(benchmark_system, monkeypatch):
-    cert, _ = _free_mode_certificate(benchmark_system, 1.0, monkeypatch)
-    assert 1.0 - 1e-8 <= cert.c1 <= 1.0
+    # lambda > 0: P = I/2, c1 = 1/4, c3 = lambda/4 is strictly feasible, and P = I is optimal
+    cert, _, solve = _free_mode_certificate(benchmark_system, monkeypatch)
+    lam = _corner_decay_rate(benchmark_system)
+    assert solve.iterations == 0 and lam == pytest.approx(12.2141, rel=1e-5)
+    assert abs(cert.c1 - 1.0) <= 1e-6 and abs(cert.c3 / lam - 1.0) <= 1e-6
+    assert cert.alpha / cert.beta == pytest.approx(0.163745, rel=1e-5)
 
 
 @pytest.mark.parametrize("case", C1_BELOW_ONE)
 def test_uas_certificate_free_mode_below_one(monkeypatch, case):
-    A, c3, dead_band_c1 = C1_BELOW_ONE[case]
+    A, c3 = C1_BELOW_ONE[case]
     n = len(A)
     system = ff.LpvSystem.lti(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]])
-    cert, top = _free_mode_certificate(system, c3, monkeypatch)
-    assert cert.c1 < 0.1
-    assert dead_band_c1 > top.bound  # the dead band let the old search exceed the dual bound
+    assert _corner_decay_rate(system) < 0.0  # the solve starts outside, and warm-starts
+    cert, top, solve = _free_mode_certificate(system, monkeypatch)
+    assert solve.iterations > 0 and cert.c1 < 0.1
+    # the strict reference at fixed c3, over a grid around the c3 of the table
+    best = max(ref_free_c1(system, c) * c for c in c3 * 2.0 ** np.arange(-1.0, 1.5, 0.5))
+    assert top.t ** 2 >= best - 1e-6
+
+
+def _oscillator(wn=0.53, zeta=0.02):
+    """A lightly damped oscillator whose stiffness drops with p in [0, 1], rates +-0.5."""
+    return ff.LpvSystem(
+        ff.AffineMatrixFunction([[0.0, 1.0], [-wn ** 2, -2.0 * zeta * wn]],
+                                ([[0.0, 0.0], [-0.1 * wn ** 2, 0.0]],)),
+        ff.AffineMatrixFunction([[0.0], [1.0]], ([[0.0], [0.2]],)),
+        ff.AffineMatrixFunction([[1.0, 0.0]], ([[0.0, 0.0]],)),
+        ff.AffineMatrixFunction([[0.0]], ([[0.0]],)),
+        ff.ParameterBox([0.0], [1.0], [-0.5], [0.5]))
+
+
+def _unit_stiffness():
+    """x'' + x' + x = 0: -(A + A^T) = diag(0, 2), so lambda = 0 exactly."""
+    return ff.LpvSystem.lti([[0.0, 1.0], [-1.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+
+
+@pytest.mark.parametrize("case, most", [("seeded_6", 25.2), ("oscillator", 5330.0),
+                                        ("unit_stiffness", 8.7)])
+def test_uas_certificate_free_mode_maximizes_c1_c3(monkeypatch, case, most):
+    # c1 maximized alone at c3 = 1/8, 2^-10 and 1/2 gives alpha/beta = 27.66, 7,061 and 8.89; at
+    # lambda = 0 the start takes c3 = -1/4, so the solve runs instead of passing with c3 = 0
+    system = {"seeded_6": lambda: seeded_system(6)[0], "oscillator": _oscillator,
+              "unit_stiffness": _unit_stiffness}[case]()
+    assert _corner_decay_rate(system) <= 0.0
+    cert, _, solve = _free_mode_certificate(system, monkeypatch)
+    assert solve.iterations > 0 and cert.alpha / cert.beta <= most
 
 
 def unstable_at_minus_half():
@@ -350,36 +399,49 @@ def unstable_at_minus_half():
 
 
 def test_uas_certificate_free_mode_rejects_a_dead_band_start(monkeypatch):
-    # the phase-1 solve at c3 = 2^-17 comes within 1e-6 of feasible, and is not accepted
+    # the one margin-0 solve from P = I/2 comes within 1e-6 of feasible, and is not accepted
     system = unstable_at_minus_half()
     solves = _spy(monkeypatch, lmi, "solve_feasibility")
     tops = _spy(monkeypatch, lmi, "minimize")
     with pytest.raises(RuntimeError, match="no UAS certificate"):
-        ff.uas_certificate(system, 1.0)
-    assert len(solves) == 40 and not tops and not any(r.feasible for r in solves)
-    # within 1e-6 of feasible, yet not a certificate
-    assert any(r.achieved_margin >= -1e-6 for r in solves)
+        ff.uas_certificate(system)
+    assert len(solves) == 1 and not tops and not solves[0].feasible
+    assert solves[0].achieved_margin >= -1e-6
+
+
+@pytest.mark.parametrize("A", [[[0.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["zero", "rotation"])
+def test_uas_certificate_free_mode_rejects_a_marginal_system(monkeypatch, A):
+    # lambda = 0 and no decay: the one solve from c3 < 0 does not reach t > 0
+    n = len(A)
+    system = ff.LpvSystem.lti(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+    solves = _spy(monkeypatch, lmi, "solve_feasibility")
+    tops = _spy(monkeypatch, lmi, "minimize")
+    with pytest.raises(RuntimeError, match="no UAS certificate"):
+        ff.uas_certificate(system)
+    assert len(solves) == 1 and solves[0].iterations > 0 and not solves[0].feasible and not tops
 
 
 def test_uas_certificate_fixed_scalars_accept_only_the_exact_check(monkeypatch):
     solves = _spy(monkeypatch, lmi, "solve_feasibility")
     with pytest.raises(RuntimeError, match="no UAS certificate found under affine P_s"):
-        ff.uas_certificate(unstable_at_minus_half(), 1.0, 1e-6, 1.0)
-    assert len(solves) == 40 and not any(r.feasible for r in solves)
-    assert any(r.achieved_margin >= -1e-6 for r in solves)
+        ff.uas_certificate(unstable_at_minus_half(), 2.0 ** -24, 1e-6, 1.0)
+    assert len(solves) == 1 and not solves[0].feasible
+    assert solves[0].achieved_margin >= -1e-6  # within 1e-6 of feasible, yet not a certificate
 
 
 def test_uas_certificate_free_mode_keeps_the_phase1_point_when_the_recheck_fails(
         benchmark_system, monkeypatch):
     orig = lmi.minimize
 
-    def overshoot(*args, **kwargs):  # a c1 no P can meet
+    def overshoot(*args, **kwargs):  # a c3 no P can meet: c3 <= lambda < 100
         res = orig(*args, **kwargs)
-        return dataclasses.replace(res, t=2.0)
+        return dataclasses.replace(res, x=np.r_[res.x[:-1], 100.0])
 
     monkeypatch.setattr(lmi, "minimize", overshoot)
-    cert = ff.uas_certificate(benchmark_system, 1.0)
-    assert cert.c1 == 1e-6 and cert.achieved_margin >= 0.0
+    cert = ff.uas_certificate(benchmark_system)
+    lam = _corner_decay_rate(benchmark_system)
+    assert (cert.c1, cert.c2) == (0.25, 1.0) and cert.c3 == pytest.approx(lam / 4, rel=1e-12)
+    assert np.array_equal(cert.P[0], 0.5 * np.eye(2)) and cert.achieved_margin >= 0.0
     assert _decay_min_eigs(benchmark_system, cert).min() >= 0.0
 
 
