@@ -345,7 +345,7 @@ def build_parser():
     ap.add_argument("--out", default=".", help="output directory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="minimal certified gain: one barrier run over gamma^2")
+    pa = sub.add_parser("analyze", help="minimal certified gain: one primal-dual run over gamma^2")
     pa.add_argument("--system", required=True)
     pa.add_argument("--range", default="entire")
     pa.add_argument("--mode", default="lpv_ff", choices=MODES)

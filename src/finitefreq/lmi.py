@@ -27,13 +27,13 @@ finer p grid times the rate corners.
 The index enters the constants only, as gamma^2 times a fixed matrix, so
 ``min_gamma`` treats gamma^2 as one more decision variable: after doubling
 gamma to a strictly feasible level g (passing without a solve the levels
-below the frozen in-band peak, which GKYP rules out), one barrier run
+below the frozen in-band peak, which GKYP rules out), one primal-dual run
 maximizes g^2 - gamma^2 (an eigenvalue problem) and an exact eigen re-check
 accepts the level it reaches; the run's dual bound, the frozen peak, or a
 probe just below, closes the bracket.
 The decay certificate (``uas_certificate``) is the template with B, C and D
 empty, -(A^T P(p) + P(p) A + Pdot), with the rates taken as stored; with its
-scalars free, one barrier run maximizes s with c1*c3 >= s^2 the same way.
+scalars free, one primal-dual run maximizes s with c1*c3 >= s^2 the same way.
 Every certificate it returns passes an exact eigen re-check at margin 0.
 """
 
@@ -308,7 +308,7 @@ class GammaResult:
     bracket: tuple
     # bracket[0] rests on a dual bound below zero or on the floor, not on "not shown feasible"
     lo_certified: bool
-    lo_rests_on: str  # "floor", "dual bound" (the barrier run's) or "probe" (a solve's verdict)
+    lo_rests_on: str  # "floor", "dual bound" (the gain run's) or "probe" (a solve's verdict)
     margin: float
     mode: str
     gain_lower_bound: float = 0.0  # the sampled frozen in-band peak; no certified gain lies below
@@ -316,7 +316,7 @@ class GammaResult:
 
 def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
               bisect_tol: float = 1e-3) -> GammaResult:
-    """Smallest certified L2-gain level: gamma^2 minimized in one barrier run.
+    """Smallest certified L2-gain level: gamma^2 minimized in one primal-dual run.
 
     Feasibility of the stacked vertex form is monotone in gamma^2, and its
     constants are C(gamma) = C0 + gamma^2 * gain.  No certificate meets a
@@ -336,16 +336,16 @@ def min_gamma(system: LpvSystem, rng: FrequencyRange, mode: str,
 
     hi = sqrt(g^2 - t) is kept only if an exact eigensolve of the form at hi
     passes at margin(hi); otherwise hi = g.  lo is the largest of the floor,
-    the last infeasible doubling level and the barrier's dual bound mapped
+    the last infeasible doubling level and the run's dual bound mapped
     back to gamma, at most hi.  While
     lo < hi - bisect_tol, probes warm-started from hi's point move one end:
     the first at max(hi - bisect_tol, (lo + hi)/2), the others at the
     midpoint, so a hi left at g costs a bisection, not a scan, and a first
     probe not shown feasible ends it whatever the rounding of hi - bisect_tol.
     ``lo_certified`` says whether lo rests on a dual bound below zero (the
-    barrier's, at the folded margin m, or a probe's, at margin(lo)) or on the
+    run's, at the folded margin m, or a probe's, at margin(lo)) or on the
     floor rather than on "not shown feasible"; ``lo_rests_on`` names which of
-    "floor", "dual bound" (the barrier's) or "probe" set it.  gamma_star is
+    "floor", "dual bound" (the run's) or "probe" set it.  gamma_star is
     hi; a hi below the floor raises RuntimeError, as GKYP rules it out.  The
     floor is returned as ``gain_lower_bound``.  The certificate is then
     re-checked on the p grid times the rate corners (``verify_on_grid``);
@@ -521,7 +521,7 @@ def uas_certificate(system: LpvSystem, c3=None, c1=None, c2=None) -> UasCertific
     (Boyd, El Ghaoui, Feron & Balakrishnan, 1994): a margin-0 solve from
     P = I/2, c1 = 1/4, c3 = lambda/4, s = 0, lambda = min eig -(A(p) + A(p)^T)
     over the p corners (strictly feasible, 0 steps, when lambda > 0; c3 = -1/4
-    at lambda = 0), then one barrier run maximizing s.  One acceptance rule:
+    at lambda = 0), then one primal-dual run maximizing s.  One acceptance rule:
     the exact eigen re-check of the decay blocks at (c1, c2, c3), s left out,
     at margin 0 (the run's point, else the solve's); its smallest eigenvalue
     is ``achieved_margin``.

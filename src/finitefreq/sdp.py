@@ -1,23 +1,24 @@
 """Dense small-scale semidefinite engine: feasibility, and one maximized variable.
 
 ``minimize`` maximizes the last variable t of a packed pencil
-S(y) = C + sum_j y_j A_j >= 0 by log-barrier path following (Boyd &
-Vandenberghe, Convex Optimization, ch. 11), up to a stop target: each Newton
-step yields a dual point bounding t* from above, and the run ends once t
-exceeds the target, a dual bound falls below a finite target, or the duality
-gap falls below a tolerance (1e-9 unless the caller sets a looser one).
+S(y) = C + sum_j y_j A_j >= 0 by a primal-dual interior-point method
+(Mehrotra's predictor-corrector on the HKM direction), up to a stop target:
+its dual points bound t* from above, and the run ends once t exceeds the
+target, a dual bound falls below a finite target, or the duality gap falls
+below a tolerance (1e-9 unless the caller sets a looser one).
 ``stack_blocks`` builds that pencil for every caller.
 Each block is normalized to unit size.  The blocks of size 2 or more are
 zero-padded to the largest size k and stacked into one (B, k, k) batch, and
 the 1x1 blocks become elementwise rows s = c + a.y.  A pad row and column has
 the constant 1 on the diagonal and the coefficient 0 for every variable, so
 on each padded block S is the real block beside an identity: the Cholesky
-factor and its inverse keep that split, the whitened coefficients vanish on
-the pad, so the pad adds nothing to the Hessian or the gradient of
--log det S, and each pad row adds an eigenvalue 0 to a step's spectrum, which
-moves neither its sum, its norm nor the step length.  A Newton step is then
-one Cholesky, one inverse and one eigensolve over the batch, whatever the mix
-of block sizes.
+factor and its inverse keep that split, the dual point is 0 on the pad, so
+the pad adds nothing to the Schur matrix, the gap or the dual equalities,
+and each pad row adds an eigenvalue 0 to a step's spectrum, which leaves the
+step lengths alone.  An iteration is then one Cholesky and one inverse over
+the batch of S and the dual point, one eigensolve of the Schur matrix and
+two eigensolves over the batch for the step lengths, whatever the mix of
+block sizes.
 
 ``solve_feasibility`` decides F(x) = F0 + sum_j x_j Fj >= margin*I through
 t* >= 0 for t* = max t subject to Ftilde(x) >= t*I on the normalized pencil
@@ -112,7 +113,7 @@ class FeasibilityResult:
     feasible: bool
     x: np.ndarray
     achieved_margin: float  # -lambda_max(-F(x)) at the returned point
-    iterations: int  # Newton steps
+    iterations: int  # iterations of the run
     dual_bound: float = np.inf  # bound on t* (normalized) over |x_j| <= RADIUS; < 0: infeasible
 
 
@@ -137,17 +138,21 @@ def real_embedding(H) -> np.ndarray:
     return np.block([[R, -I], [I, R]])
 
 
-RADIUS = 1e9  # box |x_j| <= RADIUS: bounds the barrier along directions that only add slack
-NEWTON_STEPS = 4000  # Newton-step budget of each barrier run
+RADIUS = 1e9  # box |x_j| <= RADIUS: bounds the iterates along directions that only add slack
+NEWTON_STEPS = 200  # iteration budget of each run
+_FRACTION = 0.98  # of the step to the boundary of either cone
+_SIGMA_MIN = 0.1  # least centring toward a finite target, whose verdict needs exact dual points
+_SIGMA_GAP = 0.01  # least centring of a run to the gap
 
 
 @dataclass
 class NewtonResult:
     x: np.ndarray
     t: float  # the maximized variable at x
-    bound: float  # dual upper bound on t*, inf until a dual point is PSD
-    nit: int  # Newton steps
-    nfev: int  # barrier evaluations, one Cholesky of the batch each
+    bound: float  # dual upper bound on t*, inf until an exact dual point is PSD
+    nit: int  # predictor-corrector iterations
+    nfev: int  # factorizations of S, one Cholesky of the batch each
+    stop: str  # why the run ended: "target", "bound", "gap" or "budget"
 
 
 @dataclass
@@ -161,87 +166,160 @@ class Pencil:
     rows: int  # rows of S, pads not counted
 
 
-def _barrier(pencil, y):
-    """Whitened pencil at y, the Hessian H of -log det S and tr, the gradient of log det S.
-
-    M_j = L^-1 A_j L^-T on the batch for S = L L^T and g_j = a_j / s on the 1x1
-    rows, so H_ij = sum tr(M_i M_j) + g_i . g_j and tr_j = sum tr(M_j) + sum g_j.
-    None when y is off the cone.
-    """
-    s = pencil.c + pencil.a @ y
-    if not (s > 0).all():
-        return None
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(pencil.C + _combine(y, pencil.A)))
-    except np.linalg.LinAlgError:
-        return None
-    M = Li @ pencil.A @ Li.transpose(0, 2, 1)
-    g = pencil.a / s[:, None]
-    Mf = M.reshape(y.size, -1)
-    H = Mf @ Mf.T + g.T @ g
-    if not np.isfinite(H).all():  # an overflow in M or g reaches H's diagonal
-        return None
-    return M, g, H, np.einsum("jbkk->j", M) + g.sum(axis=0)
-
-
 def _combine(y, A):
     """sum_j y_j A_j over the leading (nonempty) axis of A, as one matrix-vector product."""
     return (y @ A.reshape(len(y), -1)).reshape(A.shape[1:])
 
 
-def _step_length(w, slope):
-    """Exact minimizer over a of -a*slope - sum log(1 + a*w), the barrier along a Newton step."""
-    lo, hi = 0.0, 0.99 / -w.min() if w.min() < 0 else 1e6
-    a = min(1.0, hi)
-    for _ in range(50):
-        r = w / (1.0 + a * w)
-        d1 = -slope - r.sum()
-        if abs(d1) <= 1e-12 * (1.0 + abs(slope)) or (d1 < 0 and a >= hi):
-            break  # stationary, or still descending at the fraction-to-boundary cap
-        lo, hi = (a, hi) if d1 < 0 else (lo, a)
-        a_new = a - d1 / (r @ r)
-        a = a_new if lo < a_new < hi else 0.5 * (lo + hi)
-    return a
+def _inverse_factor(X):
+    """L^-1 for the Cholesky factor L of each matrix of the batch X, or None if one is not PD."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(X))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _schur(pencil, Li, R, z, s):
+    """M_ij = tr(A_i Z A_j S^-1) + sum_r a_ri a_rj z_r / s_r, for S^-1 = Li^T Li and Z = R R^T
+    on the batch and z, s on the 1x1 rows: U U^T for U_j = Li A_j R, one batched product."""
+    U = (Li @ pencil.A @ R).reshape(len(pencil.A), -1)
+    g = pencil.a * np.sqrt(z / s)[:, None]
+    return U @ U.T + g.T @ g
 
 
 def minimize(pencil, y, target=0.0, gap_tol=1e-9):
-    """Maximize t = y[-1] over the packed pencil by barrier path following from interior y.
+    """Maximize t = y[-1] over the packed pencil from interior y by a primal-dual method.
 
-    Runs until t exceeds ``target`` (0 for a feasibility search; inf to maximize
-    t outright), a dual bound proves a finite target out of reach, the duality
-    gap, in units of t, falls below ``gap_tol``, or NEWTON_STEPS Newton steps;
-    returns the iterate with the largest t.  With target inf only the gap ends
-    the run, so t* may be negative.  The Hessian is eigensolved once per
-    barrier evaluation: a centred iterate only shrinks mu, and reuses it.
+    The dual point is Z >= 0 with <A_j, Z> = 0 for x_j and -1 for t (b = e_t);
+    the duality gap is <Z, S>.  Each iteration factorizes S and Z in one
+    Cholesky, eigensolves the Jacobi-scaled Schur matrix M_ij = tr(A_i Z A_j
+    S^-1) of the HKM direction once (Todd, Toh & Tutuncu, SIAM J. Optim.
+    1998) and solves it for Mehrotra's predictor and corrector (SIAM J.
+    Optim. 1992), centring by at least _SIGMA_MIN toward a finite target and
+    _SIGMA_GAP to the gap; y and Z each step _FRACTION of the way to their
+    cone's boundary, at most all the way.  Z starts at zeta S(y0)^-1, whose
+    Schur matrix is the Hessian H of -log det S: zeta = sqrt(b'H^-1 b /
+    g'H^-1 g), for g = <A, S(y0)^-1>, minimizes the dual residual b + zeta g
+    in the norm of that system.  A full step meets the dual equalities, a
+    partial one shrinks their residual; while it falls slower than the gap,
+    near the end, or where Z's dual objective lies below a finite target,
+    up to three refinement passes of the one factorization take it out of Z
+    along the HKM map, as far as Z stays PSD.  A PSD dual point bounds t*
+    over the box, with what residual is left charged in full.
+
+    The run ends once t exceeds ``target`` (0 for a feasibility search; inf
+    to maximize t outright), a bound proves a finite target out of reach,
+    the gap and the squared residual, in units of t, fall below ``gap_tol``,
+    or after NEWTON_STEPS iterations; it returns the iterate with the
+    largest t and the reason.  With target inf only the gap ends the run, so
+    t* may be negative.
     """
-    N, e_t = pencil.rows, np.eye(y.size)[-1]
-    D, eig, best, bound, mu, nit, nfev = _barrier(pencil, y), None, y, np.inf, 1.0 / N, 0, 1
-    while y[-1] <= target and nit < NEWTON_STEPS and D is not None:
-        M, g, H, tr = D
-        if eig is None:
-            d = 1.0 / np.sqrt(np.diag(H))  # Jacobi scaling; the box makes every diagonal positive
-            # the scaled system, pseudo-inverted as lstsq(rcond=1e-13) does for a symmetric PSD
-            # matrix; H is formed symmetric, and the upper triangle keeps lstsq's Newton path
-            # on the shipped example
-            lam, V = np.linalg.eigh(H * np.outer(d, d), UPLO="U")
-            eig = d, np.where(np.abs(lam) > 1e-13 * np.abs(lam).max(), lam, np.inf), V
-        d, lam, V = eig
-        dy = d * (V @ ((V.T @ ((tr + e_t / mu) * d)) / lam))
-        w = np.concatenate([np.linalg.eigvalsh(_combine(dy, M)).ravel(), g @ dy])
-        if w.max() <= 1.0:  # the dual point Z = mu * L^-T (I - W) L^-1 is PSD
-            a = mu * (tr - H @ dy)  # sum_b <Z_b, A_bj>: 0 for x_j and -1 for t when dy is exact
-            gap = mu * (N - w.sum())  # sum_b <Z_b, S_b>
-            if a[-1] < 0:  # weak duality over the box, with the residuals of a charged in full
-                bound = min(bound, (gap - a @ y + RADIUS * np.abs(a[:-1]).sum()) / -a[-1])
-            if bound < target < np.inf or gap <= gap_tol:  # certified, or t* to the gap asked
-                break
-        if w @ w <= 0.0625:  # centred (Newton decrement below 1/4)
-            mu *= 0.1
+    nv, N, B, k = y.size, pencil.rows, *pencil.C.shape[:2]
+    nb = B * k * k
+    # S with the 1x1 rows s as one vector v = c + y G, and Z with their multipliers z as one
+    # vector x: <A_j, Z> + a_j.z = (G x)_j and the gap is x.v
+    G = np.concatenate([pencil.A.reshape(nv, -1), pencil.a.T], axis=1)
+    c = np.concatenate([pencil.C.ravel(), pencil.c])
+    # pad rows: the constant e_r and no coefficient; Z is 0 there, and I stands in to factorize
+    pad = (pencil.C == np.eye(k)).all(axis=2) & ~pencil.A.any(axis=(0, 3))
+    keep, pad_eye = ~(pad[:, :, None] | pad[:, None, :]), pad[:, :, None] * np.eye(k)
+    e_t = np.eye(nv)[-1]
+
+    def hkm(dy):  # v's change along dy, and Z dS S^-1 symmetrized with z ds / s beside it
+        dv = dy @ G
+        dS = dv[:nb].reshape(B, k, k)
+        ZdS = Z @ dS @ Si
+        return dv, np.concatenate([(ZdS + ZdS.swapaxes(1, 2)).ravel() / 2, z * dv[nb:] / s])
+
+    def reach(Fz, dv, dx, x):
+        """The steps to the boundary of S along dv and of the dual point x along dx, given the
+        inverse Cholesky factor Fz of x's batch part."""
+        Fi = np.concatenate([F[:B], Fz])
+        D = np.concatenate([dv[:nb], dx[:nb]]).reshape(2 * B, k, k)
+        e = np.linalg.eigvalsh(Fi @ D @ Fi.swapaxes(1, 2)).reshape(2, -1).min(axis=1, initial=0.0)
+        w = np.concatenate([dv[nb:] / s, dx[nb:] / x[nb:]]).reshape(2, -1).min(axis=1, initial=0.0)
+        return -1.0 / np.minimum(np.minimum(e, w), -1e-300)
+
+    best, bound, nit, nfev, x = y, np.inf, 0, 0, None
+    while True:
+        v = c + y @ G
+        S, s = v[:nb].reshape(B, k, k), v[nb:]
+        nfev += 1
+        try:
+            L = np.linalg.cholesky(S if x is None else
+                                   np.concatenate([S, x[:nb].reshape(B, k, k) + pad_eye]))
+        except np.linalg.LinAlgError:  # lost to rounding at the edge of a cone: half the step
+            if x is None:
+                raise ValueError("minimize needs a strictly feasible start") from None
+            ay, ax = 0.5 * ay, 0.5 * ax
+            y, x = y0 + ay * dy, x0 + ax * dx
             continue
-        y = y + _step_length(w, dy[-1] / mu) * dy
-        D, eig, nit, nfev = _barrier(pencil, y), None, nit + 1, nfev + 1
-        best = y if y[-1] > best[-1] else best
-    return NewtonResult(best[:-1], float(best[-1]), bound, nit, nfev)
+        best = y if y[-1] > best[-1] else best  # factorized, so strictly feasible
+        F = np.linalg.inv(L)  # F[:B] F[:B]^T inverts S, F[B:] the Cholesky factor R of Z
+        Si = F[:B].swapaxes(1, 2) @ F[:B]
+        vi = np.concatenate([(Si * keep).ravel(), 1.0 / s])  # S^-1, 0 on the pads
+        if x is None:  # Z = S^-1 = R R^T for R = L^-T, and R^-1 = L^T
+            x, R, F = vi, F[:B].swapaxes(1, 2), np.concatenate([F, L.swapaxes(1, 2)])
+        else:
+            R = L[B:]
+        Z, z = x[:nb].reshape(B, k, k), x[nb:]
+        M = _schur(pencil, F[:B], R, z, s)
+        d = 1.0 / np.sqrt(np.diag(M))  # Jacobi scaling; the box makes every diagonal positive
+        # the scaled system, pseudo-inverted as lstsq(rcond=1e-15) does for a symmetric PSD matrix:
+        # it grows ill-conditioned near a degenerate optimum, and a cut direction keeps its residual
+        lam, V = np.linalg.eigh(M * np.outer(d, d), UPLO="U")
+        lam = np.where(np.abs(lam) > 1e-15 * np.abs(lam).max(), lam, np.inf)
+        Mi = (d[:, None] * V / lam) @ (V.T * d)
+        az, gap = G @ x, x @ v
+        if nit == 0:  # M = H and az = g; zeta scales Z, its factor, M and the gap alike
+            zeta = np.sqrt(Mi[-1, -1] / (az @ Mi @ az))
+            x, az, gap, Mi = zeta * x, zeta * az, zeta * gap, Mi / zeta
+            Z, z, F[B:] = zeta * Z, zeta * z, F[B:] / np.sqrt(zeta)
+            lag = np.abs(az + e_t).max() / gap  # the start's ratio of residual to gap
+        r, xb, ab, Fb = az + e_t, x, az, F[B:]
+        if az[-1] < 0 and (np.abs(r).max() > lag * gap or gap <= np.sqrt(gap_tol) * -az[-1]
+                           or (gap - az @ y) / -az[-1] < target < np.inf):
+            for _ in range(3):  # xb: x less its residual, while each pass halves it
+                xn = xb - hkm(Mi @ r)[1]
+                rn = G @ xn + e_t
+                if not np.abs(rn).max() < 0.5 * np.abs(r).max():
+                    break
+                xb, r = xn, rn
+            if xb is not x:  # all of the move if it stays inside the cone, else 0.98 of the way
+                inside = (xb[nb:] > 0).all()
+                Fb = _inverse_factor(xb[:nb].reshape(B, k, k) + pad_eye) if inside else None
+                if Fb is None:
+                    xb = x + _FRACTION * reach(F[B:], 0.0 * v, xb - x, x)[1] * (xb - x)
+                    Fb = _inverse_factor(xb[:nb].reshape(B, k, k) + pad_eye)
+                if Fb is None:  # lost to rounding at the edge of the cone
+                    xb, Fb = x, F[B:]
+                ab = G @ xb
+        gb = xb @ v
+        if ab[-1] < 0:  # weak duality over the box, with the residuals of ab charged in full
+            bound = min(bound, (gb - ab @ y + RADIUS * np.abs(ab[:-1]).sum()) / -ab[-1])
+        # a residual r moves the dual objective by r.(y* - y), of second order at the optimum
+        done = ab[-1] < 0 and max(gb, np.abs(ab + e_t).max() ** 2) <= gap_tol * -ab[-1]
+        stop = ("target" if y[-1] > target else "bound" if bound < target < np.inf
+                else "gap" if done else "budget" if nit >= NEWTON_STEPS else None)
+        if stop:
+            return NewtonResult(best[:-1], float(best[-1]), bound, nit, nfev, stop)
+
+        # predictor: complementarity target 0, and the centring sigma its full steps leave
+        dy = Mi[:, -1]
+        dv, h = hkm(dy)
+        dx = -x - h
+        ay, ax = np.minimum(reach(F[B:], dv, dx, x), 1.0)
+        sigma = min((x + ax * dx) @ (v + ay * dv) / gap, 1.0) ** 3
+        mu = max(sigma, _SIGMA_MIN if target < np.inf else _SIGMA_GAP) * gap / N
+        # corrector: the target mu S^-1 less the predictor's second-order term
+        W = dx[:nb].reshape(B, k, k) @ dv[:nb].reshape(B, k, k) @ Si
+        T = mu * vi - np.concatenate([(W + W.swapaxes(1, 2)).ravel() / 2, dx[nb:] * dv[nb:] / s])
+        dy = dy + Mi @ (G @ T)
+        dv, h = hkm(dy)
+        dx = T - h - xb  # from xb to x + dx, which meets the equalities: the residual shrinks
+        ay, ax = np.minimum(_FRACTION * reach(Fb, dv, dx, xb), 1.0)
+        y0, x0 = y, xb
+        y, x, nit = y + ay * dy, xb + ax * dx, nit + 1
 
 
 def stack_blocks(blocks, margin_column) -> Pencil:
@@ -291,7 +369,7 @@ def solve_feasibility(form: AffineSymmetricForm, margin: float, x0=None) -> Feas
 
     A warm start x0 meeting the margin returns at 0 iterations; otherwise
     ``minimize`` runs from (x0, t) strictly inside, with t <= 1 and the box
-    |x_j| <= RADIUS added to bound the barrier, and its point is re-checked on
+    |x_j| <= RADIUS added to bound the iterates, and its point is re-checked on
     the original form.  ``dual_bound < 0`` certifies infeasibility in the box.
     """
     if margin < 0:

@@ -321,7 +321,7 @@ def _corner_decay_rate(system):
 
 
 def _free_mode_certificate(system, monkeypatch):
-    """The free-mode certificate: one feasibility solve, then one barrier run maximizing s."""
+    """The free-mode certificate: one feasibility solve, then one run maximizing s."""
     solves = _spy(monkeypatch, lmi, "solve_feasibility")
     tops = _spy(monkeypatch, lmi, "minimize")
     cert = ff.uas_certificate(system)
@@ -384,6 +384,35 @@ def test_uas_certificate_free_mode_maximizes_c1_c3(monkeypatch, case, most):
     assert _corner_decay_rate(system) <= 0.0
     cert, _, solve = _free_mode_certificate(system, monkeypatch)
     assert solve.iterations > 0 and cert.alpha / cert.beta <= most
+
+
+def _non_normal():
+    """A(p) = [[-1, 1.9], [0, -1]] + p diag(0.1, -0.1), p in [-0.5, 0.5], rates +-0.3: lambda > 0,
+    yet P = I is not the optimal certificate."""
+    return ff.LpvSystem(
+        ff.AffineMatrixFunction([[-1.0, 1.9], [0.0, -1.0]], ([[0.1, 0.0], [0.0, -0.1]],)),
+        ff.AffineMatrixFunction([[1.0], [0.0]], ([[0.0], [0.0]],)),
+        ff.AffineMatrixFunction([[1.0, 0.0]], ([[0.0, 0.0]],)),
+        ff.AffineMatrixFunction([[0.0]], ([[0.0]],)),
+        ff.ParameterBox([-0.5], [0.5], [-0.3], [0.3]))
+
+
+@pytest.mark.parametrize("case, s_star, barrier_steps", [("non_normal", 0.4973301642, 27),
+                                                         ("oscillator", 0.02175817184, 25),
+                                                         ("seeded_6", 0.2822370965, 49)])
+def test_decay_run_takes_at_most_half_the_barrier_steps(monkeypatch, case, s_star, barrier_steps):
+    # s* and the step counts of the log-barrier path following that the run replaced; where
+    # shortcuts break: P = I is not optimal on the first, and the other two start at lambda <= 0
+    system = {"non_normal": _non_normal, "oscillator": _oscillator,
+              "seeded_6": lambda: seeded_system(6)[0]}[case]()
+    tops = _spy(monkeypatch, lmi, "minimize")
+    cert = ff.uas_certificate(system)
+    (run,) = tops
+    assert run.stop == "gap" and run.nit <= barrier_steps // 2
+    assert run.t == pytest.approx(s_star, rel=1e-8)
+    assert cert.achieved_margin >= 0.0 and _decay_min_eigs(system, cert).min() >= 0.0
+    if case == "non_normal":
+        assert cert.alpha / cert.beta == pytest.approx(8.0861, rel=1e-4)
 
 
 def unstable_at_minus_half():
@@ -690,16 +719,16 @@ def test_rate_corners_give_the_worst_eigenvalue_and_flagged_p_of_the_full_grid(
     res = ff.min_gamma(sysm, band, mode, bisect_tol=1e-2)
     prob = build_problem(sysm, band, mode, res.gamma_star)
     xs = [res.x]
-    if system == "example":  # its certificates pass the grid: plant a violation too
+    if not res.violations:  # a certificate that passes the grid: plant a violation too
         xs.append(res.x + 0.1 * (np.arange(len(res.x)) == 3))
     for x in xs:
         got = ff.verify_on_grid(prob, x)
         P, lam = full_grid_eigs(prob, x)
         assert got.points == len(P) // 11 ** sysm.nparams * 2 ** sysm.nparams
-        assert abs(got.worst - lam.max()) <= 1e-12 * abs(lam.max())
+        assert abs(got.worst - lam.max()) <= 1e-12 * np.abs(lam).max()
         assert {tuple(p) for p, _, _ in got} == {tuple(p) for p in P[lam > -prob.margin / 2]}
-    if system != "example":  # the FOUND system and the two-parameter one are flagged
-        assert res.violations and res.violations.worst > 0.0
+    if mode == "lpv_ef" and system == "seeded_6":
+        assert res.violations and res.violations.worst > 0.0  # the vertex relaxation is not exact
 
 
 @pytest.mark.parametrize("mode,band", [("lpv_ef", LOW1), ("lpv_ff", LOW1), ("lpv_ff", MID)],
@@ -775,7 +804,7 @@ def test_min_gamma_probes_match_per_probe_build(benchmark_system, mode, band):
 
 
 def ref_bisect_min_gamma(system, rng, mode, bisect_tol):
-    """The gain bisection the barrier run replaced: doubling or halving from 1 to a bracket,
+    """The gain bisection the gain run replaced: doubling or halving from 1 to a bracket,
     then halving it, every probe at margin(gamma) and warm-started from the last feasible
     point.  Returns (lo, hi, the point at hi, the problem at hi)."""
     family = build_problem(system, rng, mode, 0.0)
@@ -899,8 +928,8 @@ def test_frozen_floor_only_drops_probes_gkyp_rules_out(benchmark_system, mode, b
 
 
 def test_lo_rests_on_the_frozen_floor(benchmark_system):
-    # the barrier's dual bound leaves lo at 3.276018 here; GKYP rules out every level below
-    # the floor 3.278848, so lo rests on it, certified
+    # the gain run's dual bound leaves lo below the floor 3.278848 here; GKYP rules out every
+    # level below the floor, so lo rests on it, certified
     res = ff.min_gamma(benchmark_system, ff.FrequencyRange.low(5.955), "theorem2", bisect_tol=1e-3)
     lo, hi = res.bracket
     assert (res.lo_rests_on, res.lo_certified) == ("floor", True)
@@ -911,13 +940,13 @@ def test_lo_rests_on_the_frozen_floor(benchmark_system):
 
 @pytest.mark.parametrize("mode", ["lpv_ff", "lpv_ef"])
 def test_rounding_of_the_first_probe_level_forces_no_second_probe(mode):
-    # hi - (hi - 1e-3) reads 1e-3 + 3.3e-16 on this system: the probe at hi - 1e-3, not shown
-    # feasible, still closes the bracket
+    # hi - (hi - 1e-3) reads 1e-3 + 3.3e-16 on this system, and a loose dual bound left a probe
+    # at hi - 1e-3 to close the bracket; the gain run's exact dual point closes it alone
     system = seeded_system(6)[0]
     res = ff.min_gamma(system, LOW1, mode, bisect_tol=1e-3)
     lo, hi = res.bracket
-    assert res.bisection_trace[-2:] == [(8.0, True), (hi - 1e-3, False)]
-    assert (lo, res.lo_rests_on) == (hi - 1e-3, "probe")
+    assert res.bisection_trace == [(8.0, True)]
+    assert (res.lo_rests_on, res.lo_certified) == ("dual bound", True) and 0.0 <= hi - lo <= 1e-3
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),

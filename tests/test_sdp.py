@@ -44,8 +44,8 @@ def test_solve_feasibility_contradictory():
 
 
 def test_variable_in_no_block_keeps_the_verdict():
-    # x[1] has zero coefficients everywhere, so the barrier's Hessian has a zero
-    # row without the radius box
+    # x[1] has zero coefficients everywhere, so the Schur matrix has a zero row
+    # without the radius box
     def form(c2):
         return AffineSymmetricForm([[[-1.0]], [[c2]]],
                                    [[[[1.0]], [[0.0]]], [[[-1.0]], [[0.0]]]])
@@ -201,14 +201,14 @@ def _random_positive_definite(seed):
     return 3.0 * G @ G.T + 0.01 * np.eye(4)
 
 
-def _maximize_shift(M, c, gap_tol=1e-9):
+def _maximize_shift(M, c, gap_tol=1e-9, target=np.inf):
     """max t subject to M - (c + t)*I >= 0, one free variable x boxed by -1 <= x <= 1."""
     from finitefreq.sdp import minimize, stack_blocks
     blocks = [(M - c * np.eye(4), np.stack([np.zeros((4, 4)), -np.eye(4)])),
               (np.ones((1, 1)), np.array([[[-1.0]], [[0.0]]])),
               (np.ones((1, 1)), np.array([[[1.0]], [[0.0]]]))]
     t0 = np.linalg.eigvalsh(M).min() - c - 1.0
-    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=np.inf,
+    return minimize(stack_blocks(blocks, False), np.array([0.0, t0]), target=target,
                     gap_tol=gap_tol)
 
 
@@ -248,12 +248,29 @@ def test_minimize_stops_at_the_gap_asked(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_minimize_eigensolves_the_hessian_once_per_barrier_evaluation(seed, monkeypatch):
-    # a centred iterate only shrinks mu, so it reuses the decomposition of its Hessian
+def test_minimize_eigensolves_the_schur_matrix_once_per_iteration(seed, monkeypatch):
+    # the predictor, the corrector and the refinement passes all reuse one decomposition
     calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
     res = _run(_two_blocks(seed) + _box_rows())
-    assert res.nit > 0 and len(calls) <= res.nfev
+    assert res.nit > 0 and len(calls) == res.nfev == res.nit + 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_step_stays_inside_both_cones(seed, monkeypatch):
+    # after the start, S and Z are factorized stacked (a refined Z alone): each stack is positive
+    # definite, so no step is halved, and each step of y stops at least 2% short of the boundary
+    seen, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda X: seen.append(X) or cholesky(X))
+    res = _run(_two_blocks(seed) + _box_rows())
+    B = len(seen[0])
+    stacked = [X for X in seen[1:] if len(X) == 2 * B]
+    S = [seen[0]] + [X[:B] for X in stacked]
+    assert res.stop == "gap" and len(stacked) == res.nit == res.nfev - 1
+    assert all(np.linalg.eigvalsh(X).min() > 0.0 for X in stacked)
+    for S0, S1 in zip(S, S[1:]):
+        Li = np.linalg.inv(cholesky(S0))
+        assert np.linalg.eigvalsh(Li @ S1 @ Li.transpose(0, 2, 1)).min() >= 0.02 - 1e-6
 
 
 def _symmetric(rng, k, scale=1.0):
@@ -331,8 +348,8 @@ def test_extra_pad_rows_leave_the_iterates_alone():
     assert b.t == pytest.approx(a.t, abs=1e-12)
 
 
-def test_packed_hessian_and_gradient_match_the_blockwise_traces():
-    from finitefreq.sdp import RADIUS, _barrier, stack_blocks
+def test_packed_schur_matrix_matches_the_blockwise_traces():
+    from finitefreq.sdp import RADIUS, _schur, stack_blocks
     rng = np.random.default_rng(5)
     nv = 3  # two free variables and t
     blocks = []
@@ -342,11 +359,6 @@ def test_packed_hessian_and_gradient_match_the_blockwise_traces():
     y = np.array([0.05, -0.03, 0.02])
     E = np.eye(nv - 1, nv)
     box = [(np.array([[RADIUS]]), s * E[j][:, None, None]) for s in (1.0, -1.0) for j in range(nv - 1)]
-    H_ref, g_ref = np.zeros((nv, nv)), np.zeros(nv)
-    for C, K in blocks + box:
-        S_inv_A = np.linalg.solve(C + np.tensordot(y, K, axes=1), K)  # (nv, k, k)
-        H_ref += np.einsum("ikl,jlk->ij", S_inv_A, S_inv_A)
-        g_ref += np.einsum("jkk->j", S_inv_A)
     pencil = stack_blocks(blocks, False)
     assert pencil.C.shape == (4, 4, 4) and len(pencil.c) == 2 + 2 * (nv - 1)
     assert pencil.rows == 4 + 2 + 3 + 2 + 2 + 2 * (nv - 1)
@@ -365,9 +377,26 @@ def test_packed_hessian_and_gradient_match_the_blockwise_traces():
         sb = max(abs(C[0, 0]), np.abs(K).max())
         assert pencil.c[row] == pytest.approx(C[0, 0] / sb, rel=1e-13)
         assert np.allclose(pencil.a[row], K[:, 0, 0] / sb, rtol=1e-13, atol=1e-15)
-    _, _, H, g = _barrier(pencil, y)
-    assert np.abs(H - H_ref).max() <= 1e-10 * np.abs(H_ref).max()
-    assert np.abs(g - g_ref).max() <= 1e-10 * np.abs(g_ref).max()
+    # M_ij = sum over blocks of tr(A_i Z A_j S^-1), for a random Z > 0 on each normalized block
+    # (zero on the pads) and z > 0 on the 1x1 rows, the box rows included
+    Zs = [G @ G.T + 0.1 * np.eye(len(G)) for G in (rng.normal(size=(q, q)) for q in (4, 2, 2, 3))]
+    z = rng.uniform(0.5, 2.0, size=len(pencil.c))
+    M_ref = np.zeros((nv, nv))
+    for slot, Zb in enumerate(Zs):
+        q = len(Zb)
+        A = pencil.A[:, slot, :q, :q]
+        S_inv_A = np.linalg.solve(pencil.C[slot, :q, :q] + np.tensordot(y, A, axes=1), A)
+        M_ref += np.einsum("ikl,jlk->ij", Zb @ A, S_inv_A)
+    s = pencil.c + pencil.a @ y
+    M_ref += pencil.a.T @ (pencil.a * (z / s)[:, None])
+    Zp = np.zeros(pencil.C.shape)
+    for slot, Zb in enumerate(Zs):
+        Zp[slot, :len(Zb), :len(Zb)] = Zb
+    pad = np.eye(4) * (np.abs(Zp).sum(axis=1) == 0)[:, None, :]
+    R = np.linalg.cholesky(Zp + pad) * (Zp.any(axis=2)[:, :, None])
+    Li = np.linalg.inv(np.linalg.cholesky(pencil.C + np.tensordot(y, pencil.A, axes=1)))
+    M = _schur(pencil, Li, R, z, s)
+    assert np.abs(M - M_ref).max() <= 1e-10 * np.abs(M_ref).max()
 
 
 def test_an_all_scalar_pencil_has_an_empty_batch():
@@ -382,18 +411,18 @@ def test_an_all_scalar_pencil_has_an_empty_batch():
     assert res.t <= 0.5 <= res.bound
 
 
-def test_step_length_stops_at_the_cap_while_the_barrier_descends():
-    from finitefreq.sdp import _step_length
-    w = np.array([-128.0, 0.5, 2.0, 3.0])
-    cap = 0.99 / 128.0
-    assert -1.4e5 - (w / (1.0 + cap * w)).sum() < 0  # still descending at the cap
-    assert _step_length(w, 1.4e5) == cap
-
-
-def test_step_length_finds_an_interior_minimizer():
-    from finitefreq.sdp import _step_length
-    w = np.array([-2.0, 0.5, 1.0])  # descending at 0, ascending at the cap 0.495
-    a = _step_length(w, 1.0)
-    assert 0.0 < a < 0.99 / 2.0
-    assert abs(-1.0 - (w / (1.0 + a * w)).sum()) <= 2e-12
-    assert a == 0.08378263161399575  # the bracketed Newton iterate, as before the cap check
+@pytest.mark.parametrize("why", ["target", "bound", "gap", "budget"])
+def test_minimize_says_why_it_stopped(why, monkeypatch):
+    # max t subject to M - (c + t) I >= 0, t* = lambda_min(M) - c: a target below t* is
+    # reached, one above it is refuted by a dual bound, none is run to the gap or the budget
+    from finitefreq import sdp
+    M = _random_positive_definite(0)
+    lam = np.linalg.eigvalsh(M).min()
+    if why == "budget":
+        monkeypatch.setattr(sdp, "NEWTON_STEPS", 1)
+    c = {"target": lam - 0.5, "bound": lam + 0.5}.get(why, 0.0)
+    res = _maximize_shift(M, c, target=0.0 if why in ("target", "bound") else np.inf)
+    assert res.stop == why
+    assert {"target": res.t > 0.0, "bound": res.bound < 0.0 and res.t < 0.0,
+            "gap": res.t == pytest.approx(lam, abs=1e-9) and res.t <= lam <= res.bound,
+            "budget": res.nit == 1 and res.t < lam}[why]
